@@ -45,12 +45,15 @@ class Algorithm(Enum):
 Source = Union[PDocument, Database, InvertedIndex]
 
 
-def validate_query(keywords: Iterable[str], k: int) -> list:
+def validate_query(keywords: Iterable[str], k: int,
+                   algorithm: Union[Algorithm, str] = Algorithm.EAGER,
+                   semantics: str = "slca") -> list:
     """Boundary validation shared by :func:`topk_search` and the
-    service layer: materialise the keywords, reject non-positive ``k``
-    and duplicate keywords with a :class:`QueryError` naming the
-    offence (instead of whatever a deeper layer — the heap, the
-    tokenizer — would eventually do with them).
+    service and corpus layers: materialise the keywords, reject
+    non-positive ``k``, duplicate keywords, an unknown algorithm or
+    semantics, and ELCA under EagerTopK with a :class:`QueryError`
+    naming the offence (instead of whatever a deeper layer — the heap,
+    the tokenizer, a shard visit — would eventually do with them).
 
     Two keywords are duplicates when they tokenise identically
     (``"K1"`` duplicates ``"k1"``): the duplicate would silently
@@ -70,6 +73,14 @@ def validate_query(keywords: Iterable[str], k: int) -> list:
                 f"duplicate query keyword {keyword!r} (normalises the "
                 f"same as {seen[key]!r})")
         seen.setdefault(key, keyword)
+    algorithm = _coerce_algorithm(algorithm)
+    if semantics not in ("slca", "elca"):
+        raise QueryError(
+            f"unknown semantics {semantics!r}; choose 'slca' or 'elca'")
+    if semantics == "elca" and algorithm is Algorithm.EAGER:
+        raise QueryError(
+            "EagerTopK's pruning bounds are SLCA-specific; use "
+            "algorithm='prstack' (or 'possible_worlds') for ELCA")
     return keywords
 
 
@@ -147,7 +158,7 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         each result carries its p-document ``node``.  See
         docs/OBSERVABILITY.md for the instrumented ``stats`` layout.
     """
-    keywords = validate_query(keywords, k)
+    keywords = validate_query(keywords, k, algorithm, semantics)
     if _is_query_service(source):
         # A prepared service carries its own caches and collector
         # defaults; delegate so callers can hold one handle for both
@@ -169,14 +180,7 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         else NULL_SANITIZER
     index = _as_index(source)
     algorithm = _coerce_algorithm(algorithm)
-    if semantics not in ("slca", "elca"):
-        raise QueryError(
-            f"unknown semantics {semantics!r}; choose 'slca' or 'elca'")
     elca = semantics == "elca"
-    if elca and algorithm is Algorithm.EAGER:
-        raise QueryError(
-            "EagerTopK's pruning bounds are SLCA-specific; use "
-            "algorithm='prstack' (or 'possible_worlds') for ELCA")
 
     _log.debug("topk_search: %s k=%d semantics=%s", algorithm.value, k,
                semantics)

@@ -109,7 +109,7 @@ class DistTable:
         """
         if is_one(edge_prob):
             return self
-        _check_probability(edge_prob)
+        check_edge_probability(edge_prob)
         masks = {mask: prob * edge_prob for mask, prob in self.masks.items()}
         masks[0] = masks.get(0, 0.0) + (1.0 - edge_prob)
         return DistTable(masks, self.lost * edge_prob)
@@ -122,7 +122,7 @@ class DistTable:
         """
         if is_one(edge_prob):
             return self
-        _check_probability(edge_prob)
+        check_edge_probability(edge_prob)
         masks = {mask: prob * edge_prob for mask, prob in self.masks.items()}
         return DistTable(masks, self.lost * edge_prob)
 
@@ -139,12 +139,7 @@ class DistTable:
             self.masks = dict(other.masks)
             self.lost = other.lost
             return
-        combined: Dict[int, float] = {}
-        for mask_a, prob_a in self.masks.items():
-            for mask_b, prob_b in other.masks.items():
-                key = mask_a | mask_b
-                combined[key] = combined.get(key, 0.0) + prob_a * prob_b
-        self.masks = combined
+        self.masks = or_convolve(self.masks, other.masks)
         self.lost = self.lost + other.lost - self.lost * other.lost
 
     def merge_mux(self, other: "DistTable") -> None:
@@ -162,12 +157,7 @@ class DistTable:
         never materialised — their entire mass is keyword-free and lands
         in mask 0 through this same residue).
         """
-        residue = 1.0 - merged_lambda_sum
-        if residue < -1e-9:
-            raise ModelError(
-                f"MUX children probabilities sum to {merged_lambda_sum:.6f} > 1")
-        if residue > 0.0:
-            self.masks[0] = self.masks.get(0, 0.0) + residue
+        add_mux_residue(self.masks, merged_lambda_sum)
 
     # -- node-local operations ---------------------------------------------------
 
@@ -176,11 +166,7 @@ class DistTable:
         matches keywords contributes them to its whole subtree)."""
         if mask == 0 or not self.masks:
             return
-        updated: Dict[int, float] = {}
-        for entry_mask, prob in self.masks.items():
-            key = entry_mask | mask
-            updated[key] = updated.get(key, 0.0) + prob
-        self.masks = updated
+        self.masks = or_mask(self.masks, mask)
 
     def transform(self, function: Callable[[int], int]) -> None:
         """Remap every mask through ``function`` in place, merging
@@ -216,6 +202,53 @@ class DistTable:
         return probability
 
 
-def _check_probability(value: float) -> None:
+# -- mask-dict kernels ---------------------------------------------------------
+#
+# The arithmetic of Equations 5 and 8 and of the self-mask OR, on bare
+# ``mask -> probability`` dicts.  :class:`DistTable` and the stack
+# engine's inline pop path (repro.core.engine) share them, so both sum
+# in the same order and agree bit for bit.
+
+def or_convolve(left: Dict[int, float],
+                right: Dict[int, float]) -> Dict[int, float]:
+    """Bitwise-OR convolution of two mask distributions (Equation 5).
+
+    Sums in dict insertion order, ``left`` outer and ``right`` inner:
+    the answers are pinned bit for bit, so this order is part of the
+    contract (tests/test_golden_answers.py).
+    """
+    combined: Dict[int, float] = {}
+    get = combined.get
+    for mask_a, prob_a in left.items():
+        for mask_b, prob_b in right.items():
+            key = mask_a | mask_b
+            combined[key] = get(key, 0.0) + prob_a * prob_b
+    return combined
+
+
+def or_mask(masks: Dict[int, float], mask: int) -> Dict[int, float]:
+    """A copy of ``masks`` with ``mask`` ORed into every entry, merging
+    the entries that collide."""
+    updated: Dict[int, float] = {}
+    for entry_mask, prob in masks.items():
+        key = entry_mask | mask
+        updated[key] = updated.get(key, 0.0) + prob
+    return updated
+
+
+def add_mux_residue(masks: Dict[int, float],
+                    merged_lambda_sum: float) -> None:
+    """Equation 8 in place: the no-child-chosen probability
+    ``1 - merged_lambda_sum`` joins mask 0."""
+    residue = 1.0 - merged_lambda_sum
+    if residue < -1e-9:
+        raise ModelError(
+            f"MUX children probabilities sum to {merged_lambda_sum:.6f} > 1")
+    if residue > 0.0:
+        masks[0] = masks.get(0, 0.0) + residue
+
+
+def check_edge_probability(value: float) -> None:
+    """Reject an edge probability outside ``(0, 1]``."""
     if not 0.0 < value <= 1.0:
         raise ModelError(f"edge probability {value!r} outside (0, 1]")

@@ -13,15 +13,30 @@ the precomputed ("preset") tables of already-processed descendant
 regions — and stops at the candidate itself
 (:meth:`StackEngine.finish_candidate`), which is exactly the paper's
 ``ComputeSLCAProbability``.
+
+This loop is where both algorithms spend their time, so frames are not
+objects: each open frame is one slot, indexed by the frame's depth,
+across parallel lists (kind, edge probability, path probability, self
+mask, mask dict, lost mass, merged MUX mass).  A frame's mask dict is
+``None`` until its first child merges — the "contains nothing" unit for
+IND/ordinary frames, the empty sum for MUX frames — and a pop promotes
+and merges directly on the dicts, with the same additions and
+multiplications in the same order as the :class:`DistTable` methods
+(DESIGN.md, "Stack engine frame layout").  Tables leave the engine as
+:class:`DistTable` objects: candidate tables, EXP child tables, the
+sanitizer's view and the ordinary-node hook.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.analysis.numeric import PROB_ATOL
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
-from repro.core.distribution import DistTable
+from repro.core.distribution import (DistTable, add_mux_residue,
+                                     check_edge_probability, or_convolve,
+                                     or_mask)
 from repro.encoding.dewey import DeweyCode, common_prefix_length
 from repro.encoding.prlink import PrLink
 from repro.exceptions import ReproError
@@ -31,6 +46,26 @@ from repro.prxml.model import NodeType
 #: Callback invoked for every harvested SLCA result:
 #: ``(code, global_probability)``.
 ResultSink = Callable[[DeweyCode, float], None]
+
+#: The ordinary-node step hook: ``(table, self_mask) -> local``.  It gets
+#: an ordinary node's table aggregated over its children and the node's
+#: own mask, rewrites the table in place, and returns the node's local
+#: answer probability (0.0 for none), which the engine scales by the
+#: node's path probability and delivers to the sink.  The default step
+#: is keyword semantics: OR the self mask in, then harvest (SLCA) or
+#: consume (ELCA) the full mask.
+OrdinaryStep = Callable[[DistTable, int], float]
+
+#: Engine-local histogram samples are folded into the collector at the
+#: end of every run and, within a run, as soon as a buffer reaches this
+#: size after an item, so a whole-document run buffers at most this many
+#: samples plus one stack depth's worth per histogram.
+SAMPLE_BUFFER = 4096
+
+_ORDINARY = NodeType.ORDINARY
+_MUX = NodeType.MUX
+_EXP = NodeType.EXP
+_UNIT = {0: 1.0}  # compared against, never mutated
 
 
 class StackItem:
@@ -52,31 +87,6 @@ class StackItem:
         return f"StackItem({self.code}, {kind})"
 
 
-class _Frame:
-    """State of one node on the current root path."""
-
-    __slots__ = ("kind", "edge_prob", "path_prob", "self_mask", "table",
-                 "lambda_merged", "preset", "child_tables")
-
-    def __init__(self, kind: NodeType, edge_prob: float, path_prob: float):
-        self.kind = kind
-        self.edge_prob = edge_prob
-        self.path_prob = path_prob
-        self.self_mask = 0
-        # IND/ordinary frames accumulate by convolution starting from the
-        # "contains nothing" unit; MUX frames accumulate a plain sum whose
-        # missing mass is restored by the Equation 8 residue at pop time;
-        # EXP frames keep each child's table separate (keyed by sibling
-        # position) until the subset distribution combines them.
-        if kind is NodeType.MUX:
-            self.table = DistTable()
-        else:
-            self.table = DistTable.unit()
-        self.lambda_merged = 0.0
-        self.preset = False
-        self.child_tables = {} if kind is NodeType.EXP else None
-
-
 class StackEngine:
     """Document-order stack evaluator for keyword distribution tables."""
 
@@ -84,7 +94,8 @@ class StackEngine:
                  context_length: int = 0, elca: bool = False,
                  exp_resolver: Optional[Callable] = None,
                  collector: Collector = NULL_COLLECTOR,
-                 sanitizer: SanitizerLike = NULL_SANITIZER):
+                 sanitizer: SanitizerLike = NULL_SANITIZER,
+                 ordinary_step: Optional[OrdinaryStep] = None):
         """
         Args:
             full_mask: ``2**n - 1`` for an ``n``-keyword query.
@@ -102,12 +113,15 @@ class StackEngine:
                 needed when the document contains EXP nodes (typically
                 ``EncodedDocument.exp_subsets_at``).
             collector: metrics collector receiving the ``engine.*``
-                counters and histograms (docs/OBSERVABILITY.md); the
-                default no-op collector records nothing.
+                counters and histograms (docs/OBSERVABILITY.md), folded
+                in once per run; the default no-op records nothing.
             sanitizer: runtime invariant checker (sanitize mode);
                 asserts edge probabilities, finalised tables, MUX mass
                 and emitted results live (docs/ANALYSIS.md).  The
                 default no-op checks nothing.
+            ordinary_step: replaces the keyword semantics at ordinary
+                nodes (see :data:`OrdinaryStep`); the twig engine's
+                pattern-state transform is the one user.
         """
         if full_mask <= 0:
             raise ReproError("full_mask must cover at least one keyword")
@@ -118,143 +132,247 @@ class StackEngine:
         self.exp_resolver = exp_resolver
         self.collector = collector
         self.sanitizer = sanitizer
+        self._step = ordinary_step
         self._observed = collector.enabled
-        self._frames: List[_Frame] = []
+        # Frame slots, indexed by depth (the node's code length); the
+        # open frames are depths context_length + 1 .. _top.  A kind of
+        # None marks a preset frame, whose dict aliases the region's
+        # table and is therefore never mutated.
+        self._top = context_length
+        self._kinds: List[Optional[NodeType]] = []
+        self._edges: List[float] = []
+        self._paths: List[float] = []
+        self._own: List[int] = []
+        self._tables: List[Optional[Dict[int, float]]] = []
+        self._lost: List[float] = []
+        self._lambdas: List[float] = []
+        # Finalised child tables of open EXP frames, by EXP depth.
+        self._exp_children: Dict[int, Dict[int, DistTable]] = {}
+        self._bottom: Optional[DistTable] = None
         self._current: Optional[DeweyCode] = None
+        self.items_fed = 0
         self.frames_pushed = 0
         self.frames_popped = 0
         self.results_emitted = 0
+        # Metrics accumulate here and reach the collector in one
+        # observe_many per run (plus one per full sample buffer).
+        self._presets_fed = 0
+        self._mux_residues = 0
+        self._exp_combinations = 0
+        self._depth_samples: List[int] = []
+        self._size_samples: List[int] = []
 
     # -- feeding ---------------------------------------------------------------
 
     def feed(self, item: StackItem) -> None:
         """Process the next item; items must arrive in document order."""
         code = item.code
-        if len(code) <= self.context_length:
+        length = len(code.positions)
+        context = self.context_length
+        if length <= context:
             raise ReproError(
                 f"item {code} is outside the engine context "
-                f"(length {self.context_length})")
-        if self._current is None:
-            self._push_components(item, self.context_length)
+                f"(length {context})")
+        current = self._current
+        if current is None:
+            start = context
         else:
-            if code.positions <= self._current.positions:
+            if code.positions <= current.positions:
                 raise ReproError(
                     f"items out of document order: {code} after "
-                    f"{self._current}")
-            shared = common_prefix_length(self._current, code)
-            self._pop_to(max(shared, self.context_length))
-            self._push_components(item, max(shared, self.context_length))
+                    f"{current}")
+            start = common_prefix_length(current, code)
+            if start < context:
+                start = context
+            if self._top > start:
+                self._pop_to(start)
         self._current = code
-        if self._observed:
-            self.collector.count("engine.items_fed")
-            if item.table is not None:
-                self.collector.count("engine.preset_tables_fed")
-        frame = self._frames[-1]
-        if item.table is not None:
-            if frame.self_mask or frame.lambda_merged or frame.table.masks \
-                    not in ({}, {0: 1.0}):
+        self._push(code, item.link, start, length)
+        self.items_fed += 1
+        table = item.table
+        if table is None:
+            self._own[length] |= item.mask
+        else:
+            live = self._tables[length]
+            if self._own[length] or self._lambdas[length] or (
+                    live is not None and live not in ({}, _UNIT)):
                 raise ReproError(
                     f"preset table for {code} collides with live state")
-            frame.table = item.table
-            frame.preset = True
-        else:
-            frame.self_mask |= item.mask
+            self._kinds[length] = None
+            self._tables[length] = table.masks
+            self._lost[length] = table.lost
+            self._presets_fed += 1
+        if len(self._size_samples) >= SAMPLE_BUFFER \
+                or len(self._depth_samples) >= SAMPLE_BUFFER:
+            self._fold_samples()
 
-    def _push_components(self, item: StackItem, from_length: int) -> None:
-        code, link = item.code, item.link
-        sanitized = self.sanitizer.enabled
-        path_prob = math.prod(link[:from_length])
-        for depth in range(from_length, len(code)):
-            edge_prob = link[depth]
-            path_prob *= edge_prob
+    def _push(self, code: DeweyCode, link: PrLink, start: int,
+              length: int) -> None:
+        """Open frames for depths ``start + 1 .. length`` of ``code``.
+
+        Each frame's path probability is its parent's times its edge —
+        the same left-to-right product as ``math.prod(link[:depth])``,
+        since items share their ancestors' link prefixes.
+        """
+        kinds = self._kinds
+        if length >= len(kinds):
+            self._grow(length + 1)
+        edges, paths, own = self._edges, self._paths, self._own
+        tables, lost, lambdas = self._tables, self._lost, self._lambdas
+        code_kinds = code.kinds
+        path = paths[start] if start > self.context_length \
+            else math.prod(link[:start])
+        sanitizer = self.sanitizer
+        sanitized = sanitizer.enabled
+        for depth in range(start + 1, length + 1):
+            edge = link[depth - 1]
+            path *= edge
             if sanitized:
-                self.sanitizer.check_probability(
-                    edge_prob, f"edge probability at depth {depth} of "
+                sanitizer.check_probability(
+                    edge, f"edge probability at depth {depth - 1} of "
                     f"{code}")
-                self.sanitizer.check_probability(
-                    path_prob, f"path probability at depth {depth} of "
+                sanitizer.check_probability(
+                    path, f"path probability at depth {depth - 1} of "
                     f"{code}")
-            self._frames.append(
-                _Frame(code.kinds[depth], edge_prob, path_prob))
-            self.frames_pushed += 1
+            kinds[depth] = code_kinds[depth - 1]
+            edges[depth] = edge
+            paths[depth] = path
+            own[depth] = 0
+            tables[depth] = None
+            lost[depth] = 0.0
+            lambdas[depth] = 0.0
+        self._top = length
+        self.frames_pushed += length - start
         if self._observed:
-            self.collector.observe("engine.stack_depth", len(self._frames))
+            self._depth_samples.append(length - self.context_length)
+
+    def _grow(self, size: int) -> None:
+        extra = size - len(self._kinds)
+        self._kinds.extend([None] * extra)
+        for slots in (self._edges, self._paths, self._lost,
+                      self._lambdas):
+            slots.extend([0.0] * extra)
+        self._own.extend([0] * extra)
+        self._tables.extend([None] * extra)
 
     # -- popping ---------------------------------------------------------------
 
     def _pop_to(self, keep: int) -> None:
-        while len(self._frames) + self.context_length > keep:
-            self._pop_frame()
+        """Finalise the frames deeper than ``keep``, deepest first, and
+        promote each into its parent; the table of a frame without a
+        parent in this run (depth ``context_length + 1``) is kept for
+        :meth:`finish_candidate`."""
+        top = self._top
+        context = self.context_length
+        kinds, edges, paths = self._kinds, self._edges, self._paths
+        tables, lost_slots, lambdas = self._tables, self._lost, self._lambdas
+        full_mask, elca, step = self.full_mask, self.elca, self._step
+        sanitizer = self.sanitizer
+        sanitized = sanitizer.enabled
+        sizes = self._size_samples if self._observed else None
+        self.frames_popped += top - keep
+        while top > keep:
+            kind = kinds[top]
+            masks = tables[top]
+            lost = lost_slots[top]
+            # A preset region's table (kind None) is used verbatim; it
+            # aliases the region, so it is copied before any mutation.
+            owned = kind is not None
+            if owned:
+                if kind is _ORDINARY:
+                    if step is not None:
+                        table = DistTable(_UNIT.copy() if masks is None
+                                          else masks, lost)
+                        local = step(table, self._own[top])
+                        masks, lost = table.masks, table.lost
+                    else:
+                        own = self._own[top]
+                        if masks is None:
+                            masks = {own: 1.0}
+                        elif own and masks:
+                            masks = or_mask(masks, own)
+                        local = masks.pop(full_mask, 0.0)
+                        if not elca:
+                            lost += local
+                        elif local:
+                            masks[0] = masks.get(0, 0.0) + local
+                    if local > 0.0:
+                        code = self._current.prefix(top)
+                        path = paths[top]
+                        probability = path * local
+                        if sanitized:
+                            sanitizer.check_emission(code, probability,
+                                                     path)
+                        self.sink(code, probability)
+                        self.results_emitted += 1
+                elif kind is _MUX:
+                    if sanitized:
+                        sanitizer.check_mux_mass(
+                            lambdas[top], f"MUX node at depth {top}")
+                    if masks is None:
+                        masks = {}
+                    add_mux_residue(masks, lambdas[top])
+                    self._mux_residues += 1
+                elif kind is _EXP:
+                    combined = self._combine_exp(top)
+                    masks, lost = combined.masks, combined.lost
+                    self._exp_combinations += 1
+                elif masks is None:
+                    masks = _UNIT.copy()
+                if sanitized:
+                    sanitizer.check_table(
+                        DistTable(masks, lost),
+                        f"finalised table at depth {top} "
+                        f"({kind.name} frame)")
+                if sizes is not None:
+                    sizes.append(len(masks))
+            edge = edges[top]
+            top -= 1
+            if top <= context:
+                self._bottom = DistTable(masks, lost)
+                break
+            parent_kind = kinds[top]
+            if parent_kind is _EXP:
+                # EXP parents combine children per explicit subset at
+                # their own finalisation; keep the child unpromoted.
+                self._exp_children.setdefault(top, {})[
+                    self._current.positions[top]] = DistTable(masks, lost)
+                continue
+            if not -PROB_ATOL <= edge - 1.0 <= PROB_ATOL:
+                # Promotion (Equations 4 and 6) into a fresh dict; a
+                # certain edge is the identity and keeps the dict.
+                if not 0.0 < edge <= 1.0:
+                    check_edge_probability(edge)
+                masks = {mask: prob * edge for mask, prob in masks.items()}
+                if parent_kind is not _MUX:
+                    masks[0] = masks.get(0, 0.0) + (1.0 - edge)
+                lost = lost * edge
+                owned = True
+            parent = tables[top]
+            if parent_kind is _MUX:
+                # Equation 7: mutually exclusive children's mass adds.
+                lambdas[top] += edge
+                if parent is None:
+                    tables[top] = masks if owned else dict(masks)
+                else:
+                    for mask, prob in masks.items():
+                        parent[mask] = parent.get(mask, 0.0) + prob
+                lost_slots[top] += lost
+                continue
+            # Equation 5: OR-convolution; into the unit table it is a
+            # plain assignment, as the paper notes.
+            parent_lost = lost_slots[top]
+            if parent is None or (
+                    -PROB_ATOL <= parent_lost <= PROB_ATOL
+                    and (not parent or parent == _UNIT)):
+                tables[top] = masks if owned else dict(masks)
+                lost_slots[top] = lost
+            else:
+                tables[top] = or_convolve(parent, masks)
+                lost_slots[top] = parent_lost + lost - parent_lost * lost
+        self._top = keep
 
-    def _pop_frame(self) -> None:
-        frame = self._frames.pop()
-        self.frames_popped += 1
-        depth = self.context_length + len(self._frames) + 1
-        table = self._finalize(frame, depth)
-        if not self._frames:
-            return
-        parent = self._frames[-1]
-        if parent.kind is NodeType.EXP:
-            # EXP parents combine children per explicit subset at their
-            # own finalisation; keep the child's table unpromoted.
-            position = self._current.positions[depth - 1]
-            parent.child_tables[position] = table
-        elif parent.kind is NodeType.MUX:
-            parent.table.merge_mux(table.promoted_mux(frame.edge_prob))
-            parent.lambda_merged += frame.edge_prob
-        else:
-            parent.table.merge_ind(table.promoted_ind(frame.edge_prob))
-
-    def _finalize(self, frame: _Frame, depth: int) -> DistTable:
-        """Close a frame's table: residue / subset combination for
-        distributional kinds, then the ordinary-node hook."""
-        if frame.preset:
-            return frame.table
-        table = frame.table
-        if frame.kind is NodeType.MUX:
-            if self.sanitizer.enabled:
-                self.sanitizer.check_mux_mass(
-                    frame.lambda_merged, f"MUX node at depth {depth}")
-            table.add_mux_residue(frame.lambda_merged)
-            if self._observed:
-                self.collector.count("engine.mux_residues")
-        elif frame.kind is NodeType.EXP:
-            table = self._combine_exp(frame, depth)
-            if self._observed:
-                self.collector.count("engine.exp_combinations")
-        if frame.kind is NodeType.ORDINARY:
-            table = self._finalize_ordinary(frame, table, depth)
-        if self.sanitizer.enabled:
-            self.sanitizer.check_table(
-                table, f"finalised table at depth {depth} "
-                f"({frame.kind.name} frame)")
-        if self._observed:
-            self.collector.observe("engine.dist_table_size",
-                                   len(table.masks))
-        return table
-
-    def _finalize_ordinary(self, frame: _Frame, table: DistTable,
-                           depth: int) -> DistTable:
-        """Keyword semantics at an ordinary node: OR the node's own
-        keyword mask in, then harvest (SLCA) or consume (ELCA) the full
-        mask as this node's answer.  The twig engine overrides this with
-        its pattern-state transform."""
-        table.apply_self_mask(frame.self_mask)
-        if self.elca:
-            local = table.consume(self.full_mask)
-        else:
-            local = table.harvest(self.full_mask)
-        if local > 0.0:
-            code = self._current.prefix(depth)
-            probability = frame.path_prob * local
-            if self.sanitizer.enabled:
-                self.sanitizer.check_emission(code, probability,
-                                              frame.path_prob)
-            self.sink(code, probability)
-            self.results_emitted += 1
-        return table
-
-    def _combine_exp(self, frame: _Frame, depth: int) -> DistTable:
+    def _combine_exp(self, depth: int) -> DistTable:
         """Combine an EXP frame's child tables per its explicit subset
         distribution: ``tab = sum_S q_S * conv(tab_c for c in S)`` plus
         the no-subset residue on mask 0.  Children without keyword
@@ -263,13 +381,14 @@ class StackEngine:
             raise ReproError(
                 "document contains EXP nodes; construct the engine with "
                 "an exp_resolver (EncodedDocument.exp_subsets_at)")
-        code = self._current.prefix(depth)
+        children = self._exp_children.pop(depth, {})
         combined = DistTable()
         total = 0.0
-        for positions, probability in self.exp_resolver(code):
+        for positions, probability in self.exp_resolver(
+                self._current.prefix(depth)):
             convolution = DistTable.unit()
             for position in positions:
-                child_table = frame.child_tables.get(position)
+                child_table = children.get(position)
                 if child_table is not None:
                     convolution.merge_ind(child_table)
             combined.merge_mux(convolution.promoted_mux(probability))
@@ -282,8 +401,7 @@ class StackEngine:
     def finish(self) -> None:
         """Pop every frame (whole-document mode); results flow to the sink."""
         self._pop_to(self.context_length)
-        if self._observed:
-            self._flush_counters()
+        self._fold_metrics()
 
     def finish_candidate(self) -> DistTable:
         """Pop down to the candidate frame, finalise it *without*
@@ -294,19 +412,40 @@ class StackEngine:
         the unit table when the engine was fed nothing (an empty subtree
         contains no keywords).
         """
-        if self._current is None:
+        self._pop_to(self.context_length)
+        self._fold_metrics()
+        if self._bottom is None:
             return DistTable.unit()
-        self._pop_to(self.context_length + 1)
-        frame = self._frames.pop()
-        self.frames_popped += 1
-        table = self._finalize(frame, self.context_length + 1)
-        if self._observed:
-            self._flush_counters()
-        return table
+        return self._bottom
 
-    def _flush_counters(self) -> None:
-        """Fold this engine run's frame totals into the collector (bulk,
-        at termination — cheaper than per-frame counting)."""
-        self.collector.count("engine.frames_pushed", self.frames_pushed)
-        self.collector.count("engine.frames_popped", self.frames_popped)
-        self.collector.count("engine.results_emitted", self.results_emitted)
+    def cut(self) -> None:
+        """End the run early (a deadline cut): the open frames are left
+        unfinalised — finalising them would fabricate probabilities
+        that ignore the unscanned part of their subtrees — and the
+        run's metrics are folded into the collector."""
+        self._fold_metrics()
+
+    def _fold_metrics(self) -> None:
+        """Fold this run's counters and buffered samples into the
+        collector under a single lock acquisition."""
+        if not self._observed:
+            return
+        counts = {"engine.frames_pushed": self.frames_pushed,
+                  "engine.frames_popped": self.frames_popped,
+                  "engine.results_emitted": self.results_emitted}
+        for name, value in (
+                ("engine.items_fed", self.items_fed),
+                ("engine.preset_tables_fed", self._presets_fed),
+                ("engine.mux_residues", self._mux_residues),
+                ("engine.exp_combinations", self._exp_combinations)):
+            if value:
+                counts[name] = value
+        self._fold_samples(counts)
+
+    def _fold_samples(self, counts: Optional[Dict[str, int]] = None
+                      ) -> None:
+        self.collector.observe_many(
+            {"engine.stack_depth": self._depth_samples,
+             "engine.dist_table_size": self._size_samples}, counts)
+        self._depth_samples.clear()
+        self._size_samples.clear()

@@ -95,6 +95,7 @@ def prstack_search(index: InvertedIndex, keywords: Iterable[str],
             if deadline.enabled and deadline.expired():
                 outcome.partial = True
                 outcome.termination_reason = deadline.reason
+                engine.cut()
                 break
             if sanitized:
                 sanitizer.check_order(previous, entry.code)

@@ -376,7 +376,10 @@ class CorpusService:
         completion orders; only ``stats["corpus"]`` (which shards were
         searched vs pruned) varies with timing.
         """
-        keywords = validate_query(keywords, k)
+        # Caller errors surface here, once, before any shard visit:
+        # a QueryError raised inside a visit would otherwise read as a
+        # replica failure and trip the replica breakers.
+        keywords = validate_query(keywords, k, algorithm, semantics)
         terms = sorted(normalize_query(keywords))
         if not terms:
             raise QueryError("keyword query contains no terms")
@@ -484,6 +487,8 @@ class CorpusService:
                 outcome, rname = self._visit_with_failover(
                     shard, bound, keywords, k, algorithm, semantics,
                     budget, tracer, parent_span, merge=merge)
+            except QueryError:
+                raise
             except (ReproError, OSError, ValueError) as error:
                 merge.record_failure(shard, bound,
                                      f"{type(error).__name__}: {error}")
@@ -639,6 +644,8 @@ class CorpusService:
                     self._faults.on_replica_visit(
                         shard.name, replica.name, terms=keywords,
                         deadline=visit_budget)
+                except QueryError:
+                    raise
                 except Exception as error:  # noqa: broad — fault = crash
                     shard.selector.record_failure(index)
                     visit.last_error = (f"{replica.name}: "
@@ -763,7 +770,7 @@ class CorpusService:
             payload = future.result()
             outcome = _decode_rows(payload) if executor == "process" \
                 else payload
-        except (KeyboardInterrupt, SystemExit):
+        except (KeyboardInterrupt, SystemExit, QueryError):
             raise
         except Exception as error:  # noqa: broad — any task death fails over
             shard.selector.record_failure(index)
@@ -820,6 +827,8 @@ class CorpusService:
             outcome, rname = self._visit_with_failover(
                 shard, visit.bound, keywords, k, algorithm, semantics,
                 budget, None, None, span=False)
+        except QueryError:
+            raise
         except (ReproError, OSError, ValueError) as error:
             message = visit.last_error \
                 or f"{type(error).__name__}: {error}"
@@ -869,6 +878,8 @@ class CorpusService:
                                                semantics, budget,
                                                tracer, parent_span,
                                                span=span)
+            except QueryError:
+                raise
             except Exception as error:  # noqa: broad — any crash fails over
                 shard.selector.record_failure(index)
                 last_error = (f"{replica.name}: "

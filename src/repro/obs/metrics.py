@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Dict, Optional, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.obs.trace import DEFAULT_MAX_EVENTS, TraceRecorder
 
@@ -95,6 +95,45 @@ class Histogram:
             if len(self._samples) >= self.MAX_SAMPLES:
                 del self._samples[::2]
                 self._stride *= 2
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Feed a run of values, leaving exactly the state that one
+        :meth:`observe` per value, in order, would leave — the same
+        count, sum (added left to right), extremes and retained
+        samples.  Values must be finite."""
+        if not values:
+            return
+        self.count += len(values)
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        low, high = min(values), max(values)
+        if low < self.minimum:
+            self.minimum = low
+        if high > self.maximum:
+            self.maximum = high
+        samples = self._samples
+        stride, tick = self._stride, self._tick
+        index, end = 0, len(values)
+        while index < end:
+            if stride == 1:
+                # Every value is retained until the reservoir fills.
+                taken = min(self.MAX_SAMPLES - len(samples), end - index)
+                samples.extend(values[index:index + taken])
+                index += taken
+            else:
+                retained = index + stride - 1 - tick
+                if retained >= end:
+                    tick += end - index
+                    break
+                samples.append(values[retained])
+                tick = 0
+                index = retained + 1
+            if len(samples) >= self.MAX_SAMPLES:
+                del samples[::2]
+                stride *= 2
+        self._stride, self._tick = stride, tick
 
     def percentile(self, q: float) -> float:
         """The ``q``-quantile (``q`` in ``[0, 1]``) of the retained
@@ -301,6 +340,10 @@ class NullCollector:
     def observe(self, name: str, value: float) -> None:
         pass
 
+    def observe_many(self, samples: Mapping[str, Sequence[float]],
+                     counts: Optional[Mapping[str, int]] = None) -> None:
+        pass
+
     def observe_time(self, name: str, seconds: float) -> None:
         pass
 
@@ -384,6 +427,26 @@ class MetricsCollector:
             if histogram is None:
                 histogram = self.histograms[name] = Histogram()
             histogram.observe(value)
+
+    def observe_many(self, samples: Mapping[str, Sequence[float]],
+                     counts: Optional[Mapping[str, int]] = None) -> None:
+        """Fold a batch of histogram samples and counter increments in
+        under one lock acquisition — how a stack engine reports a whole
+        run.  The result equals one :meth:`observe` per sample, in
+        order, and one :meth:`count` per counter; an empty sample run
+        creates no histogram."""
+        with self._lock:
+            if counts:
+                counters = self.counters
+                for name, value in counts.items():
+                    counters[name] = counters.get(name, 0) + value
+            for name, values in samples.items():
+                if not values:
+                    continue
+                histogram = self.histograms.get(name)
+                if histogram is None:
+                    histogram = self.histograms[name] = Histogram()
+                histogram.observe_many(values)
 
     def observe_time(self, name: str, seconds: float) -> None:
         """Feed one duration (seconds) into the timer ``name``."""

@@ -292,13 +292,15 @@ def parse_batch_request(payload: Mapping[str, Any]) -> BatchRequest:
 def classify_query_error(error: QueryError) -> Optional[str]:
     """Attribute a :class:`QueryError` to the request field it faults.
 
-    ``validate_query`` raises for ``k <= 0`` and duplicate keywords;
-    ``normalize_query`` for unindexable keywords.  The mapping keys off
-    the stable leading words of those messages.
+    ``validate_query`` raises for ``k <= 0``, duplicate keywords and
+    ELCA under EagerTopK; ``normalize_query`` for unindexable keywords.
+    The mapping keys off stable words of those messages.
     """
     message = str(error)
     if message.startswith("k must be"):
         return "k"
+    if "ELCA" in message or "semantics" in message:
+        return "semantics"
     if "keyword" in message or "query" in message:
         return "keywords"
     return None

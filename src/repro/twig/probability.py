@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.distribution import DistTable
-from repro.core.engine import StackEngine, StackItem
+from repro.core.engine import ResultSink, StackEngine, StackItem
 from repro.core.heap import TopKHeap
 from repro.core.result import SearchOutcome, SLCAResult
 from repro.exceptions import QueryError
@@ -41,24 +41,21 @@ from repro.twig.pattern import CHILD, TwigPattern, parse_twig
 TwigResult = SLCAResult
 
 
-class _TwigEngine(StackEngine):
-    """Stack engine whose ordinary-node step is the pattern transform.
+class _TwigStep:
+    """The twig engine's ordinary-node step: the pattern transform.
 
-    ``self_mask`` holds the node's *test mask* (which steps' node-local
-    tests it satisfies); the sink receives every node whose post-
-    transform state gives the pattern root's ``at`` bit positive mass.
+    Plugged into :class:`StackEngine` as its ``ordinary_step``: the
+    node's ``self_mask`` is its *test mask* (which steps' node-local
+    tests it satisfies), and the node is an answer with the probability
+    mass whose post-transform state has the pattern root's ``at`` bit.
     """
 
-    def __init__(self, pattern: TwigPattern, sink, exp_resolver=None):
-        state_bits = (1 << (2 * len(pattern))) - 1
-        super().__init__(state_bits, sink, exp_resolver=exp_resolver)
+    def __init__(self, pattern: TwigPattern):
         self.pattern = pattern
         self._root_at_bit = 1 << (2 * pattern.root.index)
         self._transform_cache: Dict[Tuple[int, int], int] = {}
 
-    def _finalize_ordinary(self, frame, table: DistTable,
-                           depth: int) -> DistTable:
-        test_mask = frame.self_mask
+    def __call__(self, table: DistTable, test_mask: int) -> float:
         cache = self._transform_cache
 
         def remap(aggregate: int) -> int:
@@ -69,13 +66,8 @@ class _TwigEngine(StackEngine):
             return value
 
         table.transform(remap)
-        root_at = sum(probability for mask, probability in table.items()
-                      if mask & self._root_at_bit)
-        if root_at > 0.0:
-            self.sink(self._current.prefix(depth),
-                      frame.path_prob * root_at)
-            self.results_emitted += 1
-        return table
+        return sum(probability for mask, probability in table.items()
+                   if mask & self._root_at_bit)
 
     def _transform(self, aggregate: int, test_mask: int) -> int:
         """One node's output state from its children's OR-aggregate."""
@@ -98,13 +90,19 @@ class _TwigEngine(StackEngine):
                 out |= ex_bit
         return out
 
-    def finish_root(self) -> DistTable:
-        """Pop everything and return the document root's state table."""
-        if self._current is None:
-            return DistTable.unit()
-        self._pop_to(self.context_length + 1)
-        frame = self._frames.pop()
-        return self._finalize(frame, self.context_length + 1)
+
+def _twig_engine(index: InvertedIndex, pattern: TwigPattern,
+                 sink: ResultSink) -> StackEngine:
+    """A stack engine over the pattern-state vectors of ``pattern``."""
+    state_bits = (1 << (2 * len(pattern))) - 1
+    engine = StackEngine(state_bits, sink,
+                         exp_resolver=index.encoded.exp_subsets_at,
+                         ordinary_step=_TwigStep(pattern))
+    encoded = index.encoded
+    for node_id, test_mask in _candidate_entries(index, pattern):
+        engine.feed(StackItem(encoded.codes[node_id],
+                              encoded.links[node_id], test_mask))
+    return engine
 
 
 def _candidate_entries(index: InvertedIndex, pattern: TwigPattern
@@ -144,21 +142,15 @@ def topk_twig_search(index: InvertedIndex, pattern, k: int = 10
     """
     pattern = _as_pattern(pattern)
     heap = TopKHeap(k)
+    engine = _twig_engine(index, pattern, heap.offer)
+    engine.finish()
     outcome = SearchOutcome(stats={
         "algorithm": "twig",
         "pattern": str(pattern),
         "steps": len(pattern),
-        "candidates": 0,
+        "candidates": engine.items_fed,
     })
-    engine = _TwigEngine(pattern, heap.offer,
-                         exp_resolver=index.encoded.exp_subsets_at)
     encoded = index.encoded
-    for node_id, test_mask in _candidate_entries(index, pattern):
-        engine.feed(StackItem(encoded.codes[node_id],
-                              encoded.links[node_id], test_mask))
-        outcome.stats["candidates"] += 1
-    engine.finish()
-
     outcome.results = [
         TwigResult(code=result.code, probability=result.probability,
                    node=encoded.node_at(result.code))
@@ -171,13 +163,10 @@ def twig_match_probability(index: InvertedIndex, pattern) -> float:
     """Probability that the pattern embeds *anywhere* in a random
     possible world (the twig-matching probability of reference [8])."""
     pattern = _as_pattern(pattern)
-    engine = _TwigEngine(pattern, lambda code, probability: None,
-                         exp_resolver=index.encoded.exp_subsets_at)
-    encoded = index.encoded
-    for node_id, test_mask in _candidate_entries(index, pattern):
-        engine.feed(StackItem(encoded.codes[node_id],
-                              encoded.links[node_id], test_mask))
-    table = engine.finish_root()
+    engine = _twig_engine(index, pattern, lambda code, probability: None)
+    # The document root is the engine's bottom frame: its table is the
+    # whole document's state distribution.
+    table = engine.finish_candidate()
     root_ex_bit = 1 << (2 * pattern.root.index + 1)
     return sum(probability for mask, probability in table.items()
                if mask & root_ex_bit)

@@ -480,6 +480,16 @@ class TestCorpusServing:
         finally:
             connection.close()
 
+    def test_caller_error_is_a_400_not_a_partial_answer(
+            self, corpus_server):
+        handle, _ = corpus_server
+        status, payload = self.request(
+            handle.port, "POST", "/search",
+            {"keywords": QUERY, "semantics": "elca"})
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_query"
+        assert payload["error"]["field"] == "semantics"
+
     def test_search_carries_corpus_stats(self, corpus_server):
         handle, documents = corpus_server
         status, payload = self.request(

@@ -286,6 +286,48 @@ class TestReplicaFailover:
         assert quarantined[victim] == ["r0", "r1"]
 
 
+def _breaker_report(service):
+    return {shard: [(replica["breaker"]["state"], replica["failures"])
+                    for replica in replicas]
+            for shard, replicas in service.replica_stats().items()}
+
+
+class TestCallerErrors:
+    """A caller error is the caller's, not a replica's: it raises a
+    QueryError and never reaches a replica breaker."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("semantics", ["elca", "bogus"])
+    def test_invalid_query_raises_and_breakers_stay_closed(
+            self, replicated, executor, semantics):
+        service = CorpusService(replicated["directory"],
+                                replica_breaker_threshold=2)
+        for _ in range(3):
+            with pytest.raises(QueryError):
+                service.search(QUERY, k=5, semantics=semantics,
+                               executor=executor, workers=2)
+        for replicas in _breaker_report(service).values():
+            assert replicas == [("closed", 0), ("closed", 0)]
+        # The corpus still answers a valid query completely.
+        assert not service.search(QUERY, k=5).partial
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_query_error_inside_a_visit_is_not_a_replica_failure(
+            self, replicated, executor, monkeypatch):
+        def rejecting_search(self, *args, **kwargs):
+            raise QueryError("keyword query rejected by the replica")
+
+        service = CorpusService(replicated["directory"],
+                                replica_breaker_threshold=2)
+        monkeypatch.setattr(QueryService, "search", rejecting_search)
+        for _ in range(3):
+            with pytest.raises(QueryError, match="rejected"):
+                service.search(QUERY, k=5, executor=executor,
+                               workers=2)
+        for replicas in _breaker_report(service).values():
+            assert replicas == [("closed", 0), ("closed", 0)]
+
+
 # -- hedged scatter -----------------------------------------------------------
 
 

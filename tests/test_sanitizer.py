@@ -221,12 +221,22 @@ def build_residual_root_doc():
 class TestCorruptionIsCaught:
     def test_broken_harvest_fires_table_check(self, figure1_db,
                                               monkeypatch):
-        def leaky_harvest(self, full_mask):
-            # Corruption: harvested mass vanishes instead of moving to
-            # ``lost``, so the table no longer sums to 1.
-            return self.masks.pop(full_mask, 0.0)
+        import repro.core.engine as engine_module
+        honest_init = engine_module.StackEngine.__init__
 
-        monkeypatch.setattr(DistTable, "harvest", leaky_harvest)
+        def with_leaky_harvest(self, full_mask, sink, *args, **kwargs):
+            def leaky_harvest(table, self_mask):
+                # Corruption: harvested mass vanishes instead of moving
+                # to ``lost``, so the table no longer sums to 1.
+                table.apply_self_mask(self_mask)
+                return table.masks.pop(full_mask, 0.0)
+
+            honest_init(self, full_mask, sink, *args,
+                        ordinary_step=leaky_harvest, **kwargs)
+
+        # The engine's ordinary-node step is where harvesting happens.
+        monkeypatch.setattr(engine_module.StackEngine, "__init__",
+                            with_leaky_harvest)
         # Unsanitized, the corruption passes silently...
         topk_search(figure1_db, ["k1", "k2"], k=3, algorithm="prstack")
         # ...the sanitizer is what catches it.
