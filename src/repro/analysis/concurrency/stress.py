@@ -60,7 +60,7 @@ def _sample_queries(service: Any, seed: int,
     set exercises both the single-posting path and the multi-keyword
     SLCA merge regardless of which fixture database is loaded.
     """
-    index = service._index
+    index = service.current_index()
     terms = sorted(index.vocabulary(),
                    key=lambda t: (-index.document_frequency(t), t))
     terms = terms[:max_queries]

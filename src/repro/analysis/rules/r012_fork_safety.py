@@ -5,15 +5,20 @@ the fork start method, snapshotted mid-state): locks arrive
 permanently held or fail to pickle, open file handles and sockets
 alias the parent's descriptors, and collectors/recorders silently
 diverge — the worker mutates a *copy* and the parent never sees it.
-The service's own process tier therefore ships only plain data
-(JSON-safe job tuples, a path, a fault spec string) and re-creates
-everything heavy inside the worker via a module-level initializer.
+The services' process tier therefore ships only plain data (a
+:class:`repro.service.worker.Job` of paths, terms and a fault spec
+string) and re-creates everything heavy inside the worker.
 
-This rule enforces that shape: for every variable bound to a
-``ProcessPoolExecutor`` it checks ``submit``/``map`` payloads and the
-constructor's ``initializer``/``initargs``, flagging arguments that
-capture ``self``, anything lock/collector/recorder/tracer/witness-
-named, bound methods, or lambdas (unpicklable).
+This rule enforces that shape.  A pool is a variable bound to a
+``ProcessPoolExecutor`` or to the services' pool helper
+``WorkerPool(...)`` (unless its executor is the literal ``"thread"``),
+directly or through ``with scope as pool``; the rule checks the
+``submit``/``map`` payloads of every pool and of every call that ships
+the shared process worker ``run_job`` — whatever scope built the pool
+— plus a ``ProcessPoolExecutor``'s ``initializer``/``initargs``,
+flagging arguments that capture ``self``, anything lock/collector/
+recorder/tracer/witness-named, bound methods, or lambdas
+(unpicklable).
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ class ForkSafetyRule:
     rule_id = "R012"
     title = "live resource shipped to a process-pool worker"
     hint = ("ship plain data (paths, tuples, spec strings) and rebuild "
-            "heavy state in the worker via a module-level initializer "
-            "(see QueryService._process_init); locks, collectors and "
-            "open handles do not survive pickling/fork")
+            "heavy state in the worker (see repro.service.worker.run_job, "
+            "which loads its Job's source once per process); locks, "
+            "collectors and open handles do not survive pickling/fork")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         for scope in _scopes(module.tree):
@@ -53,8 +58,9 @@ class ForkSafetyRule:
                 func = node.func
                 if isinstance(func, ast.Attribute) \
                         and func.attr in ("submit", "map") \
-                        and isinstance(func.value, ast.Name) \
-                        and func.value.id in pools:
+                        and ((isinstance(func.value, ast.Name)
+                              and func.value.id in pools)
+                             or _ships_worker(node.args)):
                     yield from self._check_payload(
                         module, node, node.args, func.attr)
 
@@ -116,16 +122,34 @@ def _walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _is_process_pool_ctor(call: ast.Call) -> bool:
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else \
+def _call_name(func: ast.expr) -> Optional[str]:
+    return func.id if isinstance(func, ast.Name) else \
         func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _is_process_pool_ctor(call: ast.Call) -> bool:
+    name = _call_name(call.func)
+    if name == "WorkerPool":
+        # The services' pool helper builds a thread pool only when its
+        # executor is "thread"; any other value may be "process".
+        executor = call.args[0] if call.args else None
+        return not (isinstance(executor, ast.Constant)
+                    and executor.value == "thread")
     return name == "ProcessPoolExecutor"
 
 
+def _ships_worker(args: List[ast.expr]) -> bool:
+    """Whether a ``submit``/``map`` call ships the shared process
+    worker, which only ever runs in a process pool."""
+    return bool(args) and _call_name(args[0]) == "run_job"
+
+
 def _process_pool_names(scope: ast.AST) -> Set[str]:
-    """Variables bound to a ``ProcessPoolExecutor`` in this scope."""
+    """Variables bound to a process pool in this scope: a pool
+    constructor's assignment target or ``with ... as`` name, and the
+    ``as`` name of a ``with`` over such a variable."""
     pools: Set[str] = set()
+    withs: List[ast.withitem] = []
     for node in _walk_scope(scope):
         if isinstance(node, ast.Assign) \
                 and isinstance(node.value, ast.Call) \
@@ -134,11 +158,14 @@ def _process_pool_names(scope: ast.AST) -> Set[str]:
                 if isinstance(target, ast.Name):
                     pools.add(target.id)
         if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.context_expr, ast.Call) \
-                        and _is_process_pool_ctor(item.context_expr) \
-                        and isinstance(item.optional_vars, ast.Name):
-                    pools.add(item.optional_vars.id)
+            withs.extend(node.items)
+    for item in withs:
+        expr = item.context_expr
+        if isinstance(item.optional_vars, ast.Name) and (
+                (isinstance(expr, ast.Call)
+                 and _is_process_pool_ctor(expr))
+                or (isinstance(expr, ast.Name) and expr.id in pools)):
+            pools.add(item.optional_vars.id)
     return pools
 
 

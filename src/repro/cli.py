@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(docs/RESILIENCE.md)")
     batch.add_argument("--max-retries", type=int, default=2,
                        metavar="N", dest="max_retries",
-                       help="recovery attempts per failed query "
+                       help="serial retries per failed query "
                             "before it becomes an error outcome "
                             "(default 2)")
     batch.add_argument("--faults", metavar="SPEC", default=None,

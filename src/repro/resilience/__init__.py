@@ -8,7 +8,7 @@ The graceful-degradation layer of the library (docs/RESILIENCE.md):
   instead of raising;
 * :class:`RetryPolicy` / :class:`CircuitBreaker` — pacing and pool
   protection for :meth:`repro.service.QueryService.batch_search`'s
-  degradation chain (process -> thread -> serial -> error outcome);
+  degradation chain (process -> serial -> error outcome);
 * :class:`FaultInjector` / :func:`parse_faults` /
   :func:`faults_from_env` — deterministic, seeded injection of worker
   crashes, slow queries, query errors and corrupt index payloads, used

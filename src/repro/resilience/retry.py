@@ -101,7 +101,7 @@ class CircuitBreaker:
       breaker.
 
     The breaker never raises — the service consults ``allow()`` and
-    routes around an open circuit (degrading to the thread tier), which
+    routes around an open circuit (degrading to the serial tier), which
     is the graceful-degradation behaviour the north-star demands.
     """
 

@@ -22,8 +22,9 @@ from repro.corpus.builder import BOUNDS_FILE, CORPUS_FILE
 from repro.corpus.service import (ACTION_NO_MATCH, ACTION_PRUNED,
                                   REASON_SHARD_FAILURE, _Merge)
 from repro.exceptions import QueryError, StorageError
-from repro.index.storage import CURRENT_FILE, Database
+from repro.index.storage import CURRENT_FILE, Database, save_database
 from repro.obs.metrics import MetricsCollector, NULL_COLLECTOR
+from repro.obs.spans import SpanTracer, derive_trace_id, validate_spans
 from tests.conftest import random_pdoc
 
 QUERY = ["k1", "k2"]
@@ -447,6 +448,71 @@ class TestDegradation:
         assert batch.stats["corpus"]["searched"] >= 1
         expected = oracle_rows(documents, QUERY, 3)
         assert corpus_rows(batch.outcomes[0]) == expected
+
+
+# -- process visits ------------------------------------------------------------
+
+
+class TestProcessVisits:
+    """A process visit answers, traces and counts like an in-process
+    one: it loads the generation its coordinator serves and hands the
+    worker's spans and engine counters back to the corpus."""
+
+    EXECUTORS = ("serial", "thread", "process")
+
+    def test_visits_serve_the_coordinators_generation(self, tmp_path):
+        documents = random_corpus(99, count=4)
+        directory = str(tmp_path / "corpus")
+        manifest = build_corpus(documents, directory, shards=2)
+        service = CorpusService(directory)
+        before = corpus_rows(service.search(QUERY, k=5))
+        assert before == oracle_rows(documents, QUERY, 5)
+        # Commit a generation with a certain k1 k2 answer to shard 0
+        # and do not reload: every executor must keep serving the
+        # generation the coordinator loaded.
+        strong = DocumentBuilder("strong")
+        strong.leaf("a", text="k1 k2")
+        save_database(Database.from_document(
+            concat_documents([("strong", strong.build())])),
+            manifest.shard_dir(0))
+        for executor in self.EXECUTORS:
+            outcome = service.search(QUERY, k=5, executor=executor,
+                                     workers=2)
+            assert corpus_rows(outcome) == before, executor
+
+    def run_traced(self, directory, executor):
+        collector = MetricsCollector()
+        service = CorpusService(directory, collector=collector)
+        tracer = SpanTracer(trace_id=derive_trace_id("visit", executor))
+        outcome = service.search(QUERY, k=5, executor=executor,
+                                 workers=2, tracer=tracer)
+        spans = validate_spans(tracer.export())
+        counters = {name for name in collector.snapshot()["counters"]
+                    if name.startswith(("engine.", "index."))}
+        return corpus_rows(outcome), spans, counters
+
+    def test_traced_visits_keep_worker_spans_and_counters(self,
+                                                          tmp_path):
+        directory = str(tmp_path / "corpus")
+        build_corpus(random_corpus(99, count=4), directory, shards=2)
+        rows, spans, counters = self.run_traced(directory, "serial")
+        names = {span["name"] for span in spans}
+        assert {"query", "index.merge_entries"} <= names
+        assert counters
+        for executor in ("thread", "process"):
+            got_rows, got_spans, got_counters = self.run_traced(
+                directory, executor)
+            assert got_rows == rows, executor
+            assert got_counters == counters, executor
+            got_names = {span["name"] for span in got_spans}
+            assert got_names - {"worker"} == names, executor
+        # The worker spans hang under their visit's corpus.shard span.
+        by_id = {span["span_id"]: span for span in got_spans}
+        workers = [span for span in got_spans
+                   if span["name"] == "worker"]
+        assert workers
+        for worker in workers:
+            assert by_id[worker["parent_id"]]["name"] == "corpus.shard"
 
 
 # -- serving a corpus ----------------------------------------------------------

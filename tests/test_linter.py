@@ -259,6 +259,57 @@ class TestR007NonAtomicWrite:
         assert [f.rule for f in result.suppressed] == ["R007"]
 
 
+class TestR012ForkSafety:
+    """Payloads shipped through the services' pool helper and shared
+    process worker (``repro.service.worker``) stay visible to R012."""
+
+    HEADER = ("import threading\n"
+              "from repro.service.worker import Job, WorkerPool, "
+              "run_job\n")
+
+    def lint(self, body):
+        return lint_source(self.HEADER + body, rules=select_rules(["R012"]))
+
+    def test_flags_lock_riding_a_job_through_worker_pool(self):
+        result = self.lint(
+            "def scatter(source):\n"
+            "    lock = threading.Lock()\n"
+            "    with WorkerPool('process', 2) as pool:\n"
+            "        pool.submit(run_job, Job(source, lock))\n")
+        assert rules_of(result) == ["R012"]
+
+    def test_flags_payload_of_a_pool_entered_through_its_scope(self):
+        result = self.lint(
+            "def scatter(work, executor, lock):\n"
+            "    scope = WorkerPool(executor, 2)\n"
+            "    with scope as pool:\n"
+            "        pool.submit(work, lock)\n")
+        assert rules_of(result) == ["R012"]
+
+    def test_flags_worker_job_on_a_pool_built_elsewhere(self):
+        result = self.lint(
+            "def launch(pool, collector):\n"
+            "    return pool.submit(run_job, Job(collector))\n")
+        assert rules_of(result) == ["R012"]
+
+    def test_thread_pool_and_plain_jobs_pass(self):
+        result = self.lint(
+            "def scatter(self, lock):\n"
+            "    with WorkerPool('thread', 2) as pool:\n"
+            "        pool.submit(self.visit, lock)\n"
+            "def serve(job):\n"
+            "    with WorkerPool('process', 2) as pool:\n"
+            "        pool.submit(run_job, job)\n")
+        assert result.clean
+
+    def test_suppressed(self):
+        result = self.lint(
+            "def launch(pool, lock):\n"
+            "    pool.submit(run_job, lock)  # repro: ignore[R012] peer\n")
+        assert result.clean
+        assert [f.rule for f in result.suppressed] == ["R012"]
+
+
 class TestFramework:
     def test_syntax_error_becomes_r000(self):
         result = lint_source("def broken(:\n")

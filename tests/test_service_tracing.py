@@ -166,7 +166,7 @@ class TestSpanPropagation:
     def test_spans_survive_worker_crash_and_degradation(self, figure1_db):
         # The crash targets 'zzz' and fires late, so the healthy
         # chunk's worker spans are harvested while the crashed chunk's
-        # queries re-run (and re-trace) on the thread tier.
+        # queries re-run (and re-trace) on the serial tier.
         queries = [["k1"], ["k1", "k2"], ["k2"], ["zzz"]]
         collector = MetricsCollector()
         service = QueryService(figure1_db, collector=collector)
@@ -184,11 +184,12 @@ class TestSpanPropagation:
         crashed = [s for s in chunks.values()
                    if s.get("status") == "error"]
         assert len(crashed) == 1
-        retried = [s for s in chunks.values()
-                   if s["attrs"]["tier"] == "thread-retry"]
-        assert retried
         degrades = [s for s in spans if s["name"] == "degrade"]
-        assert degrades and degrades[0]["attrs"]["tier"] == "thread"
+        assert len(degrades) == 1
+        assert degrades[0]["attrs"]["tier"] == "serial"
+        retried = [s for s in spans if s["name"] == "query"
+                   and s["parent_id"] == degrades[0]["span_id"]]
+        assert retried  # the crashed chunk's queries, re-run serially
         workers = [s for s in spans if s["name"] == "worker"]
         assert workers  # the healthy chunk's spans were adopted
         assert all(s["parent_id"] not in
