@@ -18,8 +18,9 @@ slow_query       before a query runs (any executor)            ``time.sleep`` of
                                                                ``delay_ms``
 query_error      before a query runs (any executor)            raises
                                                                :class:`InjectedFaultError`
-corrupt_payload  the serialised document shipped to workers    payload garbled — worker
-                                                               initialisation fails
+corrupt_payload  the serialised document shipped to workers    payload garbled — the
+                                                               worker's load fails,
+                                                               counted as a crash
 reload_corrupt   ``QueryService.reload``, before the new       raises
                  generation is verified and swapped in         :class:`InjectedFaultError`
                                                                — the reload is rejected,
