@@ -26,7 +26,7 @@ empty list and ``summary.total == 0`` (the CI gate).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.analysis.linter import Finding, LintResult
 from repro.exceptions import ReproError

@@ -36,7 +36,7 @@ corpus, every answer checked bit-identical to a clean serial oracle:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.corpus import (CorpusService, HedgePolicy, build_corpus,
                           concat_documents)

@@ -30,7 +30,7 @@ import http.client
 import json
 import random
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.api import topk_search
 from repro.datagen.workload import WorkloadSpec, sample_workload

@@ -80,7 +80,8 @@ from repro.corpus.replication import (HedgeLike, HedgePolicy,
                                       ReplicaSelector,
                                       DEFAULT_REPLICA_BREAKER_THRESHOLD,
                                       DEFAULT_REPLICA_COOLDOWN_S,
-                                      as_hedge_policy, replica_name)
+                                      as_hedge_policy, replica_dir_name,
+                                      replica_name)
 from repro.encoding.dewey import DeweyCode
 from repro.exceptions import QueryError, ReproError, StorageError
 from repro.index.fsck import FsckReport, fsck_database
@@ -1113,19 +1114,25 @@ def corpus_fsck(directory: Union[str, os.PathLike],
                 repair: bool = False,
                 collector: Collector = NULL_COLLECTOR
                 ) -> List[Tuple[str, FsckReport]]:
-    """Run :func:`repro.index.fsck.fsck_database` over every shard.
+    """Run :func:`repro.index.fsck.fsck_database` over every replica
+    of every shard.
 
-    Returns ``(shard_name, report)`` pairs in shard order.  Corruption
-    in one shard never hides another's report, and with ``repair=True``
-    each shard quarantines/recovers independently — a corpus query
-    after a repair answers from the healthy shards.
+    Returns ``(replica directory name, report)`` pairs in shard order,
+    primary first (``s0000``, ``s0000.r1``, ...).  Replicas share one
+    in-memory copy when their bytes match, so only this file-level
+    check shows a damaged replica whose twin is intact.  Corruption in
+    one replica never hides another's report, and with ``repair=True``
+    each one quarantines/recovers independently — a corpus query after
+    a repair answers from the healthy shards.
     """
     manifest = load_corpus_manifest(directory)
     reports: List[Tuple[str, FsckReport]] = []
     for position, name in enumerate(manifest.shard_names):
-        reports.append((name, fsck_database(manifest.shard_dir(position),
-                                            repair=repair,
-                                            collector=collector)))
+        for replica, replica_dir in enumerate(
+                manifest.replica_dirs(position)):
+            reports.append((replica_dir_name(name, replica),
+                            fsck_database(replica_dir, repair=repair,
+                                          collector=collector)))
     return reports
 
 

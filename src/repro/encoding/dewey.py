@@ -72,8 +72,19 @@ class DeweyCode:
         return cls(tuple(positions), tuple(kinds))
 
     def child(self, position: int, kind: NodeType) -> "DeweyCode":
-        """Extend by one component (a child at ``position`` of ``kind``)."""
-        return DeweyCode(self.positions + (position,), self.kinds + (kind,))
+        """Extend by one component (a child at ``position`` of ``kind``).
+
+        Only the new component is checked: this code's own components
+        were checked when it was built.
+        """
+        positions = self.positions + (position,)
+        if position < 1:
+            raise EncodingError(f"positions must be >= 1: {positions}")
+        code = DeweyCode.__new__(DeweyCode)
+        code.positions = positions
+        code.kinds = self.kinds + (kind,)
+        code._hash = hash(positions)
+        return code
 
     # -- structure ----------------------------------------------------------
 

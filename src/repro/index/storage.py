@@ -23,10 +23,13 @@ previous generation fully intact and loadable — at worst a stale
 staging directory remains, which the next save (or ``repro fsck``)
 sweeps away.
 
-:func:`load_database` resolves ``CURRENT``, verifies every file's size
-and SHA-256 against the manifest (skippable with ``verify=False`` for
-speed), re-encodes the document (Dewey codes are deterministic, so they
-never need to be stored) and cross-checks the posting lists against it.
+:func:`load_database` resolves ``CURRENT``, reads each data file once,
+verifies those bytes' size and SHA-256 against the manifest (skippable
+with ``verify=False`` for speed), and parses the same bytes: it
+re-encodes the document (Dewey codes are deterministic, so they never
+need to be stored) and cross-checks the posting lists against it.  A
+verified snapshot whose content is already loaded in this process
+shares that in-memory index instead of parsing it again.
 Pre-snapshot *legacy* directories — the three data files sitting flat
 in ``dbdir`` with no ``CURRENT`` — keep loading read-only for backward
 compatibility; ``repro snapshot`` migrates them.
@@ -38,17 +41,20 @@ and manifest schema are documented in docs/STORAGE.md.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
+import threading
+import weakref
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.encoding.encoder import EncodedDocument, encode_document
-from repro.exceptions import StorageError
+from repro.exceptions import ParseError, ReproError, StorageError
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import Collector, NULL_COLLECTOR
-from repro.prxml.parser import parse_pxml_file
+from repro.prxml.parser import parse_pxml
 from repro.prxml.serializer import serialize_pxml
 
 FORMAT_VERSION = 1
@@ -368,25 +374,35 @@ def verify_snapshot(snapshot_dir,
     for name in DATA_FILES:
         record = files.get(name)
         path = os.path.join(snapshot_dir, name)
-        if record is None:
-            problems.append((name, "missing_file",
-                             f"{path}: not recorded in the manifest"))
-            continue
-        if not os.path.exists(path):
-            problems.append((name, "missing_file", f"{path}: missing"))
-            continue
-        digest, size = sha256_file(path)
-        if size != record.get("bytes"):
-            problems.append((
-                name, "size_mismatch",
-                f"{path}: {size} bytes on disk but the manifest "
-                f"recorded {record.get('bytes')}"))
-        elif digest != record.get("sha256"):
-            problems.append((
-                name, "checksum_mismatch",
-                f"{path}: SHA-256 {digest[:12]}... does not match the "
-                f"manifest's {str(record.get('sha256'))[:12]}..."))
+        measured = (sha256_file(path)
+                    if record is not None and os.path.exists(path)
+                    else None)
+        problem = _file_problem(name, path, record, measured)
+        if problem is not None:
+            problems.append(problem)
     return problems
+
+
+def _file_problem(name: str, path: str, record: Optional[Dict],
+                  measured: Optional[Tuple[str, int]]
+                  ) -> Optional[Tuple[str, str, str]]:
+    """One data file against its manifest record (``measured`` is its
+    ``(sha256, bytes)``, or ``None`` when the file is missing)."""
+    if record is None:
+        return (name, "missing_file",
+                f"{path}: not recorded in the manifest")
+    if measured is None:
+        return (name, "missing_file", f"{path}: missing")
+    digest, size = measured
+    if size != record.get("bytes"):
+        return (name, "size_mismatch",
+                f"{path}: {size} bytes on disk but the manifest "
+                f"recorded {record.get('bytes')}")
+    if digest != record.get("sha256"):
+        return (name, "checksum_mismatch",
+                f"{path}: SHA-256 {digest[:12]}... does not match the "
+                f"manifest's {str(record.get('sha256'))[:12]}...")
+    return None
 
 
 # -- loading ------------------------------------------------------------------
@@ -425,54 +441,155 @@ def load_database(directory, verify: bool = True,
                   collector: Collector = NULL_COLLECTOR) -> Database:
     """Load the active generation written by :func:`save_database`.
 
+    Each data file is read once: the bytes checked against the
+    manifest are the bytes parsed.  A verified snapshot whose content
+    is already loaded in this process — a shard's other replica, a
+    reload of an unchanged generation — shares that in-memory index
+    (see :class:`_SharedIndexes`); the returned :class:`Database`
+    still names its own generation and directory.
+
     Args:
         directory: the database directory (snapshot layout, or a
             legacy flat directory — loaded read-only).
         verify: check every data file's size and SHA-256 against the
             snapshot manifest before parsing (legacy directories have
             no manifest and skip this).  Passing ``False`` trades the
-            integrity check for load speed.
+            integrity check for load speed; unverified loads never
+            share an index.
         collector: receives ``storage.load`` timing and
-            ``storage.verify.*`` counters.
+            ``storage.verify.*`` / ``storage.load.*`` counters.
     """
     directory = os.fspath(directory)
     with collector.time("storage.load"):
         data_dir, generation = resolve_snapshot(directory)
-        if generation is not None:
-            manifest = read_manifest(data_dir)
-            if verify:
-                with collector.time("storage.verify"):
-                    problems = verify_snapshot(data_dir, manifest)
-                if collector.enabled:
-                    collector.count("storage.verify.files",
-                                    len(DATA_FILES))
-                    collector.count("storage.verify.failures",
-                                    len(problems))
-                if problems:
-                    _file, kind, detail = problems[0]
-                    more = (f" (and {len(problems) - 1} more problem(s))"
-                            if len(problems) > 1 else "")
-                    raise StorageError(
-                        f"snapshot {generation} failed verification: "
-                        f"{kind}: {detail}{more}; run 'repro fsck "
-                        f"--repair' to quarantine and rebuild")
-        database = _load_data_files(data_dir)
-        database.generation = generation
-        database.directory = directory
+        manifest = (read_manifest(data_dir) if generation is not None
+                    else None)
+        bodies = _read_bodies(data_dir)
+        key: Optional[_ContentKey] = None
+        if manifest is not None and verify:
+            with collector.time("storage.verify"):
+                problems = _verify_bodies(data_dir, manifest, bodies)
+            if collector.enabled:
+                collector.count("storage.verify.files", len(DATA_FILES))
+                collector.count("storage.verify.failures", len(problems))
+            if problems:
+                _file, kind, detail = problems[0]
+                more = (f" (and {len(problems) - 1} more problem(s))"
+                        if len(problems) > 1 else "")
+                raise StorageError(
+                    f"snapshot {generation} failed verification: "
+                    f"{kind}: {detail}{more}; run 'repro fsck "
+                    f"--repair' to quarantine and rebuild")
+            key = _content_key(manifest)
+        index = _SHARED.get(key) if key is not None else None
+        shared = index is not None
+        if index is None:
+            parsed = _index_from_bodies(data_dir, bodies)
+            index = parsed if key is None else _SHARED.offer(key, parsed)
+            shared = index is not parsed
+        database = Database(index.encoded, index, generation, directory)
     if collector.enabled:
         collector.count("storage.load.databases")
+        if shared:
+            collector.count("storage.load.shared")
         if generation is None:
             collector.count("storage.load.legacy")
     return database
 
 
-def _load_data_files(data_dir: str) -> Database:
+#: The manifest's ``(file, bytes, sha256)`` for every data file.
+_ContentKey = Tuple[Tuple[str, object, object], ...]
+
+
+def _content_key(manifest: Dict[str, object]) -> _ContentKey:
+    files = manifest.get("files", {})
+    return tuple((name, files[name].get("bytes"), files[name].get("sha256"))
+                 for name in DATA_FILES)
+
+
+class _SharedIndexes:
+    """One in-memory index per verified snapshot content.
+
+    Snapshot indexes are read-only once loaded, so every verified load
+    of the same bytes can serve the same :class:`InvertedIndex`.  The
+    map holds its entries weakly: a copy lives only while some loaded
+    :class:`Database` (and so some service state) still holds it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: weakref.WeakValueDictionary[  # repro: guarded-by[_lock]
+            _ContentKey, InvertedIndex] = weakref.WeakValueDictionary()
+
+    def get(self, key: _ContentKey) -> Optional[InvertedIndex]:
+        with self._lock:
+            return self._entries.get(key)
+
+    def offer(self, key: _ContentKey,
+              index: InvertedIndex) -> InvertedIndex:
+        """Record ``index`` for ``key`` and return the copy to serve —
+        an earlier one if a concurrent load recorded it first."""
+        with self._lock:
+            return self._entries.setdefault(key, index)
+
+    def after_fork(self) -> None:
+        """A fork while another thread held the lock would leave the
+        child's copy locked forever; the child starts a new one."""
+        self._lock = threading.Lock()
+
+
+_SHARED = _SharedIndexes()
+os.register_at_fork(after_in_child=_SHARED.after_fork)
+
+
+def _read_bodies(data_dir: str) -> Dict[str, Union[bytes, OSError]]:
+    """Each data file's bytes, or the error reading it, in one read."""
+    bodies: Dict[str, Union[bytes, OSError]] = {}
+    for name in DATA_FILES:
+        try:
+            with open(os.path.join(data_dir, name), "rb") as handle:
+                bodies[name] = handle.read()
+        except OSError as exc:
+            bodies[name] = exc
+    return bodies
+
+
+def _verify_bodies(data_dir: str, manifest: Dict[str, object],
+                   bodies: Dict[str, Union[bytes, OSError]]
+                   ) -> List[Tuple[str, str, str]]:
+    """:func:`verify_snapshot` over bytes already read."""
+    problems: List[Tuple[str, str, str]] = []
+    files = manifest.get("files", {})
+    for name in DATA_FILES:
+        path = os.path.join(data_dir, name)
+        measured = None
+        if not isinstance(bodies[name], FileNotFoundError):
+            body = _body(bodies, name, path)
+            measured = (hashlib.sha256(body).hexdigest(), len(body))
+        problem = _file_problem(name, path, files.get(name), measured)
+        if problem is not None:
+            problems.append(problem)
+    return problems
+
+
+def _body(bodies: Dict[str, Union[bytes, OSError]], name: str, path: str,
+          error: Type[ReproError] = StorageError) -> bytes:
+    """A read body, or ``error`` naming why it could not be read."""
+    body = bodies[name]
+    if isinstance(body, OSError):
+        raise error(f"cannot read {path}: {body}") from body
+    return body
+
+
+def _index_from_bodies(data_dir: str,
+                       bodies: Dict[str, Union[bytes, OSError]]
+                       ) -> InvertedIndex:
     """Parse and cross-check the three data files of one location."""
     meta_path = os.path.join(data_dir, _META_FILE)
     try:
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except (OSError, ValueError) as exc:
+        meta = json.loads(_body(bodies, _META_FILE, meta_path)
+                          .decode("utf-8"))
+    except ValueError as exc:
         raise StorageError(f"cannot read {meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise StorageError(f"{meta_path}: not a JSON object")
@@ -490,40 +607,46 @@ def _load_data_files(data_dir: str) -> Database:
             f"{version!r} (this library reads version {FORMAT_VERSION}); "
             f"re-index the source document with 'repro index'")
 
-    document = parse_pxml_file(os.path.join(data_dir, _DOCUMENT_FILE))
+    document_path = os.path.join(data_dir, _DOCUMENT_FILE)
+    document = parse_pxml(_body(bodies, _DOCUMENT_FILE, document_path,
+                                error=ParseError),
+                          path=document_path)
     if len(document) != meta.get("nodes"):
         raise StorageError(
             f"document has {len(document)} nodes but metadata recorded "
             f"{meta.get('nodes')}")
     encoded = encode_document(document)
 
-    postings = read_postings(os.path.join(data_dir, _POSTINGS_FILE))
+    postings_path = os.path.join(data_dir, _POSTINGS_FILE)
+    postings = _parse_postings(
+        postings_path, _body(bodies, _POSTINGS_FILE, postings_path))
     if len(postings) != meta.get("terms"):
         raise StorageError(
             f"index has {len(postings)} terms but metadata recorded "
             f"{meta.get('terms')}")
     index = InvertedIndex(encoded, postings)
     index.check_integrity()
-    return Database(encoded, index)
+    return index
 
 
-def read_postings(postings_path: str) -> Dict[str, array]:
-    """Strictly parse a postings JSONL file (shared with fsck)."""
-    postings: Dict[str, array] = {}
+def _parse_postings(postings_path: str, body: bytes) -> Dict[str, array]:
+    """Strictly parse a postings JSONL body."""
     try:
-        with open(postings_path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                term, ids = parse_posting_line(postings_path,
-                                               line_number, line)
-                if term in postings:
-                    raise StorageError(
-                        f"{postings_path}:{line_number}: term "
-                        f"{term!r} appears twice")
-                postings[term] = ids
-    except (OSError, UnicodeDecodeError) as exc:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise StorageError(f"cannot read {postings_path}: {exc}") from exc
+    postings: Dict[str, array] = {}
+    # StringIO splits lines exactly as reading the file as text would.
+    for line_number, line in enumerate(io.StringIO(text, newline=None),
+                                       start=1):
+        if not line.strip():
+            continue
+        term, ids = parse_posting_line(postings_path, line_number, line)
+        if term in postings:
+            raise StorageError(
+                f"{postings_path}:{line_number}: term "
+                f"{term!r} appears twice")
+        postings[term] = ids
     return postings
 
 

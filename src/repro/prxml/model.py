@@ -69,7 +69,7 @@ class PNode:
 
     def __init__(self, label: str, node_type: NodeType = NodeType.ORDINARY,
                  text: Optional[str] = None, edge_prob: float = 1.0):
-        if node_type.is_distributional and text is not None:
+        if text is not None and node_type is not NodeType.ORDINARY:
             raise ModelError(
                 f"distributional node {label!r} cannot carry text")
         self.label = label
@@ -166,7 +166,7 @@ class PNode:
     @property
     def is_distributional(self) -> bool:
         """Whether this is an IND/MUX/EXP node (deleted in worlds)."""
-        return self.node_type.is_distributional
+        return self.node_type is not NodeType.ORDINARY
 
     @property
     def is_leaf(self) -> bool:
@@ -285,7 +285,9 @@ class PDocument:
 
     def iter_ordinary(self) -> Iterator[PNode]:
         """Document-order traversal of ordinary nodes only."""
-        return (node for node in self._nodes if node.is_ordinary)
+        ordinary = NodeType.ORDINARY
+        return (node for node in self._nodes
+                if node.node_type is ordinary)
 
     def find_first(self, predicate: Callable[[PNode], bool]) -> Optional[PNode]:
         """First node in document order satisfying ``predicate``."""

@@ -25,14 +25,15 @@ Diagnostics
 
 Every :class:`~repro.exceptions.ParseError` raised for a specific
 element names the source (``path:line:column``) of that element — the
-positions come from a second, cheap expat scan whose start-element
-events fire in exactly the pre-order that ``Element.iter()`` walks, so
-the two align index-for-index.  ``repro fsck`` leans on those positions
-to quarantine malformed subtrees with actionable ``path:line``
-diagnostics (docs/STORAGE.md); :func:`parse_pxml_salvage` is the
-lenient entry point it uses — instead of raising on the first bad
-element it detaches every malformed subtree and reports each one as a
-:class:`SalvageDrop`.
+positions come from an expat scan whose start-element events fire in
+exactly the pre-order that ``Element.iter()`` walks, so the two align
+index-for-index.  The scan runs only when a diagnostic first needs a
+position: a valid document is read in one XML pass.  ``repro fsck``
+leans on those positions to quarantine malformed subtrees with
+actionable ``path:line`` diagnostics (docs/STORAGE.md);
+:func:`parse_pxml_salvage` is the lenient entry point it uses — instead
+of raising on the first bad element it detaches every malformed subtree
+and reports each one as a :class:`SalvageDrop`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from repro.prxml.model import NodeType, PDocument, PNode
 #: Reserved tags marking distributional nodes in the text format.
 DISTRIBUTIONAL_TAGS = {"ind": NodeType.IND, "mux": NodeType.MUX,
                        "exp": NodeType.EXP}
+
+_ORDINARY = NodeType.ORDINARY
 
 #: Attribute holding the conditional edge probability.
 PROB_ATTRIBUTE = "prob"
@@ -91,10 +94,6 @@ class SalvageDrop:
     def describe(self) -> str:
         """The conventional one-line ``path:line:col`` diagnostic."""
         return f"{self.position}: {self.reason}"
-
-
-#: ``id(element) -> SourcePosition`` for one parsed tree.
-_Positions = Dict[int, SourcePosition]
 
 
 def parse_pxml(text: Union[str, bytes],
@@ -152,41 +151,63 @@ def parse_pxml_salvage(text: Union[str, bytes],
 # -- positioned parsing -------------------------------------------------------
 
 
-def _parse_positioned(text: Union[str, bytes],
-                      path: str) -> Tuple[ET.Element, _Positions]:
-    """Parse XML text and map every element to its source position.
+class _Positions:
+    """Source positions of one parsed tree, scanned on first use.
 
     expat fires start-element events in document pre-order — the same
-    order ``Element.iter()`` yields — so one extra scan pairs each
-    element with its (line, column) without touching ElementTree
-    internals.
+    order ``Element.iter()`` yields — so one scan pairs each element
+    with its (line, column) without touching ElementTree internals.
+    The scan must see the tree as parsed: salvage asks for a position
+    (to report a drop) before it detaches anything.
     """
+
+    __slots__ = ("_text", "_path", "_root", "_map")
+
+    def __init__(self, text: Union[str, bytes], path: str,
+                 root: ET.Element) -> None:
+        self._text = text
+        self._path = path
+        self._root = root
+        self._map: Optional[Dict[int, SourcePosition]] = None
+
+    def of(self, element: ET.Element) -> Optional[SourcePosition]:
+        """Where ``element`` starts (None if the scan could not say)."""
+        if self._map is None:
+            self._map = self._scan()
+        return self._map.get(id(element))
+
+    def _scan(self) -> Dict[int, SourcePosition]:
+        spots: List[Tuple[int, int]] = []
+        scanner = xml.parsers.expat.ParserCreate()
+
+        def on_start(_tag: str, _attrs: Dict[str, str]) -> None:
+            spots.append((scanner.CurrentLineNumber,
+                          scanner.CurrentColumnNumber + 1))
+
+        scanner.StartElementHandler = on_start
+        try:
+            scanner.Parse(self._text, True)
+        except xml.parsers.expat.ExpatError:  # pragma: no cover - ET caught it
+            spots.clear()
+        return {id(element): SourcePosition(self._path, line, column)
+                for element, (line, column)
+                in zip(self._root.iter(), spots)}
+
+
+def _parse_positioned(text: Union[str, bytes],
+                      path: str) -> Tuple[ET.Element, _Positions]:
+    """Parse XML text; positions are scanned only if asked for."""
     try:
         root_element = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ParseError(f"{path}: malformed XML: {exc}") from exc
-    positions: _Positions = {}
-    spots: List[Tuple[int, int]] = []
-    scanner = xml.parsers.expat.ParserCreate()
-
-    def on_start(_tag: str, _attrs: Dict[str, str]) -> None:
-        spots.append((scanner.CurrentLineNumber,
-                      scanner.CurrentColumnNumber + 1))
-
-    scanner.StartElementHandler = on_start
-    try:
-        scanner.Parse(text, True)
-    except xml.parsers.expat.ExpatError:  # pragma: no cover - ET caught it
-        spots.clear()
-    for element, spot in zip(root_element.iter(), spots):
-        positions[id(element)] = SourcePosition(path, spot[0], spot[1])
-    return root_element, positions
+    return root_element, _Positions(text, path, root_element)
 
 
 def _where(element: ET.Element, positions: _Positions,
            path: str) -> str:
     """Diagnostic prefix for one element: ``path:line:col: `` or ``path: ``."""
-    position = positions.get(id(element))
+    position = positions.of(element)
     if position is None:  # pragma: no cover - every parsed element has one
         return f"{path}: "
     return f"{position}: "
@@ -265,18 +286,16 @@ def _parse_subsets(spec: str):
 def _node_from_element(element: ET.Element, positions: _Positions,
                        path: str) -> PNode:
     tag = element.tag
-    node_type = DISTRIBUTIONAL_TAGS.get(tag.lower(), NodeType.ORDINARY)
+    node_type = DISTRIBUTIONAL_TAGS.get(tag.lower(), _ORDINARY)
     prob = _read_probability(element, positions, path)
-    text: Optional[str] = None
-    if node_type is NodeType.ORDINARY:
-        text = _gather_text(element)
-    elif _gather_text(element):
+    if node_type is _ORDINARY:
+        return PNode(tag, node_type, _gather_text(element), prob)
+    if _gather_text(element):
         raise ParseError(
             f"{_where(element, positions, path)}distributional <{tag}> "
             f"element carries text (mis-nested content: move the text "
             f"into an ordinary child element)")
-    label = (node_type.name if node_type.is_distributional else tag)
-    return PNode(label, node_type, text, prob)
+    return PNode(node_type.name, node_type, None, prob)
 
 
 def _read_probability(element: ET.Element, positions: _Positions,
@@ -299,9 +318,10 @@ def _read_probability(element: ET.Element, positions: _Positions,
 
 def _gather_text(element: ET.Element) -> Optional[str]:
     """Collect the element's own text plus its children's tail text."""
-    pieces = []
-    if element.text and element.text.strip():
-        pieces.append(element.text.strip())
+    text = element.text.strip() if element.text else ""
+    if not len(element):
+        return text or None
+    pieces = [text] if text else []
     for child in element:
         if child.tail and child.tail.strip():
             pieces.append(child.tail.strip())
@@ -360,8 +380,8 @@ def _prune_malformed(root_element: ET.Element, positions: _Positions,
                 stack.append(child)
             else:
                 doomed.append(child)
-                position = positions.get(
-                    id(child), SourcePosition(path, 1, 1))
+                position = positions.of(child) \
+                    or SourcePosition(path, 1, 1)
                 drops.append(SalvageDrop(
                     position=position, tag=child.tag, reason=fault,
                     xml_text=ET.tostring(child, encoding="unicode")))

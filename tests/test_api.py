@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Algorithm, Database, topk_search
+from repro import Algorithm, topk_search
 from repro.exceptions import QueryError
 
 

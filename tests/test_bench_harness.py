@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.bench import (Measurement, format_series, format_table,
-                         measure_callable, run_query, table2_rows,
-                         table3_rows)
+from repro.bench import (format_series, format_table, measure_callable,
+                         run_query, table2_rows, table3_rows)
 from repro.core.result import SearchOutcome
 
 

@@ -45,8 +45,11 @@ class TestStructure:
         child = root.child(2, NodeType.IND)
         assert str(child) == "1.I2"
         assert child.parent() == root
+        assert hash(child) == hash(code("1.I2"))
         with pytest.raises(EncodingError):
             root.parent()
+        with pytest.raises(EncodingError, match="positions must be >= 1"):
+            root.child(0, NodeType.ORDINARY)
 
     def test_prefix_bounds(self):
         parsed = code("1.M1.3")

@@ -15,7 +15,6 @@ import pytest
 
 from repro import Database, load_database, save_database, topk_search
 from repro.exceptions import StorageError
-from repro.index import fsck as fsck_mod
 from repro.index.fsck import (KIND_BAD_MANIFEST, KIND_BAD_RECORD,
                               KIND_COUNT_MISMATCH,
                               KIND_DOCUMENT_DEGRADED, KIND_FALLBACK,
@@ -23,10 +22,9 @@ from repro.index.fsck import (KIND_BAD_MANIFEST, KIND_BAD_RECORD,
                               KIND_POSTING_OUT_OF_RANGE,
                               KIND_STALE_STAGING, KIND_TRUNCATED_LINE,
                               QUARANTINE_DIR, fsck_database)
-from repro.index.storage import (CURRENT_FILE, DATA_FILES, MANIFEST_FILE,
-                                 SNAPSHOTS_DIR, STAGING_PREFIX,
-                                 current_generation, resolve_snapshot,
-                                 snapshot_path)
+from repro.index.storage import (DATA_FILES, MANIFEST_FILE, SNAPSHOTS_DIR,
+                                 STAGING_PREFIX, current_generation,
+                                 resolve_snapshot, snapshot_path)
 
 QUERY = ["k1", "k2"]
 

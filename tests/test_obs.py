@@ -9,8 +9,7 @@ import pytest
 from repro.obs import (MetricsCollector, NULL_COLLECTOR, Stopwatch,
                        TraceRecorder, configure_logging, get_logger)
 from repro.obs.metrics import Histogram, NullCollector
-from repro.obs.report import (ReportError, SCHEMA_ID, build_report,
-                              validate_report)
+from repro.obs.report import ReportError, SCHEMA_ID, validate_report
 from repro.obs.trace import render_trace
 
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro import (DocumentBuilder, NodeType, PDocument, PNode,
-                   enumerate_possible_worlds, sample_possible_world)
+from repro import (DocumentBuilder, enumerate_possible_worlds,
+                   sample_possible_world)
 from repro.exceptions import ModelError
 from repro.prxml.possible_worlds import (count_possible_worlds,
                                          world_probability_total)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.corpus import (CorpusService, HedgePolicy, LatencyTracker,
                           ReplicaHealth, ReplicaSelector, build_corpus,
+                          corpus_fsck,
                           load_corpus_manifest, replica_dir_name,
                           replica_name)
 from repro.corpus.builder import shard_name
@@ -25,6 +26,8 @@ from repro.corpus.replication import as_hedge_policy
 from repro.corpus.service import (ACTION_DEADLINE, ACTION_SEARCHED,
                                   REASON_SHARD_FAILURE)
 from repro.exceptions import QueryError, StorageError
+from repro.index.storage import (current_generation, load_database,
+                                 snapshot_path)
 from repro.obs.metrics import MetricsCollector
 from repro.obs.spans import SpanTracer
 from repro.resilience import (REASON_DEADLINE, CircuitBreaker, Fault,
@@ -284,6 +287,65 @@ class TestReplicaFailover:
         quarantined = {shard["shard"]: shard.get("quarantined")
                        for shard in health["shards"]}
         assert quarantined[victim] == ["r0", "r1"]
+
+
+class TestSharedReplicaCopy:
+    """Bit-identical replicas load into one in-memory index; damage on
+    disk still fails the damaged replica alone."""
+
+    @staticmethod
+    def build(tmp_path, seed):
+        # A seed no other test builds, so no earlier test's live copy
+        # can answer for this content.
+        documents = random_corpus(seed, count=4, max_nodes=18)
+        directory = str(tmp_path / "shared")
+        manifest = build_corpus(documents, directory, shards=2,
+                                replicas=2)
+        return documents, directory, manifest
+
+    def test_replicas_serve_one_index_and_keep_their_directories(
+            self, tmp_path):
+        _documents, directory, manifest = self.build(tmp_path, 2011)
+        collector = MetricsCollector()
+        service = CorpusService(directory, collector=collector)
+        for shard in service._shards:
+            primary, mirror = (replica.service
+                               for replica in shard.replicas)
+            assert mirror.current_index() is primary.current_index()
+            assert [replica.storage_stats()["directory"]
+                    for replica in (primary, mirror)] == \
+                list(manifest.replica_dirs(shard.position))
+        counters = collector.snapshot()["counters"]
+        assert counters["storage.load.databases"] == \
+            2 * manifest.shard_count
+        assert counters["storage.load.shared"] == manifest.shard_count
+
+    def test_torn_replica_fails_alone_and_the_shard_stays_exact(
+            self, tmp_path):
+        documents, directory, manifest = self.build(tmp_path, 2012)
+        primary, mirror = manifest.replica_dirs(0)
+        snapshot = snapshot_path(mirror, current_generation(mirror))
+        with open(os.path.join(snapshot, "postings.jsonl"), "a",
+                  encoding="utf-8") as handle:
+            handle.write("\n{torn")
+        with pytest.raises(StorageError) as alone:
+            load_database(mirror)
+        service = CorpusService(directory)
+        shard = service._shards[0]
+        assert shard.replicas[0].service is not None
+        assert shard.replicas[1].service is None
+        assert shard.replicas[1].error == f"StorageError: {alone.value}"
+        with pytest.raises(StorageError) as beside:
+            load_database(mirror)
+        assert str(beside.value) == str(alone.value)
+        outcome = service.search(QUERY, k=5)
+        assert not outcome.partial
+        assert corpus_rows(outcome) == oracle_rows(documents, QUERY, 5)
+        reports = dict(corpus_fsck(directory))
+        assert sorted(reports) == ["s0000", "s0000.r1",
+                                   "s0001", "s0001.r1"]
+        assert [name for name, report in reports.items()
+                if not report.clean] == ["s0000.r1"]
 
 
 def _breaker_report(service):

@@ -168,3 +168,158 @@ class TestPersistenceHardening:
             with open(path, "wb") as handle:
                 handle.write(original)
         load_database(directory)  # pristine again
+
+
+def unique_database(tag: str) -> Database:
+    """A small database no other test saves, so no earlier load's
+    in-memory copy can answer for it."""
+    from repro import DocumentBuilder
+    builder = DocumentBuilder("catalog")
+    builder.leaf("title", text=f"only {tag}")
+    with builder.mux():
+        builder.leaf("year", text="1984", prob=0.8)
+        builder.leaf("year", text="1985", prob=0.2)
+    return Database.from_document(builder.build())
+
+
+class TestSingleReadSharedCopy:
+    def test_one_open_per_data_file_and_no_position_scan(
+            self, tmp_path, monkeypatch):
+        import builtins
+        import xml.etree.ElementTree as ET
+        import xml.parsers.expat
+        from repro.index.storage import DATA_FILES
+        from repro.obs.metrics import MetricsCollector
+        directory = tmp_path / "db"
+        save_database(unique_database("single-read"), directory)
+        document_path = os.path.join(data_dir(directory), "document.pxml")
+        with open(document_path, "rb") as handle:
+            document_bytes = handle.read()
+
+        parsers = []
+        real_create = xml.parsers.expat.ParserCreate
+
+        def counting_create(*args, **kwargs):
+            parsers.append(args)
+            return real_create(*args, **kwargs)
+
+        monkeypatch.setattr(xml.parsers.expat, "ParserCreate",
+                            counting_create)
+        ET.fromstring(document_bytes)
+        elementtree_own = len(parsers)
+
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.path.basename(os.fspath(file)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        parsers.clear()
+        collector = MetricsCollector()
+        database = load_database(directory, collector=collector)
+        monkeypatch.undo()
+
+        counters = collector.snapshot()["counters"]
+        assert "storage.load.shared" not in counters  # really parsed
+        assert len(database.document) == 5
+        for name in DATA_FILES:
+            assert opened.count(name) == 1, (name, opened)
+        assert len(parsers) == elementtree_own
+
+    def test_verified_loads_of_one_content_share_the_index(self,
+                                                           tmp_path):
+        import shutil
+        directory = tmp_path / "db"
+        save_database(unique_database("share"), directory)
+        twin = tmp_path / "twin"
+        shutil.copytree(directory, twin)
+        first = load_database(directory)
+        second = load_database(twin)
+        assert second.index is first.index
+        assert second.encoded is first.encoded
+        assert (first.directory, second.directory) == \
+            (str(directory), str(twin))
+        assert second.generation == first.generation
+
+    def test_racing_loads_of_one_content_end_with_one_copy(self,
+                                                           tmp_path):
+        import threading
+        directory = tmp_path / "db"
+        save_database(unique_database("race"), directory)
+        barrier = threading.Barrier(4)
+        loaded = []
+
+        def load():
+            barrier.wait()
+            loaded.append(load_database(directory))
+
+        threads = [threading.Thread(target=load) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(loaded) == 4
+        assert all(database.index is loaded[0].index
+                   for database in loaded)
+
+    def test_unverified_and_legacy_loads_never_share(self, tmp_path):
+        import shutil
+        from repro.index.storage import DATA_FILES
+        directory = tmp_path / "db"
+        save_database(unique_database("unshared"), directory)
+        verified = load_database(directory)
+        unverified = [load_database(directory, verify=False)
+                      for _ in range(2)]
+        assert unverified[0].index is not verified.index
+        assert unverified[1].index is not unverified[0].index
+        legacy = tmp_path / "legacy"
+        os.makedirs(legacy)
+        for name in DATA_FILES:
+            shutil.copy(os.path.join(data_dir(directory), name),
+                        legacy / name)
+        first, second = load_database(legacy), load_database(legacy)
+        assert first.generation is None
+        assert first.index is not second.index
+        assert first.index is not verified.index
+        assert load_database(directory).index is verified.index
+
+    def test_a_torn_copy_fails_even_with_its_twin_in_memory(self,
+                                                            tmp_path):
+        import shutil
+        directory = tmp_path / "db"
+        save_database(unique_database("torn"), directory)
+        twin = tmp_path / "twin"
+        shutil.copytree(directory, twin)
+        with open(os.path.join(data_dir(twin), "postings.jsonl"),
+                  "a", encoding="utf-8") as handle:
+            handle.write("\n{torn")
+        with pytest.raises(StorageError) as alone:
+            load_database(twin)
+        healthy = load_database(directory)
+        with pytest.raises(StorageError) as beside:
+            load_database(twin)
+        assert str(beside.value) == str(alone.value)
+        assert "failed verification: size_mismatch" in str(beside.value)
+        assert healthy.index is load_database(directory).index
+
+    def test_reload_shares_unchanged_content_with_fresh_caches(
+            self, tmp_path):
+        from repro.service.service import QueryService
+        directory = tmp_path / "db"
+        save_database(unique_database("reload"), directory)
+        service = QueryService(str(directory))
+        index = service.current_index()
+        assert service.search(["year", "1984"], k=3).stats.get(
+            "service") != "result_cache"
+        assert service.search(["year", "1984"], k=3).stats.get(
+            "service") == "result_cache"
+        service.reload()
+        assert service.current_index() is index
+        assert service.search(["year", "1984"], k=3).stats.get(
+            "service") != "result_cache"
+        save_database(unique_database("reload, changed"), directory)
+        service.reload()
+        assert service.current_index() is not index
+        assert service.storage_stats()["generation"] == "g00000002"
