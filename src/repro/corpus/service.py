@@ -21,9 +21,10 @@ global :class:`~repro.core.heap.TopKHeap`:
    pruned without being searched (``pruned``).  Prune decisions depend
    on completion order, but the answer set never does: a pruned shard
    provably cannot change it.
-4. Searched shards run on the serial, thread, or process executor; a
-   shard-local answer's Dewey code rewrites to the global code by
-   swapping its document-position component per the corpus manifest.
+4. Every executor runs one completion-driven scatter loop: serial on
+   an inline executor (one visit at a time), thread and process on a
+   pool.  A shard-local answer's Dewey code rewrites to the global
+   code by swapping its position component per the corpus manifest.
 
 **Replication** (docs/CORPUS.md): a corpus built with ``replicas=N``
 holds N bit-identical copies of every shard, and each shard visit
@@ -41,31 +42,33 @@ counters, ``corpus.hedge`` spans).
 
 **Deadline budgets**: one :class:`~repro.resilience.Deadline` is the
 whole query's budget.  Every shard visit draws a *child* budget from
-its remaining wall clock (``Deadline.child``), so later shards, serial
+its remaining wall clock (``Deadline.child``), so later shards,
 failover retries and hedges can never collectively overshoot the
 caller's deadline; once the budget is out, unvisited shards are
-recorded ``deadline_skipped`` on an honestly-partial outcome instead
-of being searched past the deadline.
+recorded ``deadline_skipped`` and no failover starts, on an
+honestly-partial outcome, instead of searching past the deadline.
 
-Per-shard failures degrade instead of failing the query: a shard whose
-executor task dies fails over across its replicas (serially in the
-coordinator as the last resort), and a shard that cannot be loaded at
-all (e.g. quarantined by fsck) is reported in ``stats["corpus"]`` on a
-*partial* outcome while the healthy shards still answer.  ``corpus.*``
-metrics count searches, prunes, skips, degradations, failovers,
-hedges, and failures.
+Per-shard failures degrade instead of failing the query: a failed
+attempt fails over to the shard's next replica, and once every pooled
+attempt has failed (a dead worker, a broken pool) the visit runs once
+more in the coordinator on the inline executor — counted ``degraded``.
+A shard that cannot be loaded at all (e.g. quarantined by fsck) is
+reported in ``stats["corpus"]`` on a *partial* outcome while the
+healthy shards still answer.  ``corpus.*`` metrics count searches,
+prunes, skips, degradations, failovers, hedges, and failures.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -93,8 +96,9 @@ from repro.resilience.faults import NULL_FAULTS, FaultsLike
 from repro.resilience.retry import CircuitBreaker
 from repro.service.service import (BatchOutcome, DEFAULT_CACHE_SIZE,
                                    QueryService)
-from repro.service.worker import (Job, ShardSource, WorkerPool,
-                                  check_executor, decode_rows, run_job)
+from repro.service.worker import (InlineExecutor, Job, ShardSource,
+                                  WorkerPool, check_executor,
+                                  decode_rows, run_job)
 
 _log = logging.getLogger("repro.corpus")
 
@@ -375,10 +379,11 @@ class CorpusService:
 
         Same contract as :meth:`QueryService.search` plus the fan-out
         controls: ``executor`` is one of ``serial``/``thread``/
-        ``process`` and ``workers`` bounds in-flight shards.  Answers
-        are bit-identical across executors, worker counts, and shard
-        completion orders; only ``stats["corpus"]`` (which shards were
-        searched vs pruned) varies with timing.
+        ``process`` and ``workers`` bounds a pool's in-flight shards
+        (``serial`` visits one at a time).  Answers are bit-identical
+        across executors, worker counts, and shard completion orders;
+        only ``stats["corpus"]`` (which shards were searched vs
+        pruned) varies with timing.
         """
         # Caller errors surface here, once, before any shard visit:
         # a QueryError raised inside a visit would otherwise read as a
@@ -399,37 +404,31 @@ class CorpusService:
         traced = tracer is not None and getattr(tracer, "enabled", False)
 
         with self.collector.time("corpus.search"):
-            merge = _Merge(k, self.collector)
+            merge = _Merge(k)
             plan: List[Tuple[_ShardState, float]] = []
             for shard in shards:
                 if shard.service is None:
-                    merge.record_failure(shard, 0.0, shard.error)
+                    merge.record(shard, 0.0, ACTION_FAILED,
+                                 error=shard.error)
                     continue
                 plan.append((shard, shard.query_bound(terms)))
             # Most-promising shard first: the sooner the heap holds k
             # strong answers, the more later shards the bound prunes.
             plan.sort(key=lambda entry: (-entry[1],
                                          entry[0].position))
-            width = workers if workers is not None \
-                else min(4, max(1, len(plan)))
+            # The serial executor visits one shard at a time.
+            width = 1 if executor == "serial" else workers \
+                if workers is not None else min(4, max(1, len(plan)))
 
             span_ctx = tracer.span(
                 "corpus.search", shards=len(shards),
                 terms=" ".join(terms), k=k,
                 executor=executor) if traced else nullcontext()
             with span_ctx as corpus_span:
-                if executor == "serial" or width == 1 or len(plan) <= 1:
-                    self._scatter_serial(plan, merge, keywords, k,
-                                         algorithm, semantics, budget,
-                                         tracer if traced else None,
-                                         corpus_span)
-                else:
-                    self._scatter_pool(executor, width, plan, merge,
-                                       keywords, k, algorithm,
-                                       algorithm_name, semantics,
-                                       budget,
-                                       tracer if traced else None,
-                                       corpus_span)
+                _Scatter(self, executor, width, merge, keywords, k,
+                         algorithm_name, semantics, budget,
+                         tracer if traced else None,
+                         corpus_span).run(plan)
                 if traced and corpus_span is not None:
                     corpus_span.attrs.update(merge.counts,
                                              hedged=merge.hedges["fired"])
@@ -452,484 +451,6 @@ class CorpusService:
             self.collector.observe("corpus.pruned_per_query",
                                    merge.counts[ACTION_PRUNED])
         return outcome
-
-    # -- scatter strategies ----------------------------------------------------
-
-    def _scatter_serial(self, plan: List[Tuple[_ShardState, float]],
-                        merge: "_Merge", keywords: List[str], k: int,
-                        algorithm: Union[Algorithm, str],
-                        semantics: str, budget: DeadlineLike,
-                        tracer: Optional[Any],
-                        parent_span: Optional[Any]) -> None:
-        """One shard at a time, pruning between completions — the
-        tightest pruning the bounds allow (the benchmark's
-        ``bounded-serial`` configuration).
-
-        The deadline budget is checked *before* every visit: once the
-        wall clock is out, the remaining shards are recorded
-        ``deadline_skipped`` on an honestly-partial outcome instead of
-        being searched past the caller's deadline.
-        """
-        for shard, bound in plan:
-            if merge.skip(shard, bound, budget):
-                continue
-            try:
-                outcome, rname = self._visit_with_failover(
-                    shard, bound, keywords, k, algorithm, semantics,
-                    budget, tracer, parent_span, merge=merge)
-            except QueryError:
-                raise
-            except (ReproError, OSError, ValueError) as error:
-                merge.record_failure(shard, bound,
-                                     f"{type(error).__name__}: {error}")
-                continue
-            merge.absorb(shard, bound, outcome, replica=rname)
-
-    def _scatter_pool(self, executor: str, width: int,
-                      plan: List[Tuple[_ShardState, float]],
-                      merge: "_Merge", keywords: List[str], k: int,
-                      algorithm: Union[Algorithm, str],
-                      algorithm_name: str, semantics: str,
-                      budget: DeadlineLike, tracer: Optional[Any],
-                      parent_span: Optional[Any]) -> None:
-        """Completion-driven scatter on a thread or process pool.
-
-        Up to ``width`` shard visits are in flight; every completion
-        merges immediately and the *next* submission re-checks the
-        prune condition against the now-tighter global threshold, so
-        late shards still benefit from early strong answers.
-
-        A task that dies (worker crash, replica fault, broken pool)
-        **fails over**: the visit resubmits to the shard's next healthy
-        replica, degrading to one serial in-coordinator retry as the
-        last resort; only a shard that fails every way is reported
-        failed.  With a hedge policy configured, a visit pending past
-        the policy's trigger is speculatively re-issued on another
-        replica — ``wait`` timeouts below are the hedge clock — and
-        the first answer wins (bit-identical by construction).
-        """
-        queue = deque(plan)
-        pending: Dict[Future, Tuple["_Visit", int, Stopwatch,
-                                    bool]] = {}
-        # With hedging on, the pool gets one spare lane per scatter
-        # slot: a hedge exists to race a straggler, so it must never
-        # queue behind the very stragglers it is hedging against.
-        # _active_visits still caps *visits* at `width`; the extra
-        # workers carry hedge twins only.
-        capacity = width * 2 if self._hedge is not None else width
-        scope = WorkerPool(executor, capacity)
-        with scope as pool:
-            try:
-                while queue or pending:
-                    while queue and self._active_visits(pending) < width:
-                        shard, bound = queue.popleft()
-                        if merge.skip(shard, bound, budget):
-                            continue
-                        # A process visit's span is the coordinator's
-                        # (queue wait + execution); serial and thread
-                        # visits open theirs in-line.
-                        span = tracer.begin(
-                            "corpus.shard", parent=parent_span,
-                            shard=shard.name, bound=round(bound, 9),
-                            executor="process") \
-                            if executor == "process" \
-                            and tracer is not None else None
-                        visit = _Visit(shard, bound, span)
-                        if not self._launch(pool, executor, visit,
-                                            pending, keywords, k,
-                                            algorithm, algorithm_name,
-                                            semantics, budget, tracer,
-                                            parent_span, hedge=False):
-                            message = visit.last_error \
-                                or f"no replica of {shard.name} is serving"
-                            merge.record_failure(shard, bound, message)
-                            if tracer is not None and span is not None:
-                                tracer.finish(span, status="error",
-                                              error=message)
-                    if not pending:
-                        if queue:
-                            continue
-                        break
-                    if all(entry[0].done for entry in pending.values()):
-                        # Only discarded hedge losers remain: the merge is
-                        # already complete, so the answer returns now and
-                        # the pool lingers (set below), leaving the
-                        # stragglers to finish in the background instead
-                        # of blocking the query's tail latency on them —
-                        # the whole point of hedging.
-                        break
-                    done, _ = wait(set(pending),
-                                   return_when=FIRST_COMPLETED,
-                                   timeout=self._hedge_timeout(pending))
-                    for future in done:
-                        visit, index, watch, is_hedge = pending.pop(future)
-                        visit.outstanding -= 1
-                        self._gather_one(future, executor, pool, visit,
-                                         index, watch, is_hedge, pending,
-                                         merge, keywords, k, algorithm,
-                                         algorithm_name, semantics, budget,
-                                         tracer, parent_span)
-                    self._fire_hedges(pool, executor, pending, merge,
-                                      keywords, k, algorithm,
-                                      algorithm_name, semantics, budget,
-                                      tracer, parent_span)
-            finally:
-                # Abandoned futures (hedge losers, or stragglers on an
-                # exception path) only feed routing state; nothing
-                # correctness-bearing waits on them — but the time
-                # they were observed pending does teach the selector
-                # that the replica is slow.
-                for visit, index, watch, _ in pending.values():
-                    visit.shard.selector.record_straggler(
-                        index, watch.elapsed_ms)
-                scope.linger = bool(pending)
-
-    @staticmethod
-    def _active_visits(pending: Dict[Future, Tuple["_Visit", int,
-                                                   Stopwatch, bool]]
-                       ) -> int:
-        """Distinct unresolved visits in flight (a hedge's second
-        future does not consume a scatter slot)."""
-        return len({id(entry[0]) for entry in pending.values()
-                    if not entry[0].done})
-
-    def _launch(self, pool: Any, executor: str, visit: "_Visit",
-                pending: Dict[Future, Tuple["_Visit", int, Stopwatch,
-                                            bool]],
-                keywords: List[str], k: int,
-                algorithm: Union[Algorithm, str], algorithm_name: str,
-                semantics: str, budget: DeadlineLike,
-                tracer: Optional[Any], parent_span: Optional[Any],
-                hedge: bool) -> bool:
-        """Submit ``visit`` to its shard's next untried healthy
-        replica; False once every replica has been tried.
-
-        Replicas that are down (load failure) are charged to their
-        breaker and skipped in-line.  On the process executor the
-        replica-level faults fire here, in the coordinator — worker
-        processes do not share the injector — so an injected replica
-        failure still exercises the same failover path.
-        """
-        shard = visit.shard
-        while True:
-            index = self._next_replica(visit)
-            if index is None:
-                return False
-            replica = shard.replicas[index]
-            assert replica.service is not None
-            watch = Stopwatch().start()
-            if executor == "process":
-                try:
-                    visit_budget = self._enter_visit(budget, shard,
-                                                     replica, keywords)
-                except QueryError:
-                    raise
-                except Exception as error:  # noqa: broad — fault = crash
-                    self._replica_failed(visit, index, error)
-                    continue
-                remaining: Optional[float] = None
-                if visit_budget.enabled \
-                        and getattr(visit_budget, "budget_ms",
-                                    None) is not None:
-                    remaining = max(0.001, visit_budget.remaining_ms)
-                # The worker loads the generation this replica's
-                # service is serving, not whatever CURRENT names now.
-                generation = replica.service.storage_stats()["generation"]
-                trace_ctx = (tracer.trace_id, visit.span.span_id) \
-                    if tracer is not None and visit.span is not None \
-                    else None
-                future = pool.submit(run_job, Job(
-                    source=ShardSource(replica.directory, generation),
-                    term_lists=[list(keywords)], k=k + 1,
-                    algorithm=algorithm_name, semantics=semantics,
-                    deadline_ms=remaining, trace_ctx=trace_ctx))
-            else:
-                # Thread tasks open their corpus.shard span in the
-                # worker thread (explicit parent), so the shard's inner
-                # query spans nest under it via the tracer's
-                # per-thread context.
-                future = pool.submit(self._search_replica, shard,
-                                     replica, visit.bound, keywords,
-                                     k, algorithm, semantics, budget,
-                                     tracer, parent_span)
-            visit.outstanding += 1
-            pending[future] = (visit, index, watch, hedge)
-            return True
-
-    def _hedge_due_ms(self, visit: "_Visit") -> Optional[float]:
-        """Milliseconds until ``visit`` becomes hedge-eligible (<= 0:
-        now); ``None`` when it never will — hedging is off, the visit
-        is resolved or already hedged, or no spare replica is left."""
-        if self._hedge is None or visit.done or visit.hedged \
-                or len(visit.tried) >= len(visit.shard.selector):
-            return None
-        delay = self._hedge.delay_ms(visit.shard.selector.tracker)
-        return None if delay is None else delay - visit.watch.elapsed_ms
-
-    def _hedge_timeout(self, pending: Dict[Future, Tuple["_Visit",
-                                                         int,
-                                                         Stopwatch,
-                                                         bool]]
-                       ) -> Optional[float]:
-        """Seconds until the earliest pending visit becomes hedge-
-        eligible (``None`` = no hedge can fire; wait on completions)."""
-        dues = [due for due in (self._hedge_due_ms(entry[0])
-                                for entry in pending.values())
-                if due is not None]
-        return max(0.0, min(dues) / 1000.0) if dues else None
-
-    def _fire_hedges(self, pool: Any, executor: str,
-                     pending: Dict[Future, Tuple["_Visit", int,
-                                                 Stopwatch, bool]],
-                     merge: "_Merge", keywords: List[str], k: int,
-                     algorithm: Union[Algorithm, str],
-                     algorithm_name: str, semantics: str,
-                     budget: DeadlineLike, tracer: Optional[Any],
-                     parent_span: Optional[Any]) -> None:
-        """Hedge every straggling visit (at most once per visit)."""
-        for visit, _, _, _ in list(pending.values()):
-            due = self._hedge_due_ms(visit)
-            if due is None or due > 0 or visit.outstanding == 0:
-                continue
-            if budget.enabled and budget.out_of_time():
-                return
-            visit.hedged = True  # one hedge per visit, win or lose
-            if not self._launch(pool, executor, visit, pending,
-                                keywords, k, algorithm,
-                                algorithm_name, semantics, budget,
-                                tracer, parent_span, hedge=True):
-                continue
-            merge.hedges["fired"] += 1
-            if self.collector.enabled:
-                self.collector.count("corpus.hedge.fired")
-            if tracer is not None:
-                hedge_span = tracer.begin(
-                    "corpus.hedge", parent=parent_span,
-                    shard=visit.shard.name,
-                    pending_ms=round(visit.watch.elapsed_ms, 3))
-                tracer.finish(hedge_span)
-
-    def _next_replica(self, visit: "_Visit") -> Optional[int]:
-        """The index of the visit's next untried replica that has a
-        service, charging every down replica it skips to its breaker;
-        ``None`` once every replica has been tried."""
-        shard = visit.shard
-        while True:
-            index = shard.selector.pick(exclude=visit.tried)
-            if index is None:
-                return None
-            visit.tried.add(index)
-            replica = shard.replicas[index]
-            if replica.service is not None:
-                return index
-            shard.selector.record_failure(index)
-            visit.last_error = f"{replica.name}: {replica.error}"
-
-    def _replica_failed(self, visit: "_Visit", index: int,
-                        error: BaseException) -> None:
-        """Charge one failed replica attempt to its breaker and keep
-        the error as the visit's last."""
-        replica = visit.shard.replicas[index]
-        visit.shard.selector.record_failure(index)
-        visit.last_error = (f"{replica.name}: "
-                            f"{type(error).__name__}: {error}")
-        if self.collector.enabled:
-            self.collector.count("corpus.replica.failures")
-
-    def _gather_one(self, future: Future, executor: str, pool: Any,
-                    visit: "_Visit", index: int, watch: Stopwatch,
-                    is_hedge: bool,
-                    pending: Dict[Future, Tuple["_Visit", int,
-                                                Stopwatch, bool]],
-                    merge: "_Merge", keywords: List[str], k: int,
-                    algorithm: Union[Algorithm, str],
-                    algorithm_name: str, semantics: str,
-                    budget: DeadlineLike, tracer: Optional[Any],
-                    parent_span: Optional[Any]) -> None:
-        """Merge one completed future.
-
-        A failure charges the replica's breaker and fails over to the
-        next one (serial in-coordinator retry as the last resort); a
-        success resolves the visit, and any still-racing hedge twin is
-        discarded on arrival — its answer is bit-identical by
-        construction, so dropping it never changes the merge.
-        """
-        shard = visit.shard
-        replica = shard.replicas[index]
-        try:
-            payload = future.result()
-        except (KeyboardInterrupt, SystemExit, QueryError):
-            raise
-        except Exception as error:  # noqa: broad — any task death fails over
-            self._replica_failed(visit, index, error)
-            if visit.done or visit.outstanding > 0:
-                return  # a sibling future already won / is still racing
-            _log.warning("corpus shard %s replica %s task failed "
-                         "(%s: %s); failing over", shard.name,
-                         replica.name, type(error).__name__, error)
-            if not (budget.enabled and budget.out_of_time()) \
-                    and self._launch(pool, executor, visit, pending,
-                                     keywords, k, algorithm,
-                                     algorithm_name, semantics,
-                                     budget, tracer, parent_span,
-                                     hedge=False):
-                merge.failovers += 1
-                if self.collector.enabled:
-                    self.collector.count("corpus.replica.failovers")
-                return
-            self._finish_degraded(visit, merge, keywords, k,
-                                  algorithm, semantics, budget,
-                                  tracer)
-            return
-        latency = watch.elapsed_ms
-        shard.selector.record_success(index, latency)
-        worker_spans: List[Dict[str, object]] = []
-        if executor == "process":
-            rows, meta = payload
-            outcome = decode_rows(rows)[0]
-            worker_spans = meta["spans"]
-            # Worker counters count like a thread visit's, hedge losers
-            # included: the work really ran.
-            if self.collector.enabled and meta["metrics"]:
-                self.collector.merge_snapshot(meta["metrics"])
-        else:
-            outcome = payload
-        if visit.done:
-            if self.collector.enabled:
-                self.collector.count("corpus.hedge.wasted")
-            return
-        visit.done = True
-        if visit.hedged:
-            key = "won" if is_hedge else "lost"
-            merge.hedges[key] += 1
-            if self.collector.enabled:
-                self.collector.count(f"corpus.hedge.{key}")
-        merge.absorb(shard, visit.bound, outcome,
-                     replica=replica.name)
-        if tracer is not None and visit.span is not None:
-            tracer.adopt(worker_spans, parent=visit.span,
-                         shift_ms=visit.span.start_ms)
-            tracer.finish(visit.span, results=len(outcome.results),
-                          replica=replica.name)
-
-    def _finish_degraded(self, visit: "_Visit", merge: "_Merge",
-                         keywords: List[str], k: int,
-                         algorithm: Union[Algorithm, str],
-                         semantics: str, budget: DeadlineLike,
-                         tracer: Optional[Any]) -> None:
-        """Last-resort serial in-coordinator retry after every pool
-        attempt for a visit has failed (e.g. the pool itself broke)."""
-        shard = visit.shard
-        try:
-            outcome, rname = self._visit_with_failover(
-                shard, visit.bound, keywords, k, algorithm, semantics,
-                budget, None, None, span=False)
-        except QueryError:
-            raise
-        except (ReproError, OSError, ValueError) as error:
-            message = visit.last_error \
-                or f"{type(error).__name__}: {error}"
-            merge.record_failure(shard, visit.bound, message)
-            if tracer is not None and visit.span is not None:
-                tracer.finish(visit.span, status="error",
-                              error=message)
-            return
-        visit.done = True
-        merge.degraded += 1
-        merge.absorb(shard, visit.bound, outcome, replica=rname)
-        if tracer is not None and visit.span is not None:
-            tracer.finish(visit.span, results=len(outcome.results),
-                          degraded=True)
-
-    def _visit_with_failover(self, shard: _ShardState, bound: float,
-                             keywords: List[str], k: int,
-                             algorithm: Union[Algorithm, str],
-                             semantics: str, budget: DeadlineLike,
-                             tracer: Optional[Any],
-                             parent_span: Optional[Any],
-                             merge: Optional["_Merge"] = None,
-                             span: bool = True
-                             ) -> Tuple[SearchOutcome, str]:
-        """Visit one shard in the current thread, failing over across
-        its replicas; raises :class:`StorageError` only when every
-        replica has failed.  Returns the outcome and the name of the
-        replica that answered."""
-        visit = _Visit(shard, bound, None)
-        while True:
-            index = self._next_replica(visit)
-            if index is None:
-                raise StorageError(
-                    visit.last_error
-                    or f"no replica of shard {shard.name} is serving")
-            replica = shard.replicas[index]
-            watch = Stopwatch().start()
-            try:
-                outcome = self._search_replica(shard, replica, bound,
-                                               keywords, k, algorithm,
-                                               semantics, budget,
-                                               tracer, parent_span,
-                                               span=span)
-            except QueryError:
-                raise
-            except Exception as error:  # noqa: broad — any crash fails over
-                self._replica_failed(visit, index, error)
-                if budget.enabled and budget.out_of_time():
-                    raise StorageError(
-                        f"deadline exhausted failing over "
-                        f"{shard.name}: {visit.last_error}")
-                if shard.selector.pick(exclude=visit.tried) is not None:
-                    if merge is not None:
-                        merge.failovers += 1
-                    if self.collector.enabled:
-                        self.collector.count(
-                            "corpus.replica.failovers")
-                continue
-            shard.selector.record_success(index, watch.elapsed_ms)
-            return outcome, replica.name
-
-    def _search_replica(self, shard: _ShardState,
-                        replica: _ReplicaState, bound: float,
-                        keywords: List[str], k: int,
-                        algorithm: Union[Algorithm, str],
-                        semantics: str, budget: DeadlineLike,
-                        tracer: Optional[Any],
-                        parent_span: Optional[Any],
-                        span: bool = True) -> SearchOutcome:
-        """Run one replica's query in the current thread.
-
-        ``k + 1`` answers are requested because the shard's synthetic
-        root can occupy one slot; after the merge filters it, the
-        shard still contributes its full top-k.  The visit draws a
-        *child* of the query's deadline (shrunk by any injected clock
-        skew), so a straggling or retried visit cannot overshoot the
-        caller's budget.
-        """
-        assert replica.service is not None
-        visit_budget = self._enter_visit(budget, shard, replica, keywords)
-        ctx = tracer.span("corpus.shard", parent=parent_span,
-                          shard=shard.name, replica=replica.name,
-                          bound=round(bound, 9)) \
-            if span and tracer is not None else nullcontext()
-        with ctx:
-            return replica.service.search(
-                keywords, k=k + 1, algorithm=algorithm,
-                semantics=semantics,
-                deadline=visit_budget if visit_budget.enabled
-                else None,
-                tracer=tracer)
-
-    def _enter_visit(self, budget: DeadlineLike, shard: _ShardState,
-                     replica: _ReplicaState,
-                     keywords: List[str]) -> DeadlineLike:
-        """Fire the visit's replica faults and return its child budget:
-        the query deadline's remaining wall clock, shrunk by any
-        injected clock skew for this replica (budgets only shrink)."""
-        if budget.enabled:
-            budget = budget.child(skew_ms=self._faults.replica_skew_ms(
-                shard.name, replica.name))
-        self._faults.on_replica_visit(shard.name, replica.name,
-                                      terms=keywords, deadline=budget)
-        return budget
 
     # -- service-shaped surface ------------------------------------------------
 
@@ -1136,43 +657,404 @@ def corpus_fsck(directory: Union[str, os.PathLike],
     return reports
 
 
+# -- the scatter loop ----------------------------------------------------------
+
+
+class _Scatter:
+    """One query's scatter: the completion-driven loop every executor
+    runs, with the query's arguments bound once.
+
+    Up to ``width`` shard visits are in flight — one on the serial
+    executor, whose inline :meth:`submit` settles each visit before
+    the next is considered.  Every completion merges immediately and
+    the *next* submission re-checks the prune condition against the
+    now-tighter global threshold, so late shards still benefit from
+    early strong answers.
+
+    A failed attempt **fails over** in :meth:`_gather_one` to the
+    shard's next untried replica; once every pooled attempt has
+    failed, the visit runs once more over the replicas on the inline
+    executor (the last resort), and only a shard that fails every way
+    is reported failed.  No attempt starts once the query budget is
+    out.  On the pooled executors with a hedge policy, a visit pending
+    past the policy's trigger is speculatively re-issued on another
+    replica — the ``wait`` timeout is the hedge clock — and the first
+    answer wins (bit-identical by construction).
+    """
+
+    def __init__(self, corpus: CorpusService, executor: str,
+                 width: int, merge: "_Merge", keywords: List[str],
+                 k: int, algorithm: str, semantics: str,
+                 budget: DeadlineLike, tracer: Optional[Any],
+                 parent_span: Optional[Any]) -> None:
+        self.executor = executor
+        self.width = width
+        self.merge = merge
+        self.keywords = keywords
+        self.k = k
+        self.algorithm = algorithm
+        self.semantics = semantics
+        self.budget = budget
+        self.tracer = tracer
+        self.parent_span = parent_span
+        self.collector = corpus.collector
+        self.faults = corpus._faults
+        # A hedge races a straggler on a spare pool lane; the inline
+        # executor has neither.
+        self.hedge = corpus._hedge if executor != "serial" else None
+        self.pending: Dict[Future, Tuple[_Visit, int, Stopwatch,
+                                         bool]] = {}
+        # Visits started and not yet resolved (answered or failed); a
+        # hedge's second future does not take a scatter slot.
+        self.active = 0
+        # The last resort; run() installs the scatter's own executor.
+        self.inline: Executor = InlineExecutor()
+        self.pool = self.inline
+
+    def run(self, plan: List[Tuple[_ShardState, float]]) -> None:
+        """Visit ``plan`` (most promising first) into the merge."""
+        queue = deque(plan)
+        pending = self.pending
+        # With hedging on, the pool gets one spare lane per scatter
+        # slot: a hedge exists to race a straggler, so it must never
+        # queue behind the very stragglers it is hedging against.
+        # `active` still caps *visits* at `width`; the extra workers
+        # carry hedge twins only.
+        capacity = self.width * 2 if self.hedge is not None \
+            else self.width
+        scope = WorkerPool(self.executor, capacity)
+        with scope as self.pool:
+            try:
+                while queue or pending:
+                    while queue and self.active < self.width:
+                        shard, bound = queue.popleft()
+                        if self.merge.skip(shard, bound, self.budget):
+                            continue
+                        # A process visit's span is the coordinator's
+                        # (queue wait + execution); serial and thread
+                        # visits open theirs where they run.
+                        span = self.tracer.begin(
+                            "corpus.shard", parent=self.parent_span,
+                            shard=shard.name, bound=round(bound, 9),
+                            executor="process") \
+                            if self.executor == "process" \
+                            and self.tracer is not None else None
+                        visit = _Visit(shard, bound, span)
+                        self.active += 1
+                        if not self._launch(visit):
+                            self._fail(visit, visit.last_error
+                                       or f"no replica of {shard.name} "
+                                       f"is serving")
+                    if not pending:
+                        continue
+                    if not self.active:
+                        # Only discarded hedge losers remain: the merge
+                        # is already complete, so the answer returns now
+                        # and the pool lingers (set below), leaving the
+                        # stragglers to finish in the background instead
+                        # of blocking the query's tail latency on them —
+                        # the whole point of hedging.
+                        break
+                    # Inline futures are settled on submit: harvest
+                    # them without a wait.
+                    done = [future for future in pending
+                            if future.done()] \
+                        or wait(set(pending), return_when=FIRST_COMPLETED,
+                                timeout=self._hedge_timeout())[0]
+                    for future in done:
+                        self._gather_one(future, *pending.pop(future))
+                    if self.hedge is not None:
+                        self._fire_hedges()
+            finally:
+                # Abandoned futures (hedge losers, or stragglers on an
+                # exception path) only feed routing state; nothing
+                # correctness-bearing waits on them — but the time
+                # they were observed pending does teach the selector
+                # that the replica is slow.
+                for visit, index, watch, _ in pending.values():
+                    visit.shard.selector.record_straggler(
+                        index, watch.elapsed_ms)
+                scope.linger = bool(pending)
+
+    def _launch(self, visit: "_Visit", hedge: bool = False) -> bool:
+        """Start ``visit`` on its shard's next untried serving
+        replica; False once every replica has been tried.
+
+        A degraded visit runs on the inline executor.  A submit that
+        raises — a broken pool, or a replica fault the process
+        executor fires here in the coordinator, since worker processes
+        do not share the injector — settles a failed future, so every
+        failure reaches :meth:`_gather_one` the same way.
+        """
+        index = self._next_replica(visit)
+        if index is None:
+            return False
+        replica = visit.shard.replicas[index]
+        watch = Stopwatch().start()
+        try:
+            if self.executor == "process" and not visit.degraded:
+                job = self._job(visit, replica)
+                future = self.pool.submit(run_job, job)
+            else:
+                future = (self.inline if visit.degraded else self.pool) \
+                    .submit(self._search_replica, visit, replica)
+        except Exception as error:  # noqa: broad — a refused submit fails over
+            future = Future()
+            future.set_exception(error)
+        visit.outstanding += 1
+        self.pending[future] = (visit, index, watch, hedge)
+        return True
+
+    def _job(self, visit: "_Visit", replica: _ReplicaState) -> Job:
+        """The process task for one replica attempt, after firing the
+        replica's faults in the coordinator."""
+        assert replica.service is not None
+        # Infinite for no deadline or a step-only one: no wall budget.
+        remaining = self._enter_visit(visit.shard, replica).remaining_ms
+        # The worker loads the generation this replica's service is
+        # serving, not whatever CURRENT names now.
+        generation = replica.service.storage_stats()["generation"]
+        trace_ctx = (self.tracer.trace_id, visit.span.span_id) \
+            if self.tracer is not None and visit.span is not None \
+            else None
+        return Job(source=ShardSource(replica.directory, generation),
+                   term_lists=[list(self.keywords)], k=self.k + 1,
+                   algorithm=self.algorithm,
+                   semantics=self.semantics,
+                   deadline_ms=None if math.isinf(remaining)
+                   else max(0.001, remaining), trace_ctx=trace_ctx)
+
+    def _hedge_due_ms(self, visit: "_Visit") -> Optional[float]:
+        """Milliseconds until ``visit`` becomes hedge-eligible (<= 0:
+        now); ``None`` when it never will — hedging is off, the visit
+        is resolved, degraded or already hedged, or no spare replica
+        is left."""
+        if self.hedge is None or visit.done or visit.hedged \
+                or visit.degraded \
+                or len(visit.tried) >= len(visit.shard.selector):
+            return None
+        delay = self.hedge.delay_ms(visit.shard.selector.tracker)
+        return None if delay is None else delay - visit.watch.elapsed_ms
+
+    def _hedge_timeout(self) -> Optional[float]:
+        """Seconds until the earliest pending visit becomes hedge-
+        eligible (``None`` = no hedge can fire; wait on completions)."""
+        dues = [due for due in (self._hedge_due_ms(entry[0])
+                                for entry in self.pending.values())
+                if due is not None]
+        return max(0.0, min(dues) / 1000.0) if dues else None
+
+    def _fire_hedges(self) -> None:
+        """Hedge every straggling visit (at most once per visit)."""
+        for visit, _, _, _ in list(self.pending.values()):
+            due = self._hedge_due_ms(visit)
+            if due is None or due > 0 or visit.outstanding == 0:
+                continue
+            if self.budget.enabled and self.budget.out_of_time():
+                return
+            visit.hedged = True  # one hedge per visit, win or lose
+            if not self._launch(visit, hedge=True):
+                continue
+            self.merge.hedges["fired"] += 1
+            if self.collector.enabled:
+                self.collector.count("corpus.hedge.fired")
+            if self.tracer is not None:
+                hedge_span = self.tracer.begin(
+                    "corpus.hedge", parent=self.parent_span,
+                    shard=visit.shard.name,
+                    pending_ms=round(visit.watch.elapsed_ms, 3))
+                self.tracer.finish(hedge_span)
+
+    def _next_replica(self, visit: "_Visit") -> Optional[int]:
+        """The index of the visit's next untried replica that has a
+        service, charging every down replica it skips to its breaker;
+        ``None`` once every replica has been tried."""
+        shard = visit.shard
+        while True:
+            index = shard.selector.pick(exclude=visit.tried)
+            if index is None:
+                return None
+            visit.tried.add(index)
+            replica = shard.replicas[index]
+            if replica.service is not None:
+                return index
+            shard.selector.record_failure(index)
+            visit.last_error = f"{replica.name}: {replica.error}"
+
+    def _gather_one(self, future: Future, visit: "_Visit", index: int,
+                    watch: Stopwatch, is_hedge: bool) -> None:
+        """Merge one settled future.
+
+        A failure charges the replica's breaker and fails over; a
+        success resolves the visit, and any still-racing hedge twin is
+        discarded on arrival — its answer is bit-identical by
+        construction, so dropping it never changes the merge.
+        """
+        visit.outstanding -= 1
+        shard = visit.shard
+        replica = shard.replicas[index]
+        try:
+            payload = future.result()
+        except (KeyboardInterrupt, SystemExit, QueryError):
+            raise
+        except Exception as error:  # noqa: broad — any task death fails over
+            self._replica_failed(visit, index, error)
+            if not (visit.done or visit.outstanding > 0):
+                self._fail_over(visit)
+            return  # else a sibling future already won / is racing
+        shard.selector.record_success(index, watch.elapsed_ms)
+        worker_spans: List[Dict[str, object]] = []
+        if isinstance(payload, SearchOutcome):
+            outcome = payload
+        else:
+            rows, meta = payload
+            outcome = decode_rows(rows)[0]
+            worker_spans = meta["spans"]
+            # Worker counters count like a thread visit's, hedge losers
+            # included: the work really ran.
+            if self.collector.enabled and meta["metrics"]:
+                self.collector.merge_snapshot(meta["metrics"])
+        if visit.done:
+            if self.collector.enabled:
+                self.collector.count("corpus.hedge.wasted")
+            return
+        visit.done = True
+        self.active -= 1
+        if visit.hedged:
+            key = "won" if is_hedge else "lost"
+            self.merge.hedges[key] += 1
+            if self.collector.enabled:
+                self.collector.count(f"corpus.hedge.{key}")
+        if visit.degraded:
+            self.merge.degraded += 1
+        self.merge.absorb(shard, visit.bound, outcome,
+                          replica=replica.name)
+        if self.tracer is not None and visit.span is not None:
+            self.tracer.adopt(worker_spans, parent=visit.span,
+                              shift_ms=visit.span.start_ms)
+            self.tracer.finish(visit.span, results=len(outcome.results),
+                               replica=replica.name,
+                               degraded=visit.degraded)
+
+    def _fail_over(self, visit: "_Visit") -> None:
+        """Restart ``visit`` after its last attempt failed: on the next
+        untried replica, else once more over every replica on the
+        inline executor (the last resort, after every pooled attempt
+        has failed), else record the shard failed.  No attempt starts
+        once the query budget is out."""
+        if self.budget.enabled and self.budget.out_of_time():
+            self._fail(visit, f"deadline exhausted failing over "
+                       f"{visit.shard.name}: {visit.last_error}",
+                       deadline=True)
+        elif self._launch(visit):
+            self.merge.failovers += 1
+            if self.collector.enabled:
+                self.collector.count("corpus.replica.failovers")
+        elif visit.degraded or self.executor == "serial":
+            self._fail(visit, visit.last_error)
+        else:
+            _log.warning("corpus shard %s: every pooled attempt failed "
+                         "(%s); retrying in the coordinator",
+                         visit.shard.name, visit.last_error)
+            visit.degraded = True
+            visit.tried.clear()
+            if not self._launch(visit):
+                self._fail(visit, visit.last_error)
+
+    def _fail(self, visit: "_Visit", message: Optional[str],
+              deadline: bool = False) -> None:
+        """Record ``visit``'s shard failed and close its span."""
+        self.active -= 1
+        self.merge.record(visit.shard, visit.bound, ACTION_FAILED,
+                          deadline=deadline, error=message)
+        if self.tracer is not None and visit.span is not None:
+            self.tracer.finish(visit.span, status="error", error=message)
+
+    def _replica_failed(self, visit: "_Visit", index: int,
+                        error: BaseException) -> None:
+        """Charge one failed replica attempt to its breaker and keep
+        the error as the visit's last."""
+        replica = visit.shard.replicas[index]
+        visit.shard.selector.record_failure(index)
+        visit.last_error = (f"{replica.name}: "
+                            f"{type(error).__name__}: {error}")
+        if self.collector.enabled:
+            self.collector.count("corpus.replica.failures")
+
+    def _search_replica(self, visit: "_Visit",
+                        replica: _ReplicaState) -> SearchOutcome:
+        """Run one replica's query in the current thread (untraced on
+        the degraded pass, whose span, if any, is the coordinator's).
+
+        ``k + 1`` answers are requested because the shard's synthetic
+        root can occupy one slot; after the merge filters it, the
+        shard still contributes its full top-k.  The visit draws a
+        *child* of the query's deadline (shrunk by any injected clock
+        skew), so a straggling or retried visit cannot overshoot the
+        caller's budget.
+        """
+        assert replica.service is not None
+        tracer = None if visit.degraded else self.tracer
+        visit_budget = self._enter_visit(visit.shard, replica)
+        ctx = tracer.span("corpus.shard", parent=self.parent_span,
+                          shard=visit.shard.name, replica=replica.name,
+                          bound=round(visit.bound, 9)) \
+            if tracer is not None else nullcontext()
+        with ctx:
+            return replica.service.search(
+                self.keywords, k=self.k + 1, algorithm=self.algorithm,
+                semantics=self.semantics,
+                deadline=visit_budget if visit_budget.enabled
+                else None,
+                tracer=tracer)
+
+    def _enter_visit(self, shard: _ShardState,
+                     replica: _ReplicaState) -> DeadlineLike:
+        """Fire the visit's replica faults and return its child budget:
+        the query deadline's remaining wall clock, shrunk by any
+        injected clock skew for this replica (budgets only shrink)."""
+        budget = self.budget
+        if budget.enabled:
+            budget = budget.child(skew_ms=self.faults.replica_skew_ms(
+                shard.name, replica.name))
+        self.faults.on_replica_visit(shard.name, replica.name,
+                                     terms=self.keywords, deadline=budget)
+        return budget
+
+
 # -- merge bookkeeping ---------------------------------------------------------
 
 
+@dataclass(eq=False)
 class _Visit:
-    """Coordinator bookkeeping for one pooled shard visit across its
-    replica attempts and hedge twin.
+    """Coordinator bookkeeping for one shard visit across its replica
+    attempts and hedge twin.
 
-    ``tried`` is the set of replica indexes ever submitted for this
-    visit (failover and hedging both exclude it), ``outstanding``
-    counts futures still in flight, ``done`` flips when the first
-    answer lands (later arrivals are discarded), and ``watch`` times
-    the visit from its first submission — the clock the hedge trigger
-    reads.
+    ``tried`` is the set of replica indexes submitted in this visit's
+    current pass (failover and hedging both exclude it), ``degraded``
+    marks the last-resort inline pass, ``outstanding`` counts futures
+    still in flight, ``done`` flips when the first answer lands (later
+    arrivals are discarded), and ``watch`` times the visit from its
+    first submission — the clock the hedge trigger reads.
     """
 
-    __slots__ = ("shard", "bound", "tried", "hedged", "done",
-                 "outstanding", "span", "watch", "last_error")
-
-    def __init__(self, shard: _ShardState, bound: float,
-                 span: Optional[Any]) -> None:
-        self.shard = shard
-        self.bound = bound
-        self.tried: Set[int] = set()
-        self.hedged = False
-        self.done = False
-        self.outstanding = 0
-        self.span = span
-        self.watch = Stopwatch().start()
-        self.last_error: Optional[str] = None
+    shard: _ShardState
+    bound: float
+    span: Optional[Any]
+    tried: Set[int] = field(default_factory=set)
+    hedged: bool = False
+    degraded: bool = False
+    done: bool = False
+    outstanding: int = 0
+    watch: Stopwatch = field(default_factory=lambda: Stopwatch().start())
+    last_error: Optional[str] = None
 
 
 class _Merge:
     """The gather side of one corpus query: the global heap, the
     origin map for re-hydrating answers, and the per-shard ledger."""
 
-    def __init__(self, k: int, collector: Collector):
-        self.k = k
+    def __init__(self, k: int) -> None:
         # The merge heap stays un-instrumented: heap.* counters keep
         # meaning "per-shard algorithm heaps", and corpus.* covers the
         # gather side.
@@ -1208,33 +1090,27 @@ class _Merge:
         deadline budget ran out before it, or :meth:`decide` skips it.
         The budget is checked *before* every visit, so no shard is
         searched past the caller's deadline."""
-        action = ACTION_DEADLINE \
-            if budget.enabled and budget.out_of_time() \
-            else self.decide(bound)
+        out_of_time = budget.enabled and budget.out_of_time()
+        action = ACTION_DEADLINE if out_of_time else self.decide(bound)
         if action is None:
             return False
-        self.record_skip(shard, bound, action)
+        self.record(shard, bound, action, deadline=out_of_time)
         return True
 
-    def record_skip(self, shard: _ShardState, bound: float,
-                    action: str) -> None:
+    def record(self, shard: _ShardState, bound: float, action: str,
+               deadline: bool = False, **extra: object) -> None:
+        """Ledger one shard that was not searched.  A failed or
+        deadline-skipped shard might have contributed, so the answer
+        is an honest partial — cut short by the deadline budget when
+        ``deadline``."""
         self.counts[action] += 1
-        if action == ACTION_DEADLINE:
-            # An unvisited shard might have contributed: the answer is
-            # an honest partial cut short by the deadline budget.
+        if action in (ACTION_FAILED, ACTION_DEADLINE):
             self.partial = True
+        if deadline:
             self.reasons.add(REASON_DEADLINE)
         self.detail.append({"shard": shard.name,
                             "bound": round(bound, 9),
-                            "action": action})
-
-    def record_failure(self, shard: _ShardState, bound: float,
-                       error: Optional[str]) -> None:
-        self.counts[ACTION_FAILED] += 1
-        self.partial = True
-        self.detail.append({"shard": shard.name,
-                            "bound": round(bound, 9),
-                            "action": ACTION_FAILED, "error": error})
+                            "action": action, **extra})
 
     def absorb(self, shard: _ShardState, bound: float,
                outcome: SearchOutcome,

@@ -7,18 +7,19 @@ job's source once per worker process, runs :meth:`QueryService.search`
 on each term list, and ships back plain rows — code strings and the
 exact float probabilities — that :func:`decode_rows` re-hydrates in
 the coordinator (shipping ``PNode`` objects would drag the whole
-document through pickle).  Every pool is built by :class:`WorkerPool`.
+document through pickle).  Every executor is built by
+:class:`WorkerPool`; the ``serial`` one is an :class:`InlineExecutor`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (Executor, ProcessPoolExecutor,
+from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 from repro.core.result import SLCAResult, SearchOutcome
 from repro.encoding.dewey import DeweyCode
@@ -48,18 +49,38 @@ def check_executor(executor: str, label: str = "executor") -> None:
                          f"choose one of: {choices}")
 
 
+_T = TypeVar("_T")
+
+
+class InlineExecutor(Executor):
+    """The ``serial`` executor: :meth:`submit` runs the call on the
+    calling thread and returns an already-settled future, so serial
+    work flows through the same completion-driven code as a pool's."""
+
+    def submit(self, fn: Callable[..., _T], /, *args: Any,
+               **kwargs: Any) -> "Future[_T]":
+        future: "Future[_T]" = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:  # noqa: broad — settles like a pool task
+            future.set_exception(error)
+        return future
+
+
 class WorkerPool:
-    """One call's thread or process pool: ``with WorkerPool(executor,
-    n) as pool`` yields the executor.  Leaving the block by any
-    exception, an interrupt included, cancels the queued work and
-    returns at once; leaving it normally waits for the workers unless
-    :attr:`linger` was set (only discarded hedge losers still run)."""
+    """One call's executor — inline for ``serial``, else a thread or
+    process pool: ``with WorkerPool(executor, n) as pool`` yields it.
+    Leaving the block by any exception, an interrupt included, cancels
+    the queued work and returns at once; leaving it normally waits for
+    the workers unless :attr:`linger` was set (only discarded hedge
+    losers still run)."""
 
     def __init__(self, executor: str, max_workers: int) -> None:
         self.pool: Executor = (
             ProcessPoolExecutor(max_workers=max_workers)
             if executor == "process"
-            else ThreadPoolExecutor(max_workers=max_workers))
+            else ThreadPoolExecutor(max_workers=max_workers)
+            if executor == "thread" else InlineExecutor())
         self.linger = False
 
     def __enter__(self) -> Executor:

@@ -23,7 +23,7 @@ from repro.corpus.service import (ACTION_NO_MATCH, ACTION_PRUNED,
                                   REASON_SHARD_FAILURE, _Merge)
 from repro.exceptions import QueryError, StorageError
 from repro.index.storage import CURRENT_FILE, Database, save_database
-from repro.obs.metrics import MetricsCollector, NULL_COLLECTOR
+from repro.obs.metrics import MetricsCollector
 from repro.obs.spans import SpanTracer, derive_trace_id, validate_spans
 from tests.conftest import random_pdoc
 
@@ -260,6 +260,20 @@ class TestOracleIdentity:
         assert stats[ACTION_NO_MATCH] == 1
         assert corpus_rows(outcome) == oracle_rows(documents, QUERY, 2)
 
+    def test_reported_width_is_the_executors_real_width(self, tmp_path):
+        directory = str(tmp_path / "corpus")
+        build_corpus(random_corpus(7, count=4), directory, shards=3)
+        service = CorpusService(directory)
+        # The serial executor visits one shard at a time, whatever
+        # width the caller asks for.
+        for workers in (None, 3):
+            block = service.search(QUERY, k=3, workers=workers) \
+                .stats["corpus"]
+            assert (block["executor"], block["workers"]) == ("serial", 1)
+        block = service.search(QUERY, k=3, executor="thread",
+                               workers=3).stats["corpus"]
+        assert (block["executor"], block["workers"]) == ("thread", 3)
+
     def test_rejects_bad_queries_and_executors(self, tmp_path):
         directory = str(tmp_path / "corpus")
         build_corpus(random_corpus(1, count=2), directory, shards=1)
@@ -300,7 +314,7 @@ class TestMergeOrderIndependence:
 
         signatures = set()
         for ordering in itertools.permutations(per_shard):
-            merge = _Merge(k, NULL_COLLECTOR)
+            merge = _Merge(k)
             for shard, outcome in ordering:
                 merge.absorb(shard, 1.0, outcome)
             merged = merge.outcome(len(shards), "serial", 1, "eager",

@@ -31,12 +31,20 @@ from repro.index.storage import (current_generation, load_database,
 from repro.obs.metrics import MetricsCollector
 from repro.obs.spans import SpanTracer
 from repro.resilience import (REASON_DEADLINE, CircuitBreaker, Fault,
-                              FaultInjector)
+                              FaultInjector, parse_faults)
 from repro.service.service import QueryService
 from tests.test_corpus import (build_tiered_docs, corpus_rows,
                                oracle_rows, random_corpus)
 
 QUERY = ["k1", "k2"]
+
+EXECUTORS = ("serial", "thread", "process")
+
+
+def crashing_job(job):
+    """Stands in for the process worker body and kills the worker
+    (module level, so a forked worker can resolve it by name)."""
+    os._exit(3)
 
 
 def make_selector(count, threshold=2, cooldown_s=60.0):
@@ -226,7 +234,7 @@ def replicated(tmp_path):
 
 
 class TestReplicaFailover:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_dead_primaries_are_invisible(self, replicated, executor):
         # r0 of *every* shard rejects every visit; failover must
         # answer bit-identically from r1 with zero PARTIAL outcomes —
@@ -245,6 +253,26 @@ class TestReplicaFailover:
         assert block["failovers"] >= 1
         counters = collector.snapshot()["counters"]
         assert counters["corpus.replica.failures"] >= 1
+        assert counters["corpus.replica.failovers"] == block["failovers"]
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_crashed_process_worker_degrades_instead_of_raising(
+            self, tmp_path, monkeypatch, replicas):
+        # Every process task dies and breaks the pool: each visit
+        # fails over, then runs once more in the coordinator.
+        documents = random_corpus(5, count=4, max_nodes=18)
+        directory = str(tmp_path / "crash")
+        build_corpus(documents, directory, shards=3, replicas=replicas)
+        service = CorpusService(directory)
+        monkeypatch.setattr("repro.corpus.service.run_job",
+                            crashing_job)
+        outcome = service.search(QUERY, k=5, executor="process",
+                                 workers=2)
+        assert not outcome.partial
+        assert corpus_rows(outcome) == oracle_rows(documents, QUERY, 5)
+        block = outcome.stats["corpus"]
+        assert block["degraded"] >= 1
+        assert block["failed"] == 0
 
     def test_all_replicas_down_is_honestly_partial(self, replicated):
         manifest = load_corpus_manifest(replicated["directory"])
@@ -462,6 +490,30 @@ class TestDeadlineBudget:
         assert outcome.partial
         assert outcome.termination_reason == REASON_DEADLINE
         assert outcome.stats["corpus"][ACTION_DEADLINE] >= 1
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_no_failover_starts_once_the_budget_is_out(
+            self, replicated, executor):
+        # r0 straggles to the end of the budget, then fails: the visit
+        # must not fail over to r1 past the deadline.
+        collector = MetricsCollector()
+        faults = parse_faults("slow_replica:target=r0,delay_ms=400;"
+                              "replica_down:target=r0", seed=3)
+        service = CorpusService(replicated["directory"],
+                                collector=collector, faults=faults)
+        outcome = service.search(QUERY, k=5, executor=executor,
+                                 workers=2, deadline=60)
+        assert outcome.partial
+        assert outcome.termination_reason == REASON_DEADLINE
+        block = outcome.stats["corpus"]
+        assert block[ACTION_SEARCHED] == 0
+        assert block["failed"] >= 1
+        assert block["failovers"] == 0
+        for entry in block["detail"]:
+            if entry["action"] == "failed":
+                assert "deadline" in entry["error"]
+        counters = collector.snapshot()["counters"]
+        assert "corpus.replica.failovers" not in counters
 
     def test_batch_search_totals_count_deadline_skips(self, tmp_path):
         documents = build_tiered_docs()
