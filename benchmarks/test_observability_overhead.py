@@ -19,13 +19,23 @@ bound:
 The attached-collector delta is reported alongside for context, but
 only the null bound is asserted — wall-clock A/B deltas of a few
 percent are noise on shared CI hardware.
+
+The same method bounds the HTTP server's always-on layer timers
+(``serve.layer.*``): every answered request performs one fixed hook
+sequence — one clock, four stamps, one ``observe_many`` fold — so
+the bound is requests x per-request hook cost over the served time
+of the same ``/search`` requests, and must stay under 2%.
 """
 
+import http.client
+import json
 import random
 
 from repro.datagen.workload import WorkloadSpec, sample_workload
 from repro.obs.metrics import (MetricsCollector, NULL_COLLECTOR,
                                Stopwatch)
+from repro.serve import ServeConfig, start_in_thread
+from repro.serve.server import _LayerClock
 from repro.service import QueryService
 
 DISTINCT_QUERIES = 15
@@ -133,3 +143,67 @@ def test_null_hooks_cost_under_two_percent(benchmark, dataset, report):
         [len(queries), hooks, f"{per_hook_ms * 1e6:7.0f}",
          f"{null_ms:8.1f}", f"{overhead_pct:6.3f}%",
          f"{attached_pct:+6.1f}%"])
+
+
+def layer_hooks_cost_ms(iterations=20_000):
+    """Per-request cost of the serve layer timers: the exact hook
+    sequence one answered request performs, in a tight loop."""
+    collector = MetricsCollector()
+    with Stopwatch() as watch:
+        for _ in range(iterations):
+            clock = _LayerClock()
+            clock.submitted = clock.stamp()
+            clock.started = clock.stamp()
+            clock.finished = clock.stamp()
+            clock.encoding = clock.stamp()
+            collector.observe_many(clock.layers())
+    return watch.elapsed_ms / iterations
+
+
+def served_search_ms(port, queries):
+    """Median round trip of one ``/search`` per query, over one
+    keep-alive connection."""
+    connection = http.client.HTTPConnection("127.0.0.1", port,
+                                            timeout=60)
+    times = []
+    try:
+        for query in queries:
+            body = json.dumps({"keywords": query, "k": K})
+            with Stopwatch() as watch:
+                connection.request("POST", "/search", body=body)
+                response = connection.getresponse()
+                response.read()
+            assert response.status == 200
+            times.append(watch.elapsed_ms)
+    finally:
+        connection.close()
+    return sorted(times)[len(times) // 2]
+
+
+def test_serve_layer_timers_cost_under_two_percent(dataset, report):
+    database = dataset("doc1")
+    queries = bench_workload(database)
+    collector = MetricsCollector()
+    handle = start_in_thread(QueryService(database, cache_size=256,
+                                          collector=collector),
+                             ServeConfig(), collector=collector)
+    try:
+        search_ms = served_search_ms(handle.port, queries)
+    finally:
+        assert handle.stop() == 0
+    # Hook census: every answered request folded its layers once.
+    folded = collector.snapshot()["histograms"]["serve.request_ms"]
+    assert folded["count"] == len(queries)
+
+    per_request_ms = layer_hooks_cost_ms()
+    overhead_pct = 100.0 * per_request_ms / search_ms
+    assert overhead_pct < 2.0, (
+        f"serve layer timers bound at {overhead_pct:.3f}% "
+        f"({per_request_ms * 1e6:.0f} ns per request over a "
+        f"{search_ms:.3f} ms served /search)")
+
+    report.add_row(
+        "Observability overhead (serve layer timers, served /search)",
+        ["requests", "layer_ns_per_request", "search_ms", "bound_pct"],
+        [len(queries), f"{per_request_ms * 1e6:7.0f}",
+         f"{search_ms:8.3f}", f"{overhead_pct:6.3f}%"])

@@ -91,8 +91,8 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
                 trace: bool = False,
                 sanitize: Optional[bool] = None,
                 caches: CachesLike = NULL_CACHES,
-                deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None
-                ) -> SearchOutcome:
+                deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None,
+                *, _attach_metrics: bool = True) -> SearchOutcome:
     """Find the ``k`` ordinary nodes most likely to be SLCAs.
 
     Args:
@@ -151,6 +151,11 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
             oracle ignores deadlines (it exists to be exact).  The
             default ``None`` never expires and returns byte-identical
             results with ``partial == False``.
+        _attach_metrics: private to :class:`repro.service.QueryService`.
+            False leaves the collector's totals out of
+            ``stats["metrics"]``: the service passes its own
+            long-lived collector (or a per-request one it merges into
+            its own), so the query pays no snapshot.
 
     Returns:
         A :class:`SearchOutcome`; ``outcome.results`` are sorted by
@@ -203,7 +208,7 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
     if sanitizer.enabled:
         _crosscheck_bounds(sanitizer, index, keywords, outcome)
         outcome.stats["sanitizer"] = sanitizer.summary()
-    if collector.enabled:
+    if collector.enabled and _attach_metrics:
         outcome.stats["metrics"] = collector.snapshot()
         if collector.trace is not None:
             outcome.stats["trace"] = collector.trace

@@ -784,7 +784,8 @@ class _Scatter:
         raises — a broken pool, or a replica fault the process
         executor fires here in the coordinator, since worker processes
         do not share the injector — settles a failed future, so every
-        failure reaches :meth:`_gather_one` the same way.
+        failure reaches :meth:`_gather_one` the same way.  A traced
+        process submit is a ``corpus.submit`` span under the visit's.
         """
         index = self._next_replica(visit)
         if index is None:
@@ -793,8 +794,13 @@ class _Scatter:
         watch = Stopwatch().start()
         try:
             if self.executor == "process" and not visit.degraded:
-                job = self._job(visit, replica)
-                future = self.pool.submit(run_job, job)
+                submit_ctx = self.tracer.span(
+                    "corpus.submit", parent=visit.span,
+                    replica=replica.name, hedge=hedge) \
+                    if self.tracer is not None else nullcontext()
+                with submit_ctx:
+                    job = self._job(visit, replica)
+                    future = self.pool.submit(run_job, job)
             else:
                 future = (self.inline if visit.degraded else self.pool) \
                     .submit(self._search_replica, visit, replica)
@@ -927,8 +933,13 @@ class _Scatter:
                 self.collector.count(f"corpus.hedge.{key}")
         if visit.degraded:
             self.merge.degraded += 1
-        self.merge.absorb(shard, visit.bound, outcome,
-                          replica=replica.name)
+        merge_ctx = self.tracer.span("corpus.merge",
+                                     parent=self.parent_span,
+                                     shard=shard.name) \
+            if self.tracer is not None else nullcontext()
+        with merge_ctx:
+            self.merge.absorb(shard, visit.bound, outcome,
+                              replica=replica.name)
         if self.tracer is not None and visit.span is not None:
             self.tracer.adopt(worker_spans, parent=visit.span,
                               shift_ms=visit.span.start_ms)

@@ -20,6 +20,8 @@ from ad-hoc tracing:
   clock onto its own.
 * **Null-object default.**  :data:`NULL_TRACER` costs one attribute
   load per hook point; the engines never know whether spans are on.
+  A :class:`NullTracer` may still carry a ``trace_id``, so an untraced
+  request keeps its id without paying for a span tree.
 
 The bridge into the engines is :class:`repro.obs.metrics
 .MetricsCollector`: when a collector carries a tracer, every
@@ -316,13 +318,21 @@ class SpanTracer:
 
 
 class NullTracer:
-    """The do-nothing tracer: the default on every execution path."""
+    """The do-nothing tracer: the default on every execution path.
+
+    ``trace_id`` names the request even though no span is recorded:
+    the HTTP server hands each untraced request a ``NullTracer`` with
+    its derived trace id, so the id still reaches the response and
+    any boundary that reads ``tracer.trace_id``.
+    """
 
     enabled = False
-    trace_id = ""
     recorder = None
 
-    __slots__ = ()
+    __slots__ = ("trace_id",)
+
+    def __init__(self, trace_id: str = "") -> None:
+        self.trace_id = trace_id
 
     def current(self) -> Optional[Span]:
         return None

@@ -28,12 +28,20 @@ close`` on the response; connections still open after
 :meth:`QueryService.reload` hot-swap path the SIGHUP handler uses,
 answering 409 while one is already in flight.
 
-Every ``/search`` and ``/batch`` request runs under its own
-:class:`~repro.obs.spans.SpanTracer` with a deterministic
-content-derived trace id, so a served query produces the same span
-tree (``http.request`` -> ``query`` -> engine timer spans) as a CLI
-query; the response carries ``trace_id`` and, on request, the
-exported spans.
+Every ``/search`` and ``/batch`` response carries a deterministic
+content-derived ``trace_id``.  A span tree costs extra, so only a
+``/search`` that sets ``spans`` runs under a
+:class:`~repro.obs.spans.SpanTracer` — producing the same tree
+(``http.request`` -> ``query`` -> engine timer spans) as a CLI query,
+returned in the response.  Every other request gets a
+:class:`~repro.obs.spans.NullTracer` that carries only the id, and its
+engine metrics run straight into the service collector.
+
+Every answered ``/search`` and ``/batch`` also stamps four always-on
+layers — parse + admission, executor queue wait, service, JSON encode
++ write — and folds them once into the ``serve.layer.*_ms``
+histograms, the remainder into ``serve.layer.unattributed_ms`` and
+the whole into ``serve.request_ms`` (docs/OBSERVABILITY.md).
 
 Single-writer loop-thread state: ``_reload_inflight`` and
 ``_sequence`` are only ever touched from the event-loop thread
@@ -51,9 +59,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import QueryError, ReproError, StorageError
-from repro.obs import (MetricsCollector, SpanTracer, Stopwatch,
-                       build_report_v2, derive_trace_id,
-                       format_sample, prometheus_lines, quantile_lines)
+from repro.obs import (MetricsCollector, NullTracer, SpanTracer,
+                       Stopwatch, TracerLike, build_report_v2,
+                       derive_trace_id, format_sample,
+                       prometheus_lines, quantile_lines)
 from repro.obs.logging import get_logger
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import NULL_FAULTS, FaultsLike
@@ -109,6 +118,53 @@ class ServeConfig:
     trust_client_header: bool = False
     max_body: int = DEFAULT_MAX_BODY
     drain_timeout_s: float = 30.0
+
+
+class _LayerClock:
+    """The always-on layer stamps of one ``/search`` or ``/batch``.
+
+    One :class:`Stopwatch`, started once the request head is read, is
+    read at every layer boundary (milliseconds since that start):
+    ``submitted`` when the loop thread hands the request to the
+    executor, ``started``/``finished`` around the executor-thread
+    body, ``encoding`` when the loop thread begins the JSON encode.
+    The executor thread writes its two stamps before its future
+    resolves and the loop thread reads them after awaiting it, so the
+    future orders every access.
+    """
+
+    __slots__ = ("watch", "submitted", "started", "finished",
+                 "encoding")
+
+    def __init__(self) -> None:
+        self.watch = Stopwatch().start()
+        self.submitted = self.started = self.finished = 0.0
+        #: Stamped only once the executor body answered: a request
+        #: that failed before (4xx/5xx) folds no layers.
+        self.encoding: Optional[float] = None
+
+    def stamp(self) -> float:
+        return self.watch.elapsed_ms
+
+    def layers(self) -> Dict[str, List[float]]:
+        """The request's layers, shaped for one ``observe_many``.
+
+        ``unattributed`` is what no layer covers — the loop thread
+        waking on the finished executor future and releasing the
+        admission slot — so the layers sum to ``serve.request_ms``.
+        """
+        assert self.encoding is not None
+        total = self.stamp()
+        queue = self.started - self.submitted
+        service = self.finished - self.started
+        encode = total - self.encoding
+        return {"serve.layer.parse_ms": [self.submitted],
+                "serve.layer.queue_ms": [queue],
+                "serve.layer.service_ms": [service],
+                "serve.layer.encode_ms": [encode],
+                "serve.layer.unattributed_ms":
+                    [total - self.submitted - queue - service - encode],
+                "serve.request_ms": [total]}
 
 
 @dataclass
@@ -308,6 +364,7 @@ class ServeServer:
                     await writer.drain()
                     return
                 state.busy = True
+                clock = _LayerClock()
                 try:
                     request = parse_head(head, client=client,
                                      client_host=client_host)
@@ -345,9 +402,11 @@ class ServeServer:
                     except (asyncio.IncompleteReadError,
                             ConnectionError):
                         return
-                response = await self._dispatch(request)
+                response = await self._dispatch(request, clock)
                 writer.write(response)
                 await writer.drain()
+                if clock.encoding is not None:
+                    self._collector.observe_many(clock.layers())
                 if not request.keep_alive or self._admission.draining:
                     return
         finally:
@@ -365,7 +424,8 @@ class ServeServer:
         does not park an idle connection on a dying server."""
         return request.keep_alive and not self._admission.draining
 
-    async def _dispatch(self, request: HttpRequest) -> bytes:
+    async def _dispatch(self, request: HttpRequest,
+                        clock: _LayerClock) -> bytes:
         """Route one request; every failure becomes a structured
         JSON error (the second satellite bugfix: a QueryError is the
         *client's* 400, never this server's 500)."""
@@ -381,10 +441,10 @@ class ServeServer:
                 return self._metrics_response(request)
             if request.path == "/search":
                 self._require_method(request, "POST")
-                return await self._search(request)
+                return await self._search(request, clock)
             if request.path == "/batch":
                 self._require_method(request, "POST")
-                return await self._batch(request)
+                return await self._batch(request, clock)
             if request.path == "/reload":
                 self._require_method(request, "POST")
                 return await self._reload(request)
@@ -455,7 +515,8 @@ class ServeServer:
 
     # -- /search and /batch ---------------------------------------------------
 
-    async def _search(self, request: HttpRequest) -> bytes:
+    async def _search(self, request: HttpRequest,
+                      clock: _LayerClock) -> bytes:
         self._admit(request)
         try:
             params = parse_search_request(request.json())
@@ -469,22 +530,32 @@ class ServeServer:
                 if params.deadline_ms is not None else None
             self._sequence += 1
             loop = asyncio.get_running_loop()
+            clock.submitted = clock.stamp()
             payload = await loop.run_in_executor(
                 self._executor, self._run_search, params, deadline,
-                self._sequence, request.client)
+                self._sequence, request.client, clock)
         finally:
             self._admission.release()
+        clock.encoding = clock.stamp()
         return json_response(200, payload,
                              keep_alive=self._keep(request))
 
     def _run_search(self, params: SearchRequest,
                     deadline: Optional[Deadline], sequence: int,
-                    client: str) -> Dict[str, Any]:
-        """Executor-thread body of one /search request."""
-        tracer = SpanTracer(trace_id=derive_trace_id(
+                    client: str, clock: _LayerClock) -> Dict[str, Any]:
+        """Executor-thread body of one /search request.
+
+        The span tree is built only when the request sets ``spans``;
+        otherwise a :class:`NullTracer` carries just the trace id, so
+        the payload and every boundary reading ``tracer.trace_id``
+        still see it.
+        """
+        clock.started = clock.stamp()
+        trace_id = derive_trace_id(
             "serve", sequence, " ".join(params.keywords), params.k,
-            params.algorithm, params.semantics))
-        watch = Stopwatch().start()
+            params.algorithm, params.semantics)
+        tracer: TracerLike = SpanTracer(trace_id=trace_id) \
+            if params.spans else NullTracer(trace_id)
         with self._collector.time("serve.search"):
             with tracer.span("http.request", method="POST",
                              path="/search", client=client):
@@ -495,56 +566,62 @@ class ServeServer:
                     semantics=params.semantics,
                     deadline=deadline, tracer=tracer)
         spans = tracer.export() if params.spans else None
-        payload = outcome_payload(outcome, watch.elapsed * 1000.0,
+        payload = outcome_payload(outcome, clock.stamp() - clock.started,
                                   spans=spans)
-        payload["trace_id"] = tracer.trace_id
+        payload["trace_id"] = trace_id
+        clock.finished = clock.stamp()
         return payload
 
-    async def _batch(self, request: HttpRequest) -> bytes:
+    async def _batch(self, request: HttpRequest,
+                     clock: _LayerClock) -> bytes:
         self._admit(request)
         try:
             params = parse_batch_request(request.json())
             self._sequence += 1
             loop = asyncio.get_running_loop()
+            clock.submitted = clock.stamp()
             payload = await loop.run_in_executor(
                 self._executor, self._run_batch, params,
-                self._sequence, request.client)
+                self._sequence, clock)
         finally:
             self._admission.release()
+        clock.encoding = clock.stamp()
         return json_response(200, payload,
                              keep_alive=self._keep(request))
 
     def _run_batch(self, params: BatchRequest, sequence: int,
-                   client: str) -> Dict[str, Any]:
-        """Executor-thread body of one /batch request."""
-        tracer = SpanTracer(trace_id=derive_trace_id(
+                   clock: _LayerClock) -> Dict[str, Any]:
+        """Executor-thread body of one /batch request (never traced:
+        a batch response has no ``spans`` field)."""
+        clock.started = clock.stamp()
+        trace_id = derive_trace_id(
             "serve.batch", sequence, params.k, params.algorithm,
             params.semantics,
-            *(" ".join(query) for query in params.queries)))
+            *(" ".join(query) for query in params.queries))
         with self._collector.time("serve.batch"):
-            with tracer.span("http.request", method="POST",
-                             path="/batch", client=client):
-                for query in params.queries:
-                    self._faults.before_query(query)
-                batch = self._service.batch_search(
-                    params.queries, k=params.k,
-                    algorithm=params.algorithm,
-                    semantics=params.semantics,
-                    workers=params.workers, executor=params.executor,
-                    deadline_ms=params.deadline_ms, tracer=tracer)
+            for query in params.queries:
+                self._faults.before_query(query)
+            batch = self._service.batch_search(
+                params.queries, k=params.k,
+                algorithm=params.algorithm,
+                semantics=params.semantics,
+                workers=params.workers, executor=params.executor,
+                deadline_ms=params.deadline_ms)
         outcomes = [outcome_payload(outcome, None)
                     for outcome in batch.outcomes]
-        return {"outcomes": outcomes,
-                "elapsed_ms": round(batch.elapsed_ms, 3),
-                "trace_id": tracer.trace_id,
-                "stats": {
-                    "queries": len(batch.outcomes),
-                    "partial": sum(1 for outcome in batch.outcomes
-                                   if outcome.partial),
-                    "errors": sum(
-                        1 for outcome in batch.outcomes
-                        if outcome.termination_reason == "error"),
-                }}
+        payload = {"outcomes": outcomes,
+                   "elapsed_ms": round(batch.elapsed_ms, 3),
+                   "trace_id": trace_id,
+                   "stats": {
+                       "queries": len(batch.outcomes),
+                       "partial": sum(1 for outcome in batch.outcomes
+                                      if outcome.partial),
+                       "errors": sum(
+                           1 for outcome in batch.outcomes
+                           if outcome.termination_reason == "error"),
+                   }}
+        clock.finished = clock.stamp()
+        return payload
 
     # -- /health, /metrics, /reload -------------------------------------------
 

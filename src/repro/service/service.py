@@ -509,9 +509,12 @@ class QueryService:
 
         ``tracer`` hangs the query's span tree under the caller's
         tracer (the HTTP serving layer passes a per-request
-        :class:`~repro.obs.spans.SpanTracer` here, so a served query
-        produces the same spans as a CLI query); a cache replay shows
-        up as a zero-work ``query`` span marked ``cache=result_cache``.
+        :class:`~repro.obs.spans.SpanTracer` here when the request
+        asks for spans, so a served query produces the same spans as a
+        CLI query); a cache replay shows up as a zero-work ``query``
+        span marked ``cache=result_cache``.  A disabled tracer records
+        nothing.  Which collector the engines run on is
+        :meth:`_search_terms`' rule.
         Every outcome's ``stats["service_state"]`` records the
         generation/epoch it ran against.
         """
@@ -526,22 +529,28 @@ class QueryService:
                       collector: Optional[MetricsCollector],
                       trace: bool, sanitize: Optional[bool],
                       deadline: object = None,
-                      tracer: Optional[TracerLike] = None,
-                      aggregate: bool = False) -> SearchOutcome:
+                      tracer: Optional[TracerLike] = None
+                      ) -> SearchOutcome:
         """Run one canonicalised query (terms already sorted/validated).
 
         The service state is dereferenced exactly once, so the whole
         query — index, caches and result LRU — runs against a single
         generation even if a reload swaps the state mid-flight.
 
-        ``tracer``/``aggregate`` are the batch path's observability
-        hooks: with either set (and no caller collector), the query
-        runs under an ephemeral :class:`MetricsCollector` — carrying
-        the tracer, so every engine timer becomes a span under this
-        query's span — which is merged into the service collector
-        afterwards.  Result-cache replayability is unchanged (it keys
-        off the *caller's* instrumentation): a replayed query shows up
-        as a zero-work ``query`` span marked ``cache=result_cache``.
+        One rule picks the collector the engines run on:
+
+        * a caller's ``collector`` or ``trace=True`` — that one, and
+          its snapshot lands in ``stats["metrics"]``;
+        * a live ``tracer`` — an ephemeral :class:`MetricsCollector`
+          carrying it, so every engine timer becomes a span under this
+          query's span, merged into the service collector afterwards;
+        * otherwise the enabled service collector itself, with no
+          per-query collector, merge or snapshot — how every untraced
+          served or batched query reaches ``/metrics``.
+
+        Result-cache replayability is unchanged (it keys off the
+        *caller's* instrumentation): a replayed query shows up as a
+        zero-work ``query`` span marked ``cache=result_cache``.
         """
         state = self._state
         algorithm = _coerce_algorithm(algorithm)
@@ -564,9 +573,13 @@ class QueryService:
                 replayed = _replay(cached)
                 _annotate_state(replayed, state)
                 return replayed
+        attach = collector is not None or trace
         run_collector = collector
-        if run_collector is None and (tracer is not None or aggregate):
-            run_collector = MetricsCollector(tracer=tracer)
+        if not attach:
+            if tracer is not None:
+                run_collector = MetricsCollector(tracer=tracer)
+            elif self.collector.enabled:
+                run_collector = self.collector
         query_ctx = tracer.span("query", terms=" ".join(terms),
                                 algorithm=algorithm.value, k=k) \
             if tracer is not None else nullcontext()
@@ -578,15 +591,15 @@ class QueryService:
                                       trace=trace,
                                       sanitize=sanitize,
                                       caches=state.caches,
-                                      deadline=deadline)
+                                      deadline=deadline,
+                                      _attach_metrics=attach)
             if query_span is not None:
                 if outcome.partial:
                     query_span.status = STATUS_PARTIAL
                     query_span.annotate(
                         reason=outcome.termination_reason)
                 query_span.annotate(results=len(outcome.results))
-        if run_collector is not None and run_collector is not collector \
-                and self.collector.enabled:
+        if tracer is not None and not attach and self.collector.enabled:
             self.collector.merge(run_collector)
         if replayable and not outcome.partial:
             state.results.put(key, outcome)
@@ -754,10 +767,10 @@ class QueryService:
         starts here, *before* the fault hook, so an injected stall eats
         its own query's budget and nobody else's.
 
-        Batch queries aggregate their engine counters into the service
-        collector (``aggregate=`` below) — that is what makes a batch
-        report's engine totals executor-independent instead of
-        coordinator-only.
+        Batch queries take :meth:`_search_terms`' collector rule, so
+        their engine counters reach the service collector — that is
+        what makes a batch report's engine totals executor-independent
+        instead of coordinator-only.
         """
         deadline = (Deadline(budget_ms=run.deadline_ms)
                     if run.deadline_ms is not None else None)
@@ -766,8 +779,7 @@ class QueryService:
                 run.injector.before_query(terms)
             outcome = self._search_terms(
                 terms, run.k, run.algorithm, run.semantics, None, False,
-                run.sanitize, deadline, tracer=run.tracer,
-                aggregate=self.collector.enabled)
+                run.sanitize, deadline, tracer=run.tracer)
             if outcome.partial:
                 run.tracker.note_partial(outcome.termination_reason)
             return outcome, None

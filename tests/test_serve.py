@@ -3,14 +3,19 @@ in-process server (docs/SERVING.md)."""
 
 import http.client
 import json
+import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.api import topk_search
 from repro.exceptions import QueryError, ReproError
-from repro.obs import MetricsCollector, parse_prometheus, validate_report
+from repro.index.storage import Database
+from repro.obs import (MetricsCollector, SpanTracer, derive_trace_id,
+                       parse_prometheus, validate_report, validate_spans)
 from repro.resilience import parse_faults
 from repro.serve import (ApiError, AdmissionController, NullRateLimiter,
                          ProtocolError, RateLimiter, ServeConfig,
@@ -728,3 +733,204 @@ class TestDeadlineStamping:
                         "deadline_ms": 60000})
         assert status == 200
         assert body["partial"] is False
+
+
+# -- opt-in span trees and always-on layer timers -----------------------------
+
+#: The span tree of one ``spans: true`` /search per scenario, as the
+#: parent of the opt-in-tracing change served it.  Regenerate with
+#: ``PYTHONPATH=src python -m tests.test_serve --write`` only for an
+#: intended change to the served span tree.
+SPAN_TREES = Path(__file__).parent / "data" / "served_span_trees.json"
+
+#: (scenario, source kind, corpus executor, request body) of every
+#: pinned ``spans: true`` search.
+SPAN_SCENARIOS = (
+    ("document-eager", "document", None,
+     {"keywords": ["k1", "k2"], "k": 3}),
+    ("document-prstack", "document", None,
+     {"keywords": ["k1", "k2"], "k": 3, "algorithm": "prstack"}),
+    ("corpus-serial", "corpus", "serial",
+     {"keywords": ["k1", "k2"], "k": 3}),
+    ("corpus-process", "corpus", "process",
+     {"keywords": ["k1", "k2"], "k": 3}),
+)
+
+#: Spans a traced corpus search has beyond the pinned trees: the
+#: global merge of each answered visit, and each process submit.
+MERGE_PATH = "http.request/corpus.search/corpus.merge"
+SUBMIT_PATH = "http.request/corpus.search/corpus.shard/corpus.submit"
+
+#: The always-on per-request layers on /metrics.
+LAYERS = ("parse", "queue", "service", "encode", "unattributed")
+
+
+def span_paths(spans):
+    """Each span as the names on its path from the root, joined by
+    ``/``: the tree's names and parentage without ids or timings."""
+    by_id = {span["span_id"]: span for span in spans}
+
+    def path(span):
+        names = []
+        while span is not None:
+            names.append(span["name"])
+            span = by_id.get(span["parent_id"])
+        return "/".join(reversed(names))
+
+    return sorted(path(span) for span in spans)
+
+
+def served_spans(service, body):
+    """One ``spans: true`` /search on a fresh server over ``service``."""
+    handle = start_in_thread(service, ServeConfig())
+    try:
+        status, answer, _ = ServerClient(handle.port).post(
+            "/search", dict(body, spans=True))
+    finally:
+        handle.stop()
+    assert status == 200, answer
+    return validate_spans(answer["spans"])
+
+
+def served_span_trees():
+    """Every scenario's span paths, each from cold caches."""
+    from repro.corpus import CorpusService, build_corpus
+    from tests.conftest import build_figure1_doc
+    from tests.test_corpus import random_corpus
+    trees = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        directory = f"{workdir}/corpus"
+        build_corpus(random_corpus(11), directory, shards=3)
+        for name, kind, executor, body in SPAN_SCENARIOS:
+            service = QueryService(Database.from_document(
+                build_figure1_doc())) if kind == "document" \
+                else CorpusService(directory, executor=executor)
+            trees[name] = span_paths(served_spans(service, body))
+    return trees
+
+
+class CountingTracers:
+    """Counts every :class:`SpanTracer` constructed while installed."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        original = SpanTracer.__init__
+
+        def counting(tracer, *args, **kwargs):
+            self.built += 1
+            original(tracer, *args, **kwargs)
+
+        monkeypatch.setattr(SpanTracer, "__init__", counting)
+
+
+class TestOptInTracing:
+    def test_untraced_search_and_batch_build_no_span_tracer(
+            self, server, monkeypatch):
+        tracers = CountingTracers(monkeypatch)
+        client = server["client"]
+        status, body, _ = client.post("/search",
+                                      {"keywords": ["k1", "k2"]})
+        assert status == 200 and "spans" not in body
+        status, body, _ = client.post(
+            "/batch", {"queries": [["k1"], ["k2"]],
+                       "executor": "serial"})
+        assert status == 200
+        assert tracers.built == 0
+        status, body, _ = client.post(
+            "/search", {"keywords": ["k1", "k2"], "spans": True})
+        assert status == 200 and body["spans"]
+        assert tracers.built == 1
+
+    def test_untraced_responses_carry_the_derived_trace_id(self, server):
+        client = server["client"]
+        _, search, _ = client.post("/search",
+                                   {"keywords": ["k1", "k2"], "k": 5})
+        assert search["trace_id"] == derive_trace_id(
+            "serve", 1, "k1 k2", 5, "eager", "slca")
+        _, batch, _ = client.post("/batch", {"queries": [["k1"]],
+                                             "k": 4})
+        assert batch["trace_id"] == derive_trace_id(
+            "serve.batch", 2, 4, "eager", "slca", "k1")
+        _, traced, _ = client.post("/search",
+                                   {"keywords": ["k1", "k2"], "k": 5,
+                                    "spans": True})
+        assert traced["trace_id"] == derive_trace_id(
+            "serve", 3, "k1 k2", 5, "eager", "slca")
+        assert {span["trace_id"] for span in traced["spans"]} == \
+            {traced["trace_id"]}
+
+    def test_span_trees_match_the_pinned_trees(self):
+        pinned = json.loads(SPAN_TREES.read_text(encoding="utf-8"))
+        trees = served_span_trees()
+        assert sorted(trees) == sorted(pinned)
+        for name, kind, executor, _ in SPAN_SCENARIOS:
+            paths = trees[name]
+            new = [path for path in paths
+                   if path in (MERGE_PATH, SUBMIT_PATH)]
+            kept = [path for path in paths if path not in new]
+            assert kept == pinned[name], name
+            visits = paths.count("http.request/corpus.search/"
+                                 "corpus.shard")
+            if kind == "document":
+                assert not new, name
+                continue
+            # One global merge per answered visit; one submit per
+            # process visit (none failed, none hedged).
+            assert visits and new.count(MERGE_PATH) == visits, name
+            assert new.count(SUBMIT_PATH) == \
+                (visits if executor == "process" else 0), name
+
+
+class TestLayerTimers:
+    def layer_summaries(self, server, requests):
+        client = server["client"]
+        for position in range(requests):
+            status, _, _ = client.post(
+                "/search", {"keywords": ["k1", "k2"],
+                            "k": 1 + position % 5})
+            assert status == 200
+        status, _, _ = client.post("/batch",
+                                   {"queries": [["k1"], ["k2"]]})
+        assert status == 200
+        # An error answer folds no layers.
+        status, _, _ = client.post("/search", {"keywords": ["k1"],
+                                               "k": 0})
+        assert status == 400
+        histograms = server["collector"].snapshot()["histograms"]
+        return histograms
+
+    def test_layers_sum_to_the_request_time(self, server):
+        histograms = self.layer_summaries(server, 6)
+        request = histograms["serve.request_ms"]
+        assert request["count"] == 7
+        total = 0.0
+        for layer in LAYERS:
+            summary = histograms[f"serve.layer.{layer}_ms"]
+            assert summary["count"] == 7, layer
+            assert summary["min"] >= 0.0 or layer == "unattributed"
+            total += summary["sum"]
+        assert total == pytest.approx(request["sum"], rel=1e-6,
+                                      abs=1e-3)
+
+    def test_layers_and_engine_counters_reach_metrics(self, server):
+        self.layer_summaries(server, 3)
+        status, raw, _ = server["client"].get("/metrics")
+        assert status == 200
+        samples = parse_prometheus(raw.decode())
+        for layer in LAYERS:
+            assert samples[f"repro_serve_layer_{layer}_ms_count"] == 4
+            assert f'repro_serve_layer_{layer}_ms{{quantile="0.5"}}' \
+                in samples
+        assert samples["repro_serve_request_ms_count"] == 4
+        # Untraced searches still feed the engine counters.
+        assert any(name.startswith(("repro_engine_", "repro_eager_"))
+                   for name in samples)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_serve --write")
+    SPAN_TREES.write_text(json.dumps(served_span_trees(), indent=1,
+                                     sort_keys=True) + "\n",
+                          encoding="utf-8")
+    print(f"wrote {SPAN_TREES}")

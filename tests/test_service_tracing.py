@@ -234,3 +234,72 @@ class TestSpanPropagation:
         service = QueryService(figure1_db)
         batch = service.batch_search(QUERIES, k=3)
         assert "trace_id" not in batch.stats
+
+
+class TestServedMetricEquivalence:
+    """Untraced queries run the engines on the service collector
+    directly; the totals must equal a per-query collector's."""
+
+    #: Distinct term sets: every query really runs its engine.
+    DISTINCT = [["k1"], ["k2"], ["k1", "k2"]]
+    PREFIXES = ENGINE_PREFIXES + ("index.",)
+
+    def totals(self, collector):
+        return {name: value
+                for name, value in collector.snapshot()["counters"]
+                .items() if name.startswith(self.PREFIXES)}
+
+    @pytest.mark.parametrize("algorithm", ["eager", "prstack"])
+    def test_untraced_queries_equal_a_caller_collector(self, figure1_db,
+                                                      algorithm):
+        shared = MetricsCollector()
+        untraced = QueryService(figure1_db, collector=shared)
+        caller = MetricsCollector()
+        instrumented = QueryService(figure1_db)
+        for query in self.DISTINCT:
+            plain = untraced.search(query, k=3, algorithm=algorithm)
+            assert "metrics" not in plain.stats
+            measured = instrumented.search(query, k=3,
+                                           algorithm=algorithm,
+                                           collector=caller)
+            assert "metrics" in measured.stats
+            assert signature(plain) == signature(measured)
+        assert self.totals(shared)
+        assert self.totals(shared) == self.totals(caller)
+
+    def test_traced_query_merges_without_a_snapshot(self, figure1_db):
+        shared = MetricsCollector()
+        service = QueryService(figure1_db, collector=shared)
+        tracer = SpanTracer(trace_id=derive_trace_id("merge"))
+        outcome = service.search(["k1", "k2"], k=3, tracer=tracer)
+        assert "metrics" not in outcome.stats
+        caller = MetricsCollector()
+        QueryService(figure1_db).search(["k1", "k2"], k=3,
+                                        collector=caller)
+        assert self.totals(shared) == self.totals(caller)
+        assert any(span["name"] == "search.total"
+                   for span in tracer.export())
+
+    def test_served_serial_and_process_batches_agree(self, figure1_db):
+        from repro.serve import ServeConfig, start_in_thread
+        from tests.test_serve import ServerClient
+
+        def served_batch(executor):
+            collector = MetricsCollector()
+            handle = start_in_thread(
+                QueryService(figure1_db, collector=collector),
+                ServeConfig(), collector=collector)
+            try:
+                status, body, _ = ServerClient(handle.port).post(
+                    "/batch", {"queries": QUERIES, "k": 3,
+                               "executor": executor, "workers": 2})
+            finally:
+                assert handle.stop() == 0
+            assert status == 200
+            return body["outcomes"], engine_counters(collector)
+
+        serial_rows, serial = served_batch("serial")
+        process_rows, process = served_batch("process")
+        assert serial
+        assert process == serial
+        assert process_rows == serial_rows
