@@ -560,7 +560,7 @@ def _run_batch(options, queries, service, collector, faults,
           f"({stats['executor']} x{stats['workers']}, "
           f"{options.algorithm}, {options.semantics})")
     cache = stats["cache"]
-    for name in ("match_entries", "code_lists", "results"):
+    for name in ("match_entries", "results"):
         counters = cache[name]
         print(f"cache {name}: {counters['hits']} hits, "
               f"{counters['misses']} misses, "

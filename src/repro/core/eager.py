@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
 from repro.core.bounds import RegionBound, candidate_bounds
 from repro.core.distribution import DistTable
-from repro.core.engine import StackEngine, StackItem
+from repro.core.engine import StackEngine
 from repro.core.heap import TopKHeap
 from repro.core.result import SearchOutcome
 from repro.encoding.dewey import DeweyCode
@@ -181,9 +181,9 @@ def eager_topk_search(index: InvertedIndex, keywords: Iterable[str],
             cross-check them against exact probabilities afterwards.
             The default no-op checks nothing.
         caches: shared :class:`repro.index.cache.QueryCaches` reusing
-            merged match entries, per-keyword Dewey lists and per-node
-            path probabilities across queries on the same index
-            (docs/SERVICE.md); the default reuses nothing.
+            match columns and per-node path probabilities across
+            queries on the same index (docs/SERVICE.md); the default
+            reuses nothing.
         deadline: per-query budget (docs/RESILIENCE.md), polled once
             per candidate (seed or climbed ancestor).  On expiry the
             climb stops and the k-heap comes back as a partial
@@ -258,21 +258,21 @@ class _EagerSearch:
     def run(self) -> SearchOutcome:
         """Execute the search: seeds, climb, pruned evaluation."""
         collector = self.collector
-        terms, entries = build_match_entries(self.index, self.keywords,
-                                             collector=collector,
-                                             caches=self.caches)
+        index = self.index
+        terms = index.query_terms(self.keywords)
+        ids, masks = build_match_entries(index, terms, collector=collector,
+                                         caches=self.caches)
         self.stats["terms"] = len(terms)
-        self.stats["match_entries"] = len(entries)
-        if any(not self.index.postings(term) for term in terms):
+        self.stats["match_entries"] = len(ids)
+        if not ids:
             _log.debug("eager: a term has no postings; zero answers")
             return SearchOutcome(stats=self.stats)
         self.full_mask = (1 << len(terms)) - 1
-        self.matches = MatchList(entries)
+        self.matches = MatchList(index.encoded, ids, masks)
 
         with collector.time("eager.seed"):
-            _, code_lists = keyword_code_lists(self.index, terms,
-                                               caches=self.caches)
-            seeds = indexed_lookup_eager(code_lists)
+            seeds = indexed_lookup_eager(
+                index.encoded, keyword_code_lists(index, terms))
         self.stats["seeds"] = len(seeds)
         if collector.enabled:
             collector.count("eager.seeds", len(seeds))
@@ -468,34 +468,42 @@ class _EagerSearch:
         engine, harvest answers, and continue the climb with the exact
         region that replaces everything swept."""
         collector = self.collector
-        taken = self.matches.consume_subtree(code)
+        matches = self.matches
+        taken = matches.consume_subtree(code)
         self.stats["entries_consumed"] += len(taken)
         inner_regions = self.regions.under(code)
-        items = [StackItem(entry.code, entry.link, entry.mask)
-                 for entry in taken]
-        items.extend(
-            StackItem(region.code, region.link, table=region.table)
-            for region in inner_regions)
-        items.sort(key=lambda item: item.code.positions)
 
+        encoded = self.index.encoded
         engine = StackEngine(
             self.full_mask, self._sink, context_length=len(code) - 1,
-            exp_resolver=self.index.encoded.exp_subsets_at,
+            exp_resolver=encoded.exp_subsets_at,
             collector=collector, sanitizer=self.sanitizer)
-        sanitized = self.sanitizer.enabled
-        previous = None
-        for item in items:
-            if sanitized:
-                self.sanitizer.check_order(previous, item.code)
-                previous = item.code
-            engine.feed(item)
+        # The taken entries and the inner regions are both in document
+        # order and never share a node: merge them in one pass.
+        feed = engine.feed
+        codes, links = encoded.codes, encoded.links
+        ids, masks = matches.ids, matches.masks
+        regions = iter(inner_regions)
+        region = next(regions, None)
+        for position in taken:
+            node_id = ids[position]
+            entry = codes[node_id]
+            while region is not None \
+                    and region.code.positions < entry.positions:
+                feed(region.code, region.link, table=region.table)
+                region = next(regions, None)
+            feed(entry, links[node_id], masks[position])
+        while region is not None:
+            feed(region.code, region.link, table=region.table)
+            region = next(regions, None)
         table = engine.finish_candidate()
         self.stats["candidates_processed"] += 1
         if collector.enabled:
             collector.count("eager.candidates_processed")
             collector.count("eager.entries_consumed", len(taken))
             collector.count("eager.regions_collapsed", len(inner_regions))
-            collector.observe("eager.sweep_items", len(items))
+            collector.observe("eager.sweep_items",
+                              len(taken) + len(inner_regions))
             if collector.trace is not None:
                 collector.event("eager.process", code=str(code),
                                 entries=len(taken),
@@ -507,8 +515,8 @@ class _EagerSearch:
                       if code.is_ancestor_of(cand)]:
             del self.candidates[stale]
 
-        self.regions.add(_Region(code, self._link_of(code), table,
-                                 self.full_mask))
+        self.regions.add(_Region(code, links[encoded.id_at(code.positions)],
+                                 table, self.full_mask))
         self._add_parent_candidate(code)
 
     def _sink(self, code: DeweyCode, probability: float) -> None:
@@ -517,13 +525,11 @@ class _EagerSearch:
 
     # -- encoding helpers -----------------------------------------------------------------
 
-    def _link_of(self, code: DeweyCode) -> PrLink:
-        node = self.index.encoded.node_at(code)
-        return self.index.encoded.links[node.node_id]
-
     def _path_prob(self, code: DeweyCode) -> float:
         probability = self._path_prob_cache.get(code)
         if probability is None:
-            probability = math.prod(self._link_of(code))
+            encoded = self.index.encoded
+            probability = math.prod(
+                encoded.links[encoded.id_at(code.positions)])
             self._path_prob_cache[code] = probability
         return probability

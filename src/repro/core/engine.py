@@ -68,25 +68,6 @@ _EXP = NodeType.EXP
 _UNIT = {0: 1.0}  # compared against, never mutated
 
 
-class StackItem:
-    """One unit of input: a match entry or a preset descendant table."""
-
-    __slots__ = ("code", "link", "mask", "table")
-
-    def __init__(self, code: DeweyCode, link: PrLink, mask: int = 0,
-                 table: Optional[DistTable] = None):
-        if table is not None and mask:
-            raise ReproError("a preset item cannot also carry a self mask")
-        self.code = code
-        self.link = link
-        self.mask = mask
-        self.table = table
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "preset" if self.table is not None else f"mask={self.mask:b}"
-        return f"StackItem({self.code}, {kind})"
-
-
 class StackEngine:
     """Document-order stack evaluator for keyword distribution tables."""
 
@@ -116,9 +97,9 @@ class StackEngine:
                 counters and histograms (docs/OBSERVABILITY.md), folded
                 in once per run; the default no-op records nothing.
             sanitizer: runtime invariant checker (sanitize mode);
-                asserts edge probabilities, finalised tables, MUX mass
-                and emitted results live (docs/ANALYSIS.md).  The
-                default no-op checks nothing.
+                asserts the feed order, edge probabilities, finalised
+                tables, MUX mass and emitted results live
+                (docs/ANALYSIS.md).  The default no-op checks nothing.
             ordinary_step: replaces the keyword semantics at ordinary
                 nodes (see :data:`OrdinaryStep`); the twig engine's
                 pattern-state transform is the one user.
@@ -164,9 +145,18 @@ class StackEngine:
 
     # -- feeding ---------------------------------------------------------------
 
-    def feed(self, item: StackItem) -> None:
-        """Process the next item; items must arrive in document order."""
-        code = item.code
+    def feed(self, code: DeweyCode, link: PrLink, mask: int = 0,
+             table: Optional[DistTable] = None) -> None:
+        """Process the next item; items must arrive in document order.
+
+        An item is a match entry — a node's ``code``, ``link`` and
+        keyword ``mask`` — or, with ``table``, a preset descendant
+        region whose finished table is used verbatim (it cannot also
+        carry a self mask).  Under a live sanitizer the order is
+        asserted before the engine's own check.
+        """
+        if self.sanitizer.enabled:
+            self.sanitizer.check_order(self._current, code)
         length = len(code.positions)
         context = self.context_length
         if length <= context:
@@ -187,12 +177,14 @@ class StackEngine:
             if self._top > start:
                 self._pop_to(start)
         self._current = code
-        self._push(code, item.link, start, length)
+        self._push(code, link, start, length)
         self.items_fed += 1
-        table = item.table
         if table is None:
-            self._own[length] |= item.mask
+            self._own[length] |= mask
         else:
+            if mask:
+                raise ReproError(
+                    "a preset item cannot also carry a self mask")
             live = self._tables[length]
             if self._own[length] or self._lambdas[length] or (
                     live is not None and live not in ({}, _UNIT)):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.engine import StackEngine, StackItem
+from repro.core.engine import StackEngine
 from repro.core.result import SearchOutcome
 from repro.encoding.dewey import DeweyCode
 from repro.exceptions import QueryError
@@ -85,9 +85,10 @@ def explain_result(index: InvertedIndex, keywords: Iterable[str],
             f"{code} is a {node.node_type.value} node; only ordinary "
             "nodes can be SLCA answers")
 
-    terms, entries = build_match_entries(index, keywords)
+    terms = index.query_terms(keywords)
+    ids, masks = build_match_entries(index, terms)
     full_mask = (1 << len(terms)) - 1
-    matches = MatchList(entries)
+    matches = MatchList(encoded, ids, masks)
 
     harvested: Dict[DeweyCode, float] = {}
     engine = StackEngine(
@@ -96,8 +97,10 @@ def explain_result(index: InvertedIndex, keywords: Iterable[str],
             result_code, probability),
         context_length=len(code) - 1,
         exp_resolver=encoded.exp_subsets_at)
-    for entry in matches.iter_subtree(code):
-        engine.feed(StackItem(entry.code, entry.link, entry.mask))
+    for position in matches.iter_subtree(code):
+        node_id = ids[position]
+        engine.feed(encoded.codes[node_id], encoded.links[node_id],
+                    masks[position])
     table = engine.finish_candidate()
 
     link = encoded.link_of(node)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
-from repro.core.engine import ResultSink, StackEngine, StackItem
+from repro.core.engine import ResultSink, StackEngine
 from repro.core.heap import TopKHeap
 from repro.core.result import SearchOutcome
 from repro.index.cache import CachesLike, NULL_CACHES
@@ -94,53 +94,54 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
     outcome carrying the scan counters and no results — those live in
     the sink.
     """
-    terms, entries = build_match_entries(index, keywords,
-                                         collector=collector,
-                                         caches=caches)
+    terms = index.query_terms(keywords)
+    ids, masks = build_match_entries(index, terms, collector=collector,
+                                     caches=caches)
     outcome = SearchOutcome(stats={
         "algorithm": "prstack",
         "semantics": "elca" if elca else "slca",
         "terms": len(terms),
-        "match_entries": len(entries),
+        "match_entries": len(ids),
         "entries_scanned": 0,
         "frames_pushed": 0,
         "results_emitted": 0,
     })
 
     # AND semantics: a term with no match anywhere makes the full mask
-    # unreachable, so no node can be an answer.
-    if any(not index.postings(term) for term in terms):
+    # unreachable, so no node can be an answer; the columns come back
+    # empty.
+    if not ids:
         _log.debug("prstack: a term has no postings; zero answers")
         return outcome
 
     full_mask = (1 << len(terms)) - 1
+    encoded = index.encoded
+    codes, links = encoded.codes, encoded.links
     engine = StackEngine(full_mask, sink, elca=elca,
-                         exp_resolver=index.encoded.exp_subsets_at,
+                         exp_resolver=encoded.exp_subsets_at,
                          collector=collector, sanitizer=sanitizer)
-    sanitized = sanitizer.enabled
-    previous = None
+    feed = engine.feed
+    scanned = 0
     with collector.time("prstack.scan"):
-        for entry in entries:
+        for node_id, mask in zip(ids, masks):
             if deadline.enabled and deadline.expired():
                 outcome.partial = True
                 outcome.termination_reason = deadline.reason
                 engine.cut()
                 break
-            if sanitized:
-                sanitizer.check_order(previous, entry.code)
-                previous = entry.code
-            engine.feed(StackItem(entry.code, entry.link, entry.mask))
-            outcome.stats["entries_scanned"] += 1
+            feed(codes[node_id], links[node_id], mask)
+            scanned += 1
         else:
             engine.finish()
+    outcome.stats["entries_scanned"] = scanned
 
     if outcome.partial:
         outcome.stats["deadline"] = deadline.summary()
         if collector.enabled:
             collector.count("resilience.deadline_expired")
         _log.debug("prstack: %s expired after %d/%d entries; returning "
-                   "partial heap", outcome.termination_reason,
-                   outcome.stats["entries_scanned"], len(entries))
+                   "partial heap", outcome.termination_reason, scanned,
+                   len(ids))
     outcome.stats["frames_pushed"] = engine.frames_pushed
     outcome.stats["frames_popped"] = engine.frames_popped
     outcome.stats["results_emitted"] = engine.results_emitted

@@ -88,7 +88,5 @@ def sample_workload(index: InvertedIndex,
 
 def _has_skeleton_answer(index: InvertedIndex,
                          terms: Sequence[str]) -> bool:
-    codes = index.encoded.codes
-    lists = [[codes[node_id] for node_id in index.postings(term)]
-             for term in terms]
-    return bool(indexed_lookup_eager(lists))
+    return bool(indexed_lookup_eager(
+        index.encoded, [index.postings(term) for term in terms]))

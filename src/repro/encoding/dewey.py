@@ -97,11 +97,19 @@ class DeweyCode:
         return self.kinds[-1]
 
     def prefix(self, length: int) -> "DeweyCode":
-        """The ancestor-or-self code of the given component count."""
+        """The ancestor-or-self code of the given component count.
+
+        Only the length is checked: a prefix of a valid code is valid.
+        """
         if not 1 <= length <= len(self.positions):
             raise EncodingError(
                 f"prefix length {length} out of range for {self}")
-        return DeweyCode(self.positions[:length], self.kinds[:length])
+        positions = self.positions[:length]
+        code = DeweyCode.__new__(DeweyCode)
+        code.positions = positions
+        code.kinds = self.kinds[:length]
+        code._hash = hash(positions)
+        return code
 
     def parent(self) -> "DeweyCode":
         """Code of the parent node; raises for the root."""

@@ -49,12 +49,32 @@ class EncodedDocument:
         """Probability link (root-path edge probabilities) of a node."""
         return self.links[node.node_id]
 
+    def id_at(self, positions: Tuple[int, ...]) -> int:
+        """Preorder id of the node at a code's positions; raises for
+        positions outside this document."""
+        node_id = self._node_by_positions.get(positions)
+        if node_id is None:
+            raise EncodingError(
+                f"no node at positions {'.'.join(map(str, positions))}")
+        return node_id
+
     def node_at(self, code: DeweyCode) -> PNode:
         """The p-node a code denotes; raises for foreign codes."""
-        node_id = self._node_by_positions.get(code.positions)
-        if node_id is None:
-            raise EncodingError(f"no node with code {code}")
-        return self.document.node_by_id(node_id)
+        return self.document.node_by_id(self.id_at(code.positions))
+
+    def subtree_end(self, code: DeweyCode) -> int:
+        """One past the last preorder id in ``code``'s subtree: the id of
+        the first node after the subtree in document order (the next
+        sibling of the deepest ancestor-or-self that has one), or the
+        node count when the subtree runs to the end."""
+        positions = code.positions
+        ids = self._node_by_positions
+        for depth in range(len(positions), 0, -1):
+            following = ids.get(
+                positions[:depth - 1] + (positions[depth - 1] + 1,))
+            if following is not None:
+                return following
+        return len(self.codes)
 
     def has_code(self, code: DeweyCode) -> bool:
         """Whether a code denotes a node of this document."""

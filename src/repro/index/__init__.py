@@ -3,14 +3,14 @@
 Builds the inverted keyword lists both algorithms scan: for every term
 occurring in an ordinary node's tag or text, a document-ordered list of
 matching nodes.  :mod:`repro.index.matchlist` merges per-keyword lists
-into per-node keyword bitmasks (the unit of work of the algorithms), and
-:mod:`repro.index.storage` persists an index next to its document.
+into node-id and keyword-bitmask columns (the unit of work of the
+algorithms), and :mod:`repro.index.storage` persists an index next to
+its document.
 """
 
 from repro.index.tokenizer import tokenize, node_terms
 from repro.index.inverted import InvertedIndex, build_index
 from repro.index.matchlist import (
-    MatchEntry,
     MatchList,
     build_match_entries,
     keyword_code_lists,
@@ -22,7 +22,6 @@ __all__ = [
     "node_terms",
     "InvertedIndex",
     "build_index",
-    "MatchEntry",
     "MatchList",
     "build_match_entries",
     "keyword_code_lists",

@@ -1,9 +1,8 @@
 """Reusable per-document query caches.
 
 Every ``topk_search`` against the same prepared index repeats the same
-front-of-query work: normalising terms, merging per-term postings into
-masked match entries, materialising per-keyword Dewey lists for the
-seed computation, and re-deriving per-node path probabilities (the
+front-of-query work: merging per-term postings into masked match
+columns and re-deriving per-node path probabilities (the
 product of the node's PrLink — the per-node fragment every
 distribution table starts from).  All of it depends only on the
 document and the normalised term set, never on ``k``, the algorithm or
@@ -19,15 +18,15 @@ null-object idiom):
   and through a :class:`repro.obs.MetricsCollector` under
   ``service.cache.<name>.*``;
 * :class:`QueryCaches` — the bundle the algorithms consume: a match
-  -entry cache keyed by the normalised term tuple, a per-keyword
-  Dewey-list cache, and the shared path-probability memo;
+  -column cache keyed by the normalised term tuple and the shared
+  path-probability memo;
 * :data:`NULL_CACHES` — the do-nothing default; an uncached query pays
   one attribute load per hook point, exactly like the null collector.
 
 Cached values are shared between queries and must be treated as
 immutable by consumers; the scan machinery already does (a
 :class:`repro.index.matchlist.MatchList` keeps its consumption flags
-in a private bytearray, never in the shared entries).
+in a private bytearray, never in the shared columns).
 """
 
 from __future__ import annotations
@@ -158,13 +157,11 @@ class QueryCaches:
     """The prepared-input caches one service shares across queries.
 
     Attributes:
-        match_entries: normalised term tuple -> the merged, document-
-            ordered :class:`~repro.index.matchlist.MatchEntry` list
-            (the input both PrStack and EagerTopK scan).
-        code_lists: single term -> its Dewey code list (the per-keyword
-            seed input of EagerTopK); sized ``per_term_factor`` times
-            larger than ``match_entries`` because queries share terms
-            far more often than whole term sets.
+        match_entries: normalised term tuple -> the document-ordered
+            ``(node ids, keyword masks)`` match columns of
+            :func:`~repro.index.matchlist.build_match_entries` (the
+            input both PrStack and EagerTopK scan).  EagerTopK's seed
+            lookup reads the index's own postings and needs no cache.
         path_probs: node code -> product of its PrLink — the per-node
             distribution fragment reused by EagerTopK's bound
             computation.  A plain dict (one float per distinct node
@@ -174,19 +171,13 @@ class QueryCaches:
 
     enabled = True
 
-    #: ``code_lists`` holds this many entries per ``match_entries`` slot.
-    PER_TERM_FACTOR = 4
-
-    __slots__ = ("match_entries", "code_lists", "path_probs")
+    __slots__ = ("match_entries", "path_probs")
 
     def __init__(self, capacity: int = DEFAULT_CACHE_SIZE,
                  collector: Collector = NULL_COLLECTOR,
                  witness: WitnessLike = NULL_WITNESS):
         self.match_entries = LRUCache("match_entries", capacity,
                                       collector, witness)
-        self.code_lists = LRUCache("code_lists",
-                                   capacity * self.PER_TERM_FACTOR,
-                                   collector, witness)
         # Deliberately lock-free: a GIL-atomic idempotent memo — every
         # writer stores the same value for a key, so a lost update
         # costs one recomputation, never a wrong answer.
@@ -195,14 +186,12 @@ class QueryCaches:
     def clear(self) -> None:
         """Drop all cached values (e.g. after swapping the index)."""
         self.match_entries.clear()
-        self.code_lists.clear()
         self.path_probs.clear()
 
     def stats(self) -> Dict[str, object]:
         """Per-cache counters, the ``cache`` block of service reports."""
         return {
             "match_entries": self.match_entries.stats(),
-            "code_lists": self.code_lists.stats(),
             "path_probs": {"size": len(self.path_probs)},
         }
 

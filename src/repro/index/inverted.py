@@ -8,7 +8,7 @@ order *is* document (Dewey) order — the scan order PrStack relies on.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.encoding.encoder import EncodedDocument
 from repro.exceptions import IndexError_, QueryError
@@ -95,24 +95,22 @@ class InvertedIndex:
             raise QueryError("keyword query contains no terms")
         return terms
 
-    def keyword_lists(self, keywords: Iterable[str],
-                      collector=NULL_COLLECTOR
-                      ) -> Tuple[List[str], List[array]]:
-        """The per-term posting lists for a query, shortest-first metadata
-        left to callers.  Terms missing from the index yield empty lists
-        (the query then has zero answers everywhere).
+    def keyword_lists(self, terms: Sequence[str],
+                      collector=NULL_COLLECTOR) -> List[array]:
+        """The per-term posting lists of normalised query ``terms``
+        (:meth:`query_terms`).  Terms missing from the index yield
+        empty lists (the query then has zero answers everywhere).
 
         ``collector`` records per-query lookup timings
         (``index.lookup``) and the posting-list length distribution
         (``index.postings_length``)."""
-        terms = self.query_terms(keywords)
         with collector.time("index.lookup"):
             lists = [self.postings(term) for term in terms]
         if collector.enabled:
             collector.count("index.lookups", len(terms))
             for postings in lists:
                 collector.observe("index.postings_length", len(postings))
-        return terms, lists
+        return lists
 
     # -- integrity ---------------------------------------------------------------
 

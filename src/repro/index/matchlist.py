@@ -1,10 +1,12 @@
 """Match-list machinery shared by the search algorithms.
 
-Both algorithms consume *match entries*: one entry per distinct node
-that matches at least one query term, carrying the node's Dewey code,
-its PrLink, and a bitmask of which query keywords it matches (bit ``i``
-set means keyword ``i`` present — the binary representation of
-Section III-B).  Entries are kept in document order.
+Both algorithms consume *match columns*: two parallel columns over the
+distinct nodes that match at least one query term, in document order —
+the nodes' preorder ids (an ``array('q')``, like the postings) and
+their keyword bitmasks (bit ``i`` set means keyword ``i`` present — the
+binary representation of Section III-B).  A node's Dewey code and
+PrLink are looked up by id in the :class:`EncodedDocument` when the
+stack engine needs them; no per-entry object is built.
 
 :class:`MatchList` adds the bookkeeping EagerTopK needs: binary-searched
 subtree ranges and consumption flags, so a candidate can "access and
@@ -14,131 +16,101 @@ output time.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.encoding.dewey import DeweyCode
-from repro.encoding.prlink import PrLink
+from repro.encoding.encoder import EncodedDocument
 from repro.index.cache import NULL_CACHES
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import NULL_COLLECTOR
 
-
-class MatchEntry:
-    """One keyword-matching node: code, probability link, keyword mask."""
-
-    __slots__ = ("node_id", "code", "link", "mask")
-
-    def __init__(self, node_id: int, code: DeweyCode, link: PrLink,
-                 mask: int):
-        self.node_id = node_id
-        self.code = code
-        self.link = link
-        self.mask = mask
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MatchEntry({self.code}, mask={self.mask:b})"
+#: ``(node ids, keyword masks)``: the match columns of one query.
+MatchColumns = Tuple[array, List[int]]
 
 
-def build_match_entries(index: InvertedIndex, keywords: Sequence[str],
+def build_match_entries(index: InvertedIndex, terms: Sequence[str],
                         collector=NULL_COLLECTOR, caches=NULL_CACHES
-                        ) -> Tuple[List[str], List[MatchEntry]]:
-    """Merge per-term postings into per-node masked entries.
+                        ) -> MatchColumns:
+    """Merge per-term postings into the per-node match columns.
 
-    Returns the normalised term list (defining bit positions) and the
-    document-ordered entries.  A node matched by several terms appears
-    once with the OR of its bits — this implements the "if v' is not
-    promoted ... " duplicate handling of Algorithm 1 up front.
+    ``terms`` are normalised query terms (:meth:`InvertedIndex.
+    query_terms`); term ``i`` owns mask bit ``i``.  A node matched by
+    several terms appears once with the OR of its bits — this
+    implements the "if v' is not promoted ... " duplicate handling of
+    Algorithm 1 up front.  AND semantics: when some term has no
+    postings no node can be an answer, so the columns come back empty
+    without being merged or cached.
 
     ``collector`` times the merge and counts the produced entries on
     top of the ``index.*`` lookup metrics.
 
     ``caches`` (a :class:`repro.index.cache.QueryCaches`) memoises the
-    merged entry list per normalised term tuple: two queries over the
-    same term set share one physical list, which callers must treat as
-    immutable.  Entry masks depend on term *order*, so the cache key is
-    the ordered tuple — canonicalise keyword order upstream (as
+    columns per term tuple: two queries over the same term set share
+    one physical pair, which callers must treat as immutable.  Masks
+    depend on term *order*, so the cache key is the ordered tuple —
+    canonicalise keyword order upstream (as
     :class:`repro.service.QueryService` does) to maximise reuse.
     """
-    if not caches.enabled:
-        return _merge_match_entries(index, keywords, collector)
-    terms = index.query_terms(keywords)
-    cached = caches.match_entries.get(tuple(terms))
-    if cached is not None:
-        if collector.enabled:
-            collector.count("index.match_entries", len(cached))
-            collector.mark("cache.match_entries.hits")
-        return terms, cached
-    terms, entries = _merge_match_entries(index, terms, collector)
-    caches.match_entries.put(tuple(terms), entries)
-    if collector.enabled:
-        collector.mark("cache.match_entries.misses")
-    return terms, entries
-
-
-def _merge_match_entries(index: InvertedIndex, keywords: Sequence[str],
-                         collector=NULL_COLLECTOR
-                         ) -> Tuple[List[str], List[MatchEntry]]:
-    terms, postings = index.keyword_lists(keywords, collector=collector)
+    key = tuple(terms)
+    if caches.enabled:
+        cached = caches.match_entries.get(key)
+        if cached is not None:
+            if collector.enabled:
+                collector.count("index.match_entries", len(cached[0]))
+                collector.mark("cache.match_entries.hits")
+            return cached
+    postings = index.keyword_lists(terms, collector=collector)
+    if not all(postings):
+        return array("q"), []
     with collector.time("index.merge_entries"):
-        masks: Dict[int, int] = {}
-        for bit, ids in enumerate(postings):
+        merged: Dict[int, int] = {}
+        for bit, term_ids in enumerate(postings):
             flag = 1 << bit
-            for node_id in ids:
-                masks[node_id] = masks.get(node_id, 0) | flag
-        encoded = index.encoded
-        entries = [
-            MatchEntry(node_id, encoded.codes[node_id],
-                       encoded.links[node_id], masks[node_id])
-            for node_id in sorted(masks)
-        ]
+            for node_id in term_ids:
+                merged[node_id] = merged.get(node_id, 0) | flag
+        order = sorted(merged)
+        ids = array("q", order)
+        masks = [merged[node_id] for node_id in order]
+    columns = (ids, masks)
     if collector.enabled:
-        collector.count("index.match_entries", len(entries))
-    return terms, entries
+        collector.count("index.match_entries", len(ids))
+    if caches.enabled:
+        caches.match_entries.put(key, columns)
+        if collector.enabled:
+            collector.mark("cache.match_entries.misses")
+    return columns
 
 
-def keyword_code_lists(index: InvertedIndex, keywords: Sequence[str],
-                       caches=NULL_CACHES
-                       ) -> Tuple[List[str], List[List[DeweyCode]]]:
-    """Per-keyword Dewey lists (the input shape of the deterministic
-    SLCA algorithms of [12] that EagerTopK seeds from).
-
-    With live ``caches`` each term's code list is memoised
-    individually, so queries that merely *share* keywords — not whole
-    term sets — still skip the rebuild.  Cached lists are shared;
-    treat them as immutable.
-    """
-    terms = index.query_terms(keywords)
-    codes = index.encoded.codes
-    if not caches.enabled:
-        return terms, [[codes[node_id] for node_id in index.postings(term)]
-                       for term in terms]
-    lists: List[List[DeweyCode]] = []
-    for term in terms:
-        code_list = caches.code_lists.get(term)
-        if code_list is None:
-            code_list = [codes[node_id] for node_id in index.postings(term)]
-            caches.code_lists.put(term, code_list)
-        lists.append(code_list)
-    return terms, lists
+def keyword_code_lists(index: InvertedIndex, terms: Sequence[str]
+                       ) -> List[array]:
+    """Per-term postings of normalised ``terms``: the document-ordered
+    node-id lists the deterministic SLCA algorithms of [12] — the seed
+    lookup of EagerTopK — take.  They are the index's own arrays;
+    treat them as immutable."""
+    return [index.postings(term) for term in terms]
 
 
 class MatchList:
-    """Document-ordered match entries with consumption tracking.
+    """Document-ordered match columns with consumption tracking.
 
     EagerTopK processes candidates out of document order; every time a
     candidate's subtree is evaluated, the entries inside it are consumed
-    so an ancestor evaluated later only sweeps what is left.
+    so an ancestor evaluated later only sweeps what is left.  Entries
+    are addressed by their column position.
     """
 
-    def __init__(self, entries: List[MatchEntry]):
-        self.entries = entries
-        self._positions = [entry.code.positions for entry in entries]
-        self._consumed = bytearray(len(entries))
-        self._remaining = len(entries)
+    def __init__(self, encoded: EncodedDocument, ids: array,
+                 masks: List[int]):
+        self.encoded = encoded
+        self.ids = ids
+        self.masks = masks
+        self._consumed = bytearray(len(ids))
+        self._remaining = len(ids)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
     @property
     def remaining(self) -> int:
@@ -146,34 +118,36 @@ class MatchList:
         return self._remaining
 
     def subtree_slice(self, code: DeweyCode) -> Tuple[int, int]:
-        """Index range ``[lo, hi)`` of entries inside ``code``'s subtree."""
-        lo = bisect_left(self._positions, code.positions)
-        hi = bisect_left(self._positions, code.subtree_upper_bound())
-        return lo, hi
+        """Column range ``[lo, hi)`` of the entries in ``code``'s
+        subtree: preorder ids make it an id range."""
+        ids, encoded = self.ids, self.encoded
+        lo = bisect_left(ids, encoded.id_at(code.positions))
+        return lo, bisect_left(ids, encoded.subtree_end(code), lo)
 
     def iter_subtree(self, code: DeweyCode,
-                     unconsumed_only: bool = True) -> Iterator[MatchEntry]:
-        """Entries within ``code``'s subtree, in document order."""
+                     unconsumed_only: bool = True) -> Iterator[int]:
+        """Column positions of the entries within ``code``'s subtree,
+        in document order."""
         lo, hi = self.subtree_slice(code)
+        consumed = self._consumed
         for position in range(lo, hi):
-            if unconsumed_only and self._consumed[position]:
-                continue
-            yield self.entries[position]
+            if not (unconsumed_only and consumed[position]):
+                yield position
 
-    def consume_subtree(self, code: DeweyCode) -> List[MatchEntry]:
-        """Return and mark consumed all unconsumed entries under ``code``."""
+    def consume_subtree(self, code: DeweyCode) -> List[int]:
+        """Mark consumed and return (as column positions, in document
+        order) the unconsumed entries under ``code``."""
         lo, hi = self.subtree_slice(code)
-        taken: List[MatchEntry] = []
-        for position in range(lo, hi):
-            if not self._consumed[position]:
-                self._consumed[position] = 1
-                self._remaining -= 1
-                taken.append(self.entries[position])
+        consumed = self._consumed
+        taken = [position for position in range(lo, hi)
+                 if not consumed[position]]
+        consumed[lo:hi] = b"\x01" * (hi - lo)
+        self._remaining -= len(taken)
         return taken
 
     def unconsumed_mask_union(self, code: DeweyCode) -> int:
         """OR of the masks of unconsumed entries under ``code``."""
         union = 0
-        for entry in self.iter_subtree(code):
-            union |= entry.mask
+        for position in self.iter_subtree(code):
+            union |= self.masks[position]
         return union

@@ -1055,7 +1055,7 @@ class QueryService:
 
     def cache_stats(self) -> Dict[str, object]:
         """Cumulative per-cache counters (``match_entries``,
-        ``code_lists``, ``path_probs``, ``results``) of the *current*
+        ``path_probs``, ``results``) of the *current*
         generation's caches (a reload starts fresh ones)."""
         state = self._state
         stats = state.caches.stats()

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.distribution import DistTable
-from repro.core.engine import ResultSink, StackEngine, StackItem
+from repro.core.engine import ResultSink, StackEngine
 from repro.core.heap import TopKHeap
 from repro.core.result import SearchOutcome, SLCAResult
 from repro.exceptions import QueryError
@@ -100,8 +100,8 @@ def _twig_engine(index: InvertedIndex, pattern: TwigPattern,
                          ordinary_step=_TwigStep(pattern))
     encoded = index.encoded
     for node_id, test_mask in _candidate_entries(index, pattern):
-        engine.feed(StackItem(encoded.codes[node_id],
-                              encoded.links[node_id], test_mask))
+        engine.feed(encoded.codes[node_id], encoded.links[node_id],
+                    test_mask)
     return engine
 
 

@@ -59,6 +59,27 @@ class TestStructure:
         with pytest.raises(EncodingError):
             parsed.prefix(4)
 
+    def test_prefix_and_parent_equal_the_validated_constructor(self):
+        parsed = code("1.M1.I2.3")
+        for length in range(1, len(parsed) + 1):
+            built = parsed.prefix(length)
+            validated = DeweyCode(parsed.positions[:length],
+                                  parsed.kinds[:length])
+            assert built == validated
+            assert built.positions == validated.positions
+            assert built.kinds == validated.kinds
+            assert hash(built) == hash(validated)
+            assert str(built) == str(validated)
+        parent = parsed.parent()
+        assert (parent.positions, parent.kinds) == \
+            (parsed.positions[:3], parsed.kinds[:3])
+
+    def test_prefix_out_of_range_still_raises(self):
+        parsed = code("1.2")
+        for length in (-1, 0, 3):
+            with pytest.raises(EncodingError, match="out of range"):
+                parsed.prefix(length)
+
     def test_iter_prefixes(self):
         parsed = code("1.M1.3")
         assert [str(p) for p in parsed.iter_prefixes()] == \

@@ -4,7 +4,7 @@ import pytest
 
 from repro import DeweyCode, build_index, encode_document
 from repro.core.distribution import DistTable
-from repro.core.engine import StackEngine, StackItem
+from repro.core.engine import StackEngine
 from repro.exceptions import ReproError
 from repro.index.matchlist import build_match_entries
 
@@ -15,9 +15,12 @@ def collect_sink():
 
 
 def fragment_items(fragment_doc, keywords=("k1", "k2")):
-    index = build_index(encode_document(fragment_doc))
-    _, entries = build_match_entries(index, list(keywords))
-    return [StackItem(e.code, e.link, e.mask) for e in entries]
+    """``(code, link, mask)`` feed arguments of the match columns."""
+    encoded = encode_document(fragment_doc)
+    index = build_index(encoded)
+    ids, masks = build_match_entries(index, index.query_terms(keywords))
+    return [(encoded.codes[node_id], encoded.links[node_id], mask)
+            for node_id, mask in zip(ids, masks)]
 
 
 class TestWholeDocumentRuns:
@@ -25,7 +28,7 @@ class TestWholeDocumentRuns:
         results, sink = collect_sink()
         engine = StackEngine(0b11, sink)
         for item in fragment_items(fragment_doc):
-            engine.feed(item)
+            engine.feed(*item)
         engine.finish()
         assert results == [("1.M1.I1.1", pytest.approx(0.00945))]
         assert engine.results_emitted == 1
@@ -39,7 +42,7 @@ class TestWholeDocumentRuns:
     def test_single_match_at_root(self):
         results, sink = collect_sink()
         engine = StackEngine(0b1, sink)
-        engine.feed(StackItem(DeweyCode.parse("1"), (1.0,), 0b1))
+        engine.feed(DeweyCode.parse("1"), (1.0,), 0b1)
         engine.finish()
         assert results == [("1", pytest.approx(1.0))]
 
@@ -48,27 +51,28 @@ class TestInputValidation:
     def test_out_of_order_rejected(self):
         _, sink = collect_sink()
         engine = StackEngine(0b1, sink)
-        engine.feed(StackItem(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1))
+        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
         with pytest.raises(ReproError, match="document order"):
-            engine.feed(StackItem(DeweyCode.parse("1.1"), (1.0, 1.0), 0b1))
+            engine.feed(DeweyCode.parse("1.1"), (1.0, 1.0), 0b1)
 
     def test_duplicate_rejected(self):
         _, sink = collect_sink()
         engine = StackEngine(0b1, sink)
-        engine.feed(StackItem(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1))
+        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
         with pytest.raises(ReproError, match="document order"):
-            engine.feed(StackItem(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1))
+            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
 
     def test_item_outside_context_rejected(self):
         _, sink = collect_sink()
         engine = StackEngine(0b1, sink, context_length=2)
         with pytest.raises(ReproError, match="outside"):
-            engine.feed(StackItem(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1))
+            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
 
     def test_preset_with_mask_rejected(self):
-        with pytest.raises(ReproError):
-            StackItem(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1,
-                      DistTable.unit())
+        engine = StackEngine(0b1, lambda code, prob: None)
+        with pytest.raises(ReproError, match="self mask"):
+            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1,
+                        DistTable.unit())
 
     def test_zero_full_mask_rejected(self):
         with pytest.raises(ReproError):
@@ -83,7 +87,7 @@ class TestCandidateRuns:
         c1 = DeweyCode.parse("1.M1.I1.1")
         engine = StackEngine(0b11, sink, context_length=len(c1) - 1)
         for item in fragment_items(fragment_doc):
-            engine.feed(item)
+            engine.feed(*item)
         table = engine.finish_candidate()
         assert results == [("1.M1.I1.1", pytest.approx(0.00945))]
         assert table.probability(0b11) == 0.0  # harvested
@@ -104,8 +108,7 @@ class TestCandidateRuns:
         results, sink = collect_sink()
         preset = DistTable({0b11: 0.5, 0b01: 0.5})
         engine = StackEngine(0b11, sink, context_length=0)
-        engine.feed(StackItem(DeweyCode.parse("1.2"), (1.0, 0.4),
-                              table=preset))
+        engine.feed(DeweyCode.parse("1.2"), (1.0, 0.4), table=preset)
         table = engine.finish_candidate()
         # Root (ordinary) harvests 0.4 * 0.5 of full mass.
         assert results == [("1", pytest.approx(0.2))]

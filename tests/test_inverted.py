@@ -58,8 +58,9 @@ class TestInvertedIndex:
             library_index.query_terms(["..."])
 
     def test_keyword_lists_align_with_terms(self, library_index):
-        terms, lists = library_index.keyword_lists(["query", "zebra"])
+        terms = library_index.query_terms(["Query", "zebra"])
         assert terms == ["query", "zebra"]
+        lists = library_index.keyword_lists(terms)
         assert len(lists[0]) == 2
         assert len(lists[1]) == 0
 

@@ -1,4 +1,4 @@
-"""Unit tests for match entries and the consuming match list."""
+"""Unit tests for the match columns and the consuming match list."""
 
 import pytest
 
@@ -12,38 +12,49 @@ def fragment_index(fragment_doc):
     return build_index(encode_document(fragment_doc))
 
 
+def columns(index, keywords):
+    return build_match_entries(index, index.query_terms(keywords))
+
+
 class TestBuildMatchEntries:
     def test_masks_merge_per_node(self, fragment_index):
-        terms, entries = build_match_entries(fragment_index, ["k1", "k2"])
-        assert terms == ["k1", "k2"]
-        by_code = {str(e.code): e.mask for e in entries}
+        ids, masks = columns(fragment_index, ["k1", "k2"])
+        assert len(ids) == len(masks)
+        codes = fragment_index.encoded.codes
+        by_code = {str(codes[node_id]): mask
+                   for node_id, mask in zip(ids, masks)}
         assert by_code["1.M1.I1.1.M1.1"] == 0b01        # D1: k1 only
         assert by_code["1.M1.I1.1.M1.I2.2"] == 0b10     # E1: k2 only
 
     def test_document_order(self, fragment_index):
-        _, entries = build_match_entries(fragment_index, ["k1", "k2"])
-        positions = [e.code.positions for e in entries]
+        ids, _ = columns(fragment_index, ["k1", "k2"])
+        codes = fragment_index.encoded.codes
+        positions = [codes[node_id].positions for node_id in ids]
         assert positions == sorted(positions)
+        assert list(ids) == sorted(set(ids))
 
     def test_node_matching_both_terms(self, figure1_db):
         # C1's fragment has no dual-match node; craft the query so one
         # node matches twice: label and text.
-        _, entries = build_match_entries(figure1_db.index, ["B3", "k1"])
-        dual = [e for e in entries if bin(e.mask).count("1") == 2]
+        _, masks = columns(figure1_db.index, ["B3", "k1"])
+        dual = [mask for mask in masks if bin(mask).count("1") == 2]
         assert dual, "B3 matches both its tag and its text term"
 
+    def test_missing_term_gives_empty_columns(self, fragment_index):
+        ids, masks = columns(fragment_index, ["k1", "zebra"])
+        assert len(ids) == 0 and masks == []
+
     def test_keyword_code_lists(self, fragment_index):
-        terms, lists = keyword_code_lists(fragment_index, ["k1", "k2"])
+        lists = keyword_code_lists(fragment_index, ["k1", "k2"])
+        assert lists == [fragment_index.postings("k1"),
+                         fragment_index.postings("k2")]
         assert [len(lst) for lst in lists] == [2, 2]
-        for lst in lists:
-            assert [c.positions for c in lst] == \
-                sorted(c.positions for c in lst)
 
 
 class TestMatchList:
     def build(self, fragment_index):
-        _, entries = build_match_entries(fragment_index, ["k1", "k2"])
-        return MatchList(entries)
+        return MatchList(fragment_index.encoded,
+                         *columns(fragment_index, ["k1", "k2"]))
 
     def test_subtree_slice(self, fragment_index):
         matches = self.build(fragment_index)

@@ -42,15 +42,18 @@ def brute_force_slca(document, terms):
 def all_algorithms(document, keywords):
     encoded = encode_document(document)
     index = build_index(encoded)
-    terms, code_lists = keyword_code_lists(index, keywords)
-    _, entries = build_match_entries(index, keywords)
+    terms = index.query_terms(keywords)
+    postings = keyword_code_lists(index, terms)
+    code_lists = [[encoded.codes[node_id] for node_id in ids]
+                  for ids in postings]
+    ids, masks = build_match_entries(index, terms)
     expected = sorted(
         encoded.code_of(node).positions
         for node in brute_force_slca(document, terms))
     results = {
-        "indexed_lookup": indexed_lookup_eager(code_lists),
+        "indexed_lookup": indexed_lookup_eager(encoded, postings),
         "scan_eager": scan_eager(code_lists),
-        "stack_based": stack_based_slca(entries, len(terms)),
+        "stack_based": stack_based_slca(encoded, ids, masks, len(terms)),
     }
     return expected, {name: sorted(code.positions for code in codes)
                       for name, codes in results.items()}
