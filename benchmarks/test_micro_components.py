@@ -1,16 +1,17 @@
 """Micro-benchmarks of the substrate components.
 
 Not a paper figure — these isolate the building blocks (encoding,
-index construction, the three deterministic SLCA algorithms) so that a
-regression in any layer is visible independently of the end-to-end
-numbers.
+snapshot loading, index construction, the three deterministic SLCA
+algorithms) so that a regression in any layer is visible independently
+of the end-to-end numbers.
 """
 
 import pytest
 
-from repro import build_index, encode_document
+from repro import Database, build_index, encode_document
 from repro.datagen import generate_mondial, make_probabilistic
 from repro.index.matchlist import build_match_entries, keyword_code_lists
+from repro.index.storage import load_database, save_database
 from repro.slca import indexed_lookup_eager, scan_eager, stack_based_slca
 
 _STATE = {}
@@ -26,7 +27,7 @@ def prepared():
         postings = keyword_code_lists(index, terms)
         _STATE.update(document=document, encoded=encoded, index=index,
                       postings=postings,
-                      code_lists=[[encoded.codes[node_id] for node_id in ids]
+                      code_lists=[[encoded.code(node_id) for node_id in ids]
                                   for ids in postings],
                       columns=build_match_entries(index, terms))
     return _STATE
@@ -38,6 +39,19 @@ def test_encode_document(benchmark, report):
     report.add_row("Micro - substrate components",
                    ["component", "size"],
                    ["encode_document", len(encoded)])
+
+
+def test_load_database(benchmark, report, tmp_path):
+    """A full snapshot load: read, parse, encode and index check.
+    Unverified loads never share an in-memory index, so every round
+    parses and encodes afresh."""
+    state = prepared()
+    save_database(Database(state["encoded"], state["index"]), tmp_path)
+    database = benchmark(load_database, tmp_path, verify=False)
+    assert len(database.encoded) == len(state["encoded"])
+    report.add_row("Micro - substrate components",
+                   ["component", "size"],
+                   ["load_database", len(database.encoded)])
 
 
 def test_build_inverted_index(benchmark, report):

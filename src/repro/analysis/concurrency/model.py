@@ -14,8 +14,9 @@ rules need:
     attribute: writes need the lock, lock-free reads are an accepted
     part of the design (atomic-reference swap, e.g.
     ``QueryService._state``);
-  - ``# repro: guarded-by[lockfree]`` opts an attribute out (a
-    GIL-atomic idempotent memo, e.g. ``QueryCaches.path_probs``);
+  - ``# repro: guarded-by[lockfree]`` opts an attribute out (e.g. a
+    GIL-atomic idempotent memo, where every writer stores the same
+    value for a key);
   - ``# repro: holds[_lock]`` on a ``def`` line asserts every caller
     already holds the lock (private helpers called under a lock);
 

@@ -7,7 +7,7 @@ paper's numeric invariants *live*, at the moment they can break:
 * every finalised keyword-distribution table is a genuine probability
   distribution — entries plus excluded mass sum to 1 (Section III-B);
 * MUX children's edge probabilities never exceed total mass 1 (Eq. 8);
-* the document-order scan sees strictly increasing Dewey codes;
+* the document-order scan sees strictly increasing node ids;
 * the top-k heap keeps its heap invariant and never exceeds ``k``;
 * every EagerTopK Property 1–5 upper bound dominates the exact PrStack
   probability (checked post-hoc on small inputs, Section IV-B).
@@ -149,10 +149,10 @@ class Sanitizer:
             self._fail(f"{what}: negative MUX mass {total!r}")
 
     def check_order(self, previous: Any, current: Any) -> None:
-        """Assert the scan's Dewey codes are strictly increasing."""
+        """Assert the scan's items (preorder node ids, or anything else
+        ordered like document order) are strictly increasing."""
         self.checks += 1
-        if previous is not None \
-                and current.positions <= previous.positions:
+        if previous is not None and current <= previous:
             self._fail(f"document-order violation in scan: {current} "
                        f"arrived after {previous}")
 

@@ -60,7 +60,8 @@ class RegionBound:
 
     Attributes:
         group: which child subtree of the candidate the region lies in
-            (the Dewey position right below the candidate).
+            (the node id of the candidate's child on the region's root
+            path).
         cover_given_candidate: ``r_d`` — probability the region's subtree
             contains every keyword, conditioned on the candidate existing.
     """

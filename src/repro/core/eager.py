@@ -32,23 +32,27 @@ printed Properties 1-3):
 Bound comparisons are strict (<) so that document-order ties at the k
 boundary resolve identically to PrStack: both algorithms return exactly
 the same answer set.
+
+Candidates, seeds, regions and the DeleteSet are preorder node ids: an
+ancestor test is an id range check against the subtree end column, a
+subtree's regions or match entries are one id-range slice, and a
+node's path probability is read from the path column.  Dewey codes are
+built only for the answers (and for trace events).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
 from repro.core.bounds import RegionBound, candidate_bounds
 from repro.core.distribution import DistTable
 from repro.core.engine import StackEngine
 from repro.core.heap import TopKHeap
-from repro.core.result import SearchOutcome
-from repro.encoding.dewey import DeweyCode
-from repro.encoding.prlink import PrLink
+from repro.core.result import SearchOutcome, ranked_results
+from repro.encoding.encoder import EncodedDocument
 from repro.exceptions import ReproError
 from repro.index.cache import CachesLike, NULL_CACHES
 from repro.index.inverted import InvertedIndex
@@ -81,64 +85,70 @@ class _Region:
       first ordinary node on the way up.
     """
 
-    __slots__ = ("code", "link", "table", "path_prob", "harvested",
-                 "all_cover")
+    __slots__ = ("node", "table", "path_prob", "harvested", "all_cover")
 
-    def __init__(self, code: DeweyCode, link: PrLink, table: DistTable,
+    def __init__(self, node: int, table: DistTable, path_prob: float,
                  full_mask: int):
-        self.code = code
-        self.link = link
+        self.node = node
         self.table = table
-        self.path_prob = math.prod(link)
+        self.path_prob = path_prob
         self.harvested = table.lost
         self.all_cover = table.all_probability(full_mask)
 
-    def bound_for(self, candidate: DeweyCode,
-                  candidate_path_prob: float) -> RegionBound:
+    def bound_for(self, candidate: int, candidate_path_prob: float,
+                  encoded: EncodedDocument) -> RegionBound:
         """This region's contribution to a candidate-ancestor's bounds.
 
         The exclusion probability is ``harvested``, upgraded to
         ``all_cover`` when an ordinary node lies strictly between the
         region and the candidate — that node harvests the surviving
-        full mass, which then forbids the candidate and its path.
+        full mass, which then forbids the candidate and its path.  The
+        region's group is the candidate's child on the way up.
         """
+        parents, kinds = encoded.parents, encoded.kinds
         exclusion = self.harvested
-        between = self.code.kinds[len(candidate):len(self.code) - 1]
-        if any(kind is NodeType.ORDINARY for kind in between):
-            exclusion = self.all_cover
+        child = self.node
+        between = parents[child]
+        while between != candidate:
+            if kinds[between] is NodeType.ORDINARY:
+                exclusion = self.all_cover
+            child = between
+            between = parents[between]
         cover = exclusion * (self.path_prob / candidate_path_prob)
-        return RegionBound(self.code.positions[len(candidate)], cover)
+        return RegionBound(child, cover)
 
 
 class _RegionRegistry:
     """Sorted registry of pairwise-incomparable finished regions.
 
-    Regions are kept in document order, so the regions inside any
-    subtree form one contiguous slice found by binary search.  Adding a
-    region collapses (removes) every region it covers.
+    Regions are kept in document (node id) order, so the regions inside
+    any subtree form one contiguous slice, found by binary search over
+    the subtree's id range.  Adding a region collapses (removes) every
+    region it covers.
     """
 
-    def __init__(self):
-        self._positions: List[Tuple[int, ...]] = []
+    def __init__(self, ends: Sequence[int]):
+        self._ends = ends
+        self._nodes: List[int] = []
         self._regions: List[_Region] = []
 
     def __len__(self) -> int:
         return len(self._regions)
 
-    def _slice(self, code: DeweyCode) -> Tuple[int, int]:
-        lo = bisect_left(self._positions, code.positions)
-        hi = bisect_left(self._positions, code.subtree_upper_bound())
+    def _slice(self, node: int) -> Tuple[int, int]:
+        lo = bisect_left(self._nodes, node)
+        hi = bisect_left(self._nodes, self._ends[node], lo)
         return lo, hi
 
     def add(self, region: _Region) -> None:
         """Insert, collapsing the regions the newcomer covers."""
-        lo, hi = self._slice(region.code)
-        self._positions[lo:hi] = [region.code.positions]
+        lo, hi = self._slice(region.node)
+        self._nodes[lo:hi] = [region.node]
         self._regions[lo:hi] = [region]
 
-    def under(self, code: DeweyCode) -> List[_Region]:
-        """Regions whose root lies in ``code``'s subtree (incl. itself)."""
-        lo, hi = self._slice(code)
+    def under(self, node: int) -> List[_Region]:
+        """Regions whose root lies in ``node``'s subtree (incl. itself)."""
+        lo, hi = self._slice(node)
         return self._regions[lo:hi]
 
 
@@ -181,9 +191,8 @@ def eager_topk_search(index: InvertedIndex, keywords: Iterable[str],
             cross-check them against exact probabilities afterwards.
             The default no-op checks nothing.
         caches: shared :class:`repro.index.cache.QueryCaches` reusing
-            match columns and per-node path probabilities across
-            queries on the same index (docs/SERVICE.md); the default
-            reuses nothing.
+            match columns across queries on the same index
+            (docs/SERVICE.md); the default reuses nothing.
         deadline: per-query budget (docs/RESILIENCE.md), polled once
             per candidate (seed or climbed ancestor).  On expiry the
             climb stops and the k-heap comes back as a partial
@@ -209,6 +218,7 @@ class _EagerSearch:
                  caches: CachesLike = NULL_CACHES,
                  deadline: DeadlineLike = NULL_DEADLINE):
         self.index = index
+        self.encoded = index.encoded
         self.keywords = list(keywords)
         self.collector = collector
         self.sanitizer = sanitizer
@@ -218,22 +228,18 @@ class _EagerSearch:
         self.use_path_bounds = use_path_bounds
         self.use_node_bounds = use_node_bounds
         self.exact_ties = exact_ties
-        self.regions = _RegionRegistry()
+        self.regions = _RegionRegistry(self.encoded.ends)
         # UBMap: the open candidates.  The dict is the source of truth;
         # the heap orders them by the node potential computed when they
         # were inserted (lazy priorities: a stale entry is skipped at
         # pop time if its candidate is gone, and pruning never relies
         # on the ordering, only on bounds recomputed at pop).
-        self.candidates: Dict[DeweyCode, None] = {}
-        self._queue: List[Tuple[float, int, Tuple[int, ...], DeweyCode]] = []
-        # DeleteSet: codes whose whole root path is out of the top-k.
-        self.delete_list: List[DeweyCode] = []
+        self.candidates: Dict[int, None] = {}
+        self._queue: List[Tuple[float, int, int]] = []
+        # DeleteSet: nodes whose whole root path is out of the top-k.
+        self.delete_list: List[int] = []
         self.full_mask = 0
         self.matches: Optional[MatchList] = None
-        # Path probabilities are query-independent, so with live caches
-        # the memo is the shared per-document one (docs/SERVICE.md).
-        self._path_prob_cache: Dict[DeweyCode, float] = (
-            caches.path_probs if caches.enabled else {})
         self.stats = {
             "algorithm": "eager_topk",
             "seeds": 0,
@@ -268,11 +274,12 @@ class _EagerSearch:
             _log.debug("eager: a term has no postings; zero answers")
             return SearchOutcome(stats=self.stats)
         self.full_mask = (1 << len(terms)) - 1
-        self.matches = MatchList(index.encoded, ids, masks)
+        encoded = self.encoded
+        self.matches = MatchList(encoded, ids, masks)
 
         with collector.time("eager.seed"):
             seeds = indexed_lookup_eager(
-                index.encoded, keyword_code_lists(index, terms))
+                encoded, keyword_code_lists(index, terms))
         self.stats["seeds"] = len(seeds)
         if collector.enabled:
             collector.count("eager.seeds", len(seeds))
@@ -283,15 +290,15 @@ class _EagerSearch:
         # so later seeds that cannot beat the k-th probability (a seed's
         # answer is capped by its path probability) are suspended
         # without ever sweeping their subtrees.
-        seeds.sort(key=lambda code: (-self._path_prob(code),
-                                     code.positions))
+        paths = encoded.paths
+        seeds.sort(key=lambda node: (-paths[node], node))
         deadline = self.deadline
         with collector.time("eager.climb"):
             for seed in seeds:
                 if deadline.enabled and deadline.expired():
                     return self._partial_outcome()
                 # A seed's own answer is capped by its path probability.
-                seed_cap = self._path_prob(seed)
+                seed_cap = paths[seed]
                 if self.use_node_bounds and not self._worth_scoring(
                         seed, seed_cap):
                     self._record_suspension(seed, seed_cap)
@@ -302,37 +309,40 @@ class _EagerSearch:
             while self.candidates:
                 if deadline.enabled and deadline.expired():
                     return self._partial_outcome()
-                code = self._pop_most_promising()
-                if self._is_dead(code):
+                node = self._pop_most_promising()
+                if self._is_dead(node):
                     self.stats["pruning"]["dead_path_skips"] += 1
                     if collector.enabled:
                         collector.count("eager.dead_path_skips")
                     continue
-                path_bound, node_bound = self._bounds(code)
+                path_bound, node_bound = self._bounds(node)
                 if self.use_path_bounds and self._path_prunable(path_bound):
-                    self.delete_list.append(code)
+                    self.delete_list.append(node)
                     self.stats["candidates_pruned"] += 1
                     self.stats["pruning"]["path_bound_properties_1_3"] += 1
                     if collector.enabled:
                         collector.count("eager.pruned_path_bound")
                         if collector.trace is not None:
                             collector.event(
-                                "eager.prune_path", code=str(code),
+                                "eager.prune_path",
+                                code=str(encoded.code(node)),
                                 bound=round(path_bound, 9),
                                 threshold=round(self.heap.threshold, 9))
                     continue
                 if (self.use_node_bounds
-                        and not self._worth_scoring(code, node_bound)):
+                        and not self._worth_scoring(node, node_bound)):
                     # The candidate itself cannot score (in exact-ties
                     # mode: even a boundary tie loses the document-order
                     # tiebreak): defer its subtree and keep climbing.
-                    self._record_suspension(code, node_bound)
-                    self._add_parent_candidate(code)
+                    self._record_suspension(node, node_bound)
+                    self._add_parent_candidate(node)
                     continue
-                self._process(code)
+                self._process(node)
 
         self._summarise_termination()
-        return SearchOutcome(results=self.heap.results(), stats=self.stats)
+        return SearchOutcome(
+            results=ranked_results(self.encoded, self.heap.ranked()),
+            stats=self.stats)
 
     def _partial_outcome(self) -> SearchOutcome:
         """The anytime answer after a deadline cut mid-climb.
@@ -354,9 +364,9 @@ class _EagerSearch:
         _log.debug("eager: %s expired with %d candidates open; "
                    "returning partial heap", reason,
                    len(self.candidates))
-        return SearchOutcome(results=self.heap.results(),
-                             stats=self.stats, partial=True,
-                             termination_reason=reason)
+        return SearchOutcome(
+            results=ranked_results(self.encoded, self.heap.ranked()),
+            stats=self.stats, partial=True, termination_reason=reason)
 
     def _summarise_termination(self) -> None:
         """Counters of how much work the search did (or skipped) —
@@ -378,7 +388,7 @@ class _EagerSearch:
                 self.stats["entries_consumed"],
                 self.stats["match_entries"])
 
-    def _record_suspension(self, code: DeweyCode, bound: float) -> None:
+    def _record_suspension(self, node: int, bound: float) -> None:
         """Book-keep one node-bound suspension (sound Properties 4-5)."""
         self.stats["candidates_suspended"] += 1
         self.stats["pruning"]["node_bound_properties_4_5"] += 1
@@ -386,48 +396,51 @@ class _EagerSearch:
         if collector.enabled:
             collector.count("eager.suspended_node_bound")
             if collector.trace is not None:
-                collector.event("eager.suspend", code=str(code),
+                collector.event("eager.suspend",
+                                code=str(self.encoded.code(node)),
                                 bound=round(bound, 9),
                                 threshold=round(self.heap.threshold, 9))
 
     # -- candidate selection ---------------------------------------------------
 
-    def _pop_most_promising(self) -> DeweyCode:
+    def _pop_most_promising(self) -> int:
         """Highest node potential first, deeper on ties: deep candidates
         are cheap to evaluate and raise the pruning threshold early."""
         while self._queue:
-            _, _, _, code = heapq.heappop(self._queue)
-            if code in self.candidates:
-                del self.candidates[code]
-                return code
+            _, _, node = heapq.heappop(self._queue)
+            if node in self.candidates:
+                del self.candidates[node]
+                return node
         # The queue and the candidate dict are kept in sync; reaching
         # here would mean a candidate was inserted without queueing.
         raise ReproError("candidate queue out of sync with UBMap")
 
-    def _bounds(self, code: DeweyCode) -> Tuple[float, float]:
+    def _bounds(self, node: int) -> Tuple[float, float]:
         self.stats["pruning"]["bound_evaluations"] += 1
         collector = self.collector
-        path_prob = self._path_prob(code)
+        encoded = self.encoded
+        path_prob = encoded.paths[node]
         bounds = candidate_bounds(
-            code.node_type, path_prob,
-            (region.bound_for(code, path_prob)
-             for region in self.regions.under(code)))
+            encoded.kinds[node], path_prob,
+            (region.bound_for(node, path_prob, encoded)
+             for region in self.regions.under(node)))
         if collector.enabled:
             collector.count("eager.bound_evaluations")
             collector.observe("eager.node_bound", bounds[1])
         if self.sanitizer.enabled:
-            self.sanitizer.record_bound(code, bounds[0], bounds[1])
+            self.sanitizer.record_bound(encoded.code(node), bounds[0],
+                                        bounds[1])
         return bounds
 
-    def _worth_scoring(self, code: DeweyCode, bound: float) -> bool:
-        """Could a result of up to ``bound`` at ``code`` enter the heap?
+    def _worth_scoring(self, node: int, bound: float) -> bool:
+        """Could a result of up to ``bound`` at ``node`` enter the heap?
 
         Exact-ties mode delegates to the heap's tie-aware acceptance
         test; the paper-faithful mode prunes at equality (Algorithm 2's
         "equal to or less than the k-th largest value").
         """
         if self.exact_ties:
-            return self.heap.would_accept(code, bound)
+            return self.heap.would_accept(node, bound)
         if len(self.heap) < self.heap.k:
             return bound > 0.0
         return bound > self.heap.threshold
@@ -439,62 +452,60 @@ class _EagerSearch:
             return path_bound < threshold
         return len(self.heap) >= self.heap.k and path_bound <= threshold
 
-    def _is_dead(self, code: DeweyCode) -> bool:
+    def _is_dead(self, node: int) -> bool:
         """Whether path pruning already killed this root path: a
         DeleteSet entry ``d`` rules out every node on the path
-        root -> ``d``, so ``code`` is dead iff it is an
-        ancestor-or-self of some deleted code."""
-        return any(code.is_ancestor_or_self_of(dead)
-                   for dead in self.delete_list)
+        root -> ``d``, so ``node`` is dead iff it is an
+        ancestor-or-self of some deleted node (``d`` in its id
+        range)."""
+        end = self.encoded.ends[node]
+        return any(node <= dead < end for dead in self.delete_list)
 
-    def _add_parent_candidate(self, code: DeweyCode) -> None:
-        if len(code) == 1:
+    def _add_parent_candidate(self, node: int) -> None:
+        encoded = self.encoded
+        parent = encoded.parents[node]
+        if parent < 0:
             return  # the root has no parent
-        parent = code.parent()
         if parent not in self.candidates and not self._is_dead(parent):
             self.candidates[parent] = None
             _, node_bound = self._bounds(parent)
             # Min-heap: negate the potential; deeper first on ties, then
             # document order for full determinism.
             heapq.heappush(self._queue,
-                           (-node_bound, -len(parent), parent.positions,
-                            parent))
+                           (-node_bound, -encoded.depths[parent], parent))
 
     # -- candidate evaluation -----------------------------------------------------
 
-    def _process(self, code: DeweyCode) -> None:
+    def _process(self, node: int) -> None:
         """ComputeSLCAProbability: sweep the candidate's subtree (left-over
         match entries plus finished regions inside it) through the stack
         engine, harvest answers, and continue the climb with the exact
         region that replaces everything swept."""
         collector = self.collector
         matches = self.matches
-        taken = matches.consume_subtree(code)
+        taken = matches.consume_subtree(node)
         self.stats["entries_consumed"] += len(taken)
-        inner_regions = self.regions.under(code)
+        inner_regions = self.regions.under(node)
 
-        encoded = self.index.encoded
+        encoded = self.encoded
         engine = StackEngine(
-            self.full_mask, self._sink, context_length=len(code) - 1,
-            exp_resolver=encoded.exp_subsets_at,
+            self.full_mask, self._sink, encoded,
+            context_length=encoded.depths[node] - 1,
             collector=collector, sanitizer=self.sanitizer)
         # The taken entries and the inner regions are both in document
         # order and never share a node: merge them in one pass.
         feed = engine.feed
-        codes, links = encoded.codes, encoded.links
         ids, masks = matches.ids, matches.masks
         regions = iter(inner_regions)
         region = next(regions, None)
         for position in taken:
-            node_id = ids[position]
-            entry = codes[node_id]
-            while region is not None \
-                    and region.code.positions < entry.positions:
-                feed(region.code, region.link, table=region.table)
+            entry = ids[position]
+            while region is not None and region.node < entry:
+                feed(region.node, table=region.table)
                 region = next(regions, None)
-            feed(entry, links[node_id], masks[position])
+            feed(entry, masks[position])
         while region is not None:
-            feed(region.code, region.link, table=region.table)
+            feed(region.node, table=region.table)
             region = next(regions, None)
         table = engine.finish_candidate()
         self.stats["candidates_processed"] += 1
@@ -505,31 +516,22 @@ class _EagerSearch:
             collector.observe("eager.sweep_items",
                               len(taken) + len(inner_regions))
             if collector.trace is not None:
-                collector.event("eager.process", code=str(code),
+                collector.event("eager.process",
+                                code=str(encoded.code(node)),
                                 entries=len(taken),
                                 regions=len(inner_regions))
 
         # Candidates strictly inside the swept subtree are superseded:
         # their answers were just harvested and their regions collapsed.
+        end = encoded.ends[node]
         for stale in [cand for cand in self.candidates
-                      if code.is_ancestor_of(cand)]:
+                      if node < cand < end]:
             del self.candidates[stale]
 
-        self.regions.add(_Region(code, links[encoded.id_at(code.positions)],
-                                 table, self.full_mask))
-        self._add_parent_candidate(code)
+        self.regions.add(_Region(node, table, encoded.paths[node],
+                                 self.full_mask))
+        self._add_parent_candidate(node)
 
-    def _sink(self, code: DeweyCode, probability: float) -> None:
+    def _sink(self, node: int, probability: float) -> None:
         self.stats["results_emitted"] += 1
-        self.heap.offer(code, probability)
-
-    # -- encoding helpers -----------------------------------------------------------------
-
-    def _path_prob(self, code: DeweyCode) -> float:
-        probability = self._path_prob_cache.get(code)
-        if probability is None:
-            encoded = self.index.encoded
-            probability = math.prod(
-                encoded.links[encoded.id_at(code.positions)])
-            self._path_prob_cache[code] = probability
-        return probability
+        self.heap.offer(node, probability)

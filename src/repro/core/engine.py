@@ -14,22 +14,25 @@ regions — and stops at the candidate itself
 (:meth:`StackEngine.finish_candidate`), which is exactly the paper's
 ``ComputeSLCAProbability``.
 
-This loop is where both algorithms spend their time, so frames are not
-objects: each open frame is one slot, indexed by the frame's depth,
-across parallel lists (kind, edge probability, path probability, self
-mask, mask dict, lost mass, merged MUX mass).  A frame's mask dict is
-``None`` until its first child merges — the "contains nothing" unit for
-IND/ordinary frames, the empty sum for MUX frames — and a pop promotes
-and merges directly on the dicts, with the same additions and
-multiplications in the same order as the :class:`DistTable` methods
-(DESIGN.md, "Stack engine frame layout").  Tables leave the engine as
-:class:`DistTable` objects: candidate tables, EXP child tables, the
-sanitizer's view and the ordinary-node hook.
+Items are preorder node ids of the :class:`EncodedDocument`, whose
+columns supply everything a frame needs: the subtree end column decides
+which frames an item pops, the parent column which it pushes, and the
+kind, edge and path columns what each frame holds.  This loop is where
+both algorithms spend their time, so frames are not objects: each open
+frame is one slot, indexed by the frame's depth, across parallel lists
+(node id, kind, self mask, mask dict, lost mass, merged MUX mass).  A
+frame's mask dict is ``None`` until its first child merges — the
+"contains nothing" unit for IND/ordinary frames, the empty sum for MUX
+frames — and a pop promotes and merges directly on the dicts, with the
+same additions and multiplications in the same order as the
+:class:`DistTable` methods (DESIGN.md, "Stack engine frame layout").
+Tables leave the engine as :class:`DistTable` objects: candidate
+tables, EXP child tables, the sanitizer's view and the ordinary-node
+hook.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.numeric import PROB_ATOL
@@ -37,15 +40,14 @@ from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
 from repro.core.distribution import (DistTable, add_mux_residue,
                                      check_edge_probability, or_convolve,
                                      or_mask)
-from repro.encoding.dewey import DeweyCode, common_prefix_length
-from repro.encoding.prlink import PrLink
+from repro.encoding.encoder import EncodedDocument
 from repro.exceptions import ReproError
 from repro.obs.metrics import Collector, NULL_COLLECTOR
 from repro.prxml.model import NodeType
 
 #: Callback invoked for every harvested SLCA result:
-#: ``(code, global_probability)``.
-ResultSink = Callable[[DeweyCode, float], None]
+#: ``(node_id, global_probability)``.
+ResultSink = Callable[[int, float], None]
 
 #: The ordinary-node step hook: ``(table, self_mask) -> local``.  It gets
 #: an ordinary node's table aggregated over its children and the node's
@@ -72,27 +74,28 @@ class StackEngine:
     """Document-order stack evaluator for keyword distribution tables."""
 
     def __init__(self, full_mask: int, sink: ResultSink,
-                 context_length: int = 0, elca: bool = False,
-                 exp_resolver: Optional[Callable] = None,
+                 encoded: EncodedDocument, context_length: int = 0,
+                 elca: bool = False,
                  collector: Collector = NULL_COLLECTOR,
                  sanitizer: SanitizerLike = NULL_SANITIZER,
                  ordinary_step: Optional[OrdinaryStep] = None):
         """
         Args:
             full_mask: ``2**n - 1`` for an ``n``-keyword query.
-            sink: receives every harvested ``(code, Pr^G_slca)`` result.
-            context_length: number of leading Dewey components outside
-                this engine's responsibility — 0 for a whole-document
-                run (PrStack), ``len(candidate) - 1`` when evaluating one
+            sink: receives every harvested ``(node_id, Pr^G_slca)``
+                result.
+            encoded: the document the fed node ids belong to; its
+                columns give every frame's structure and probabilities,
+                and its EXP subset distributions are combined at EXP
+                frames.
+            context_length: depth of the frames outside this engine's
+                responsibility — 0 for a whole-document run (PrStack),
+                the candidate's depth minus one when evaluating one
                 candidate's subtree (EagerTopK pops stop above it).
             elca: evaluate Exclusive-LCA semantics instead of SLCA —
                 full-mask mass at an answer node is consumed (keywords
                 used up, ancestors may still answer from other
                 occurrences) rather than excluded from the whole path.
-            exp_resolver: ``code -> [(child positions, probability)]``
-                returning the subset distribution of an EXP node; only
-                needed when the document contains EXP nodes (typically
-                ``EncodedDocument.exp_subsets_at``).
             collector: metrics collector receiving the ``engine.*``
                 counters and histograms (docs/OBSERVABILITY.md), folded
                 in once per run; the default no-op records nothing.
@@ -108,21 +111,20 @@ class StackEngine:
             raise ReproError("full_mask must cover at least one keyword")
         self.full_mask = full_mask
         self.sink = sink
+        self.encoded = encoded
         self.context_length = context_length
         self.elca = elca
-        self.exp_resolver = exp_resolver
         self.collector = collector
         self.sanitizer = sanitizer
         self._step = ordinary_step
         self._observed = collector.enabled
-        # Frame slots, indexed by depth (the node's code length); the
-        # open frames are depths context_length + 1 .. _top.  A kind of
-        # None marks a preset frame, whose dict aliases the region's
-        # table and is therefore never mutated.
+        # Frame slots, indexed by depth; the open frames are depths
+        # context_length + 1 .. _top, the root path of the last item.
+        # A kind of None marks a preset frame, whose dict aliases the
+        # region's table and is therefore never mutated.
         self._top = context_length
+        self._nodes: List[int] = []
         self._kinds: List[Optional[NodeType]] = []
-        self._edges: List[float] = []
-        self._paths: List[float] = []
         self._own: List[int] = []
         self._tables: List[Optional[Dict[int, float]]] = []
         self._lost: List[float] = []
@@ -130,7 +132,7 @@ class StackEngine:
         # Finalised child tables of open EXP frames, by EXP depth.
         self._exp_children: Dict[int, Dict[int, DistTable]] = {}
         self._bottom: Optional[DistTable] = None
-        self._current: Optional[DeweyCode] = None
+        self._current: Optional[int] = None
         self.items_fed = 0
         self.frames_pushed = 0
         self.frames_popped = 0
@@ -145,39 +147,41 @@ class StackEngine:
 
     # -- feeding ---------------------------------------------------------------
 
-    def feed(self, code: DeweyCode, link: PrLink, mask: int = 0,
+    def feed(self, node: int, mask: int = 0,
              table: Optional[DistTable] = None) -> None:
         """Process the next item; items must arrive in document order.
 
-        An item is a match entry — a node's ``code``, ``link`` and
-        keyword ``mask`` — or, with ``table``, a preset descendant
-        region whose finished table is used verbatim (it cannot also
-        carry a self mask).  Under a live sanitizer the order is
-        asserted before the engine's own check.
+        An item is a match entry — a node id and its keyword ``mask``
+        — or, with ``table``, a preset descendant region whose finished
+        table is used verbatim (it cannot also carry a self mask).
+        Under a live sanitizer the order is asserted before the
+        engine's own check.
         """
         if self.sanitizer.enabled:
-            self.sanitizer.check_order(self._current, code)
-        length = len(code.positions)
+            self.sanitizer.check_order(self._current, node)
+        encoded = self.encoded
+        length = encoded.depths[node]
         context = self.context_length
         if length <= context:
             raise ReproError(
-                f"item {code} is outside the engine context "
-                f"(length {context})")
+                f"item {encoded.code(node)} is outside the engine "
+                f"context (length {context})")
         current = self._current
-        if current is None:
-            start = context
-        else:
-            if code.positions <= current.positions:
+        start = self._top
+        if current is not None:
+            if node <= current:
                 raise ReproError(
-                    f"items out of document order: {code} after "
-                    f"{current}")
-            start = common_prefix_length(current, code)
-            if start < context:
-                start = context
+                    f"items out of document order: {encoded.code(node)} "
+                    f"after {encoded.code(current)}")
+            # Open frames are the last item's root path: pop those whose
+            # subtree ends at or before the new item.
+            ends, nodes = encoded.ends, self._nodes
+            while start > context and ends[nodes[start]] <= node:
+                start -= 1
             if self._top > start:
                 self._pop_to(start)
-        self._current = code
-        self._push(code, link, start, length)
+        self._current = node
+        self._push(node, start, length)
         self.items_fed += 1
         if table is None:
             self._own[length] |= mask
@@ -189,7 +193,8 @@ class StackEngine:
             if self._own[length] or self._lambdas[length] or (
                     live is not None and live not in ({}, _UNIT)):
                 raise ReproError(
-                    f"preset table for {code} collides with live state")
+                    f"preset table for {encoded.code(node)} collides "
+                    "with live state")
             self._kinds[length] = None
             self._tables[length] = table.masks
             self._lost[length] = table.lost
@@ -198,41 +203,34 @@ class StackEngine:
                 or len(self._depth_samples) >= SAMPLE_BUFFER:
             self._fold_samples()
 
-    def _push(self, code: DeweyCode, link: PrLink, start: int,
-              length: int) -> None:
-        """Open frames for depths ``start + 1 .. length`` of ``code``.
-
-        Each frame's path probability is its parent's times its edge —
-        the same left-to-right product as ``math.prod(link[:depth])``,
-        since items share their ancestors' link prefixes.
-        """
+    def _push(self, node: int, start: int, length: int) -> None:
+        """Open frames for depths ``start + 1 .. length``: the node and
+        its ancestors below depth ``start``, walking the parent column
+        up from the node."""
         kinds = self._kinds
         if length >= len(kinds):
             self._grow(length + 1)
-        edges, paths, own = self._edges, self._paths, self._own
-        tables, lost, lambdas = self._tables, self._lost, self._lambdas
-        code_kinds = code.kinds
-        path = paths[start] if start > self.context_length \
-            else math.prod(link[:start])
+        encoded = self.encoded
+        parents, node_kinds = encoded.parents, encoded.kinds
+        nodes, own, tables = self._nodes, self._own, self._tables
+        lost, lambdas = self._lost, self._lambdas
         sanitizer = self.sanitizer
         sanitized = sanitizer.enabled
-        for depth in range(start + 1, length + 1):
-            edge = link[depth - 1]
-            path *= edge
+        for depth in range(length, start, -1):
             if sanitized:
                 sanitizer.check_probability(
-                    edge, f"edge probability at depth {depth - 1} of "
-                    f"{code}")
+                    encoded.edges[node],
+                    f"edge probability onto {encoded.code(node)}")
                 sanitizer.check_probability(
-                    path, f"path probability at depth {depth - 1} of "
-                    f"{code}")
-            kinds[depth] = code_kinds[depth - 1]
-            edges[depth] = edge
-            paths[depth] = path
+                    encoded.paths[node],
+                    f"path probability of {encoded.code(node)}")
+            nodes[depth] = node
+            kinds[depth] = node_kinds[node]
             own[depth] = 0
             tables[depth] = None
             lost[depth] = 0.0
             lambdas[depth] = 0.0
+            node = parents[node]
         self._top = length
         self.frames_pushed += length - start
         if self._observed:
@@ -241,10 +239,10 @@ class StackEngine:
     def _grow(self, size: int) -> None:
         extra = size - len(self._kinds)
         self._kinds.extend([None] * extra)
-        for slots in (self._edges, self._paths, self._lost,
-                      self._lambdas):
+        for slots in (self._lost, self._lambdas):
             slots.extend([0.0] * extra)
-        self._own.extend([0] * extra)
+        for slots in (self._nodes, self._own):
+            slots.extend([0] * extra)
         self._tables.extend([None] * extra)
 
     # -- popping ---------------------------------------------------------------
@@ -256,7 +254,9 @@ class StackEngine:
         :meth:`finish_candidate`."""
         top = self._top
         context = self.context_length
-        kinds, edges, paths = self._kinds, self._edges, self._paths
+        encoded = self.encoded
+        node_edges, node_paths = encoded.edges, encoded.paths
+        nodes, kinds = self._nodes, self._kinds
         tables, lost_slots, lambdas = self._tables, self._lost, self._lambdas
         full_mask, elca, step = self.full_mask, self.elca, self._step
         sanitizer = self.sanitizer
@@ -264,6 +264,7 @@ class StackEngine:
         sizes = self._size_samples if self._observed else None
         self.frames_popped += top - keep
         while top > keep:
+            node = nodes[top]
             kind = kinds[top]
             masks = tables[top]
             lost = lost_slots[top]
@@ -289,13 +290,12 @@ class StackEngine:
                         elif local:
                             masks[0] = masks.get(0, 0.0) + local
                     if local > 0.0:
-                        code = self._current.prefix(top)
-                        path = paths[top]
+                        path = node_paths[node]
                         probability = path * local
                         if sanitized:
-                            sanitizer.check_emission(code, probability,
-                                                     path)
-                        self.sink(code, probability)
+                            sanitizer.check_emission(
+                                encoded.code(node), probability, path)
+                        self.sink(node, probability)
                         self.results_emitted += 1
                 elif kind is _MUX:
                     if sanitized:
@@ -318,7 +318,7 @@ class StackEngine:
                         f"({kind.name} frame)")
                 if sizes is not None:
                     sizes.append(len(masks))
-            edge = edges[top]
+            edge = node_edges[node]
             top -= 1
             if top <= context:
                 self._bottom = DistTable(masks, lost)
@@ -328,7 +328,7 @@ class StackEngine:
                 # EXP parents combine children per explicit subset at
                 # their own finalisation; keep the child unpromoted.
                 self._exp_children.setdefault(top, {})[
-                    self._current.positions[top]] = DistTable(masks, lost)
+                    encoded.positions[node]] = DistTable(masks, lost)
                 continue
             if not -PROB_ATOL <= edge - 1.0 <= PROB_ATOL:
                 # Promotion (Equations 4 and 6) into a fresh dict; a
@@ -369,15 +369,11 @@ class StackEngine:
         distribution: ``tab = sum_S q_S * conv(tab_c for c in S)`` plus
         the no-subset residue on mask 0.  Children without keyword
         matches have the unit table and drop out of the convolution."""
-        if self.exp_resolver is None:
-            raise ReproError(
-                "document contains EXP nodes; construct the engine with "
-                "an exp_resolver (EncodedDocument.exp_subsets_at)")
         children = self._exp_children.pop(depth, {})
         combined = DistTable()
         total = 0.0
-        for positions, probability in self.exp_resolver(
-                self._current.prefix(depth)):
+        for positions, probability in self.encoded.exp_subsets_at(
+                self._nodes[depth]):
             convolution = DistTable.unit()
             for position in positions:
                 child_table = children.get(position)

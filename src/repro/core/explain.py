@@ -16,14 +16,13 @@ counters, timers, histograms and recorded trace — the CLI's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.engine import StackEngine
 from repro.core.result import SearchOutcome
 from repro.encoding.dewey import DeweyCode
-from repro.exceptions import QueryError
+from repro.exceptions import EncodingError, QueryError
 from repro.index.inverted import InvertedIndex
 from repro.index.matchlist import MatchList, build_match_entries
 from repro.obs.trace import render_trace
@@ -77,9 +76,11 @@ def explain_result(index: InvertedIndex, keywords: Iterable[str],
             indexed document.
     """
     encoded = index.encoded
-    if not encoded.has_code(code):
-        raise QueryError(f"no node at {code} in this document")
-    node = encoded.node_at(code)
+    try:
+        node_id = encoded.id_at(code.positions)
+    except EncodingError:
+        raise QueryError(f"no node at {code} in this document") from None
+    node = encoded.document.node_by_id(node_id)
     if not node.is_ordinary:
         raise QueryError(
             f"{code} is a {node.node_type.value} node; only ordinary "
@@ -90,22 +91,15 @@ def explain_result(index: InvertedIndex, keywords: Iterable[str],
     full_mask = (1 << len(terms)) - 1
     matches = MatchList(encoded, ids, masks)
 
-    harvested: Dict[DeweyCode, float] = {}
-    engine = StackEngine(
-        full_mask,
-        lambda result_code, probability: harvested.__setitem__(
-            result_code, probability),
-        context_length=len(code) - 1,
-        exp_resolver=encoded.exp_subsets_at)
-    for position in matches.iter_subtree(code):
-        node_id = ids[position]
-        engine.feed(encoded.codes[node_id], encoded.links[node_id],
-                    masks[position])
+    harvested: Dict[int, float] = {}
+    engine = StackEngine(full_mask, harvested.__setitem__, encoded,
+                         context_length=encoded.depths[node_id] - 1)
+    for position in matches.iter_subtree(node_id):
+        engine.feed(ids[position], masks[position])
     table = engine.finish_candidate()
 
-    link = encoded.link_of(node)
-    path_probability = math.prod(link)
-    global_probability = harvested.get(code, 0.0)
+    path_probability = encoded.paths[node_id]
+    global_probability = harvested.get(node_id, 0.0)
     local_probability = (global_probability / path_probability
                          if path_probability else 0.0)
 

@@ -1,7 +1,8 @@
 """Bounded top-k result heap with per-node deduplication.
 
-Both algorithms stream ``(node, probability)`` results and keep only the
-``k`` best.  EagerTopK additionally needs the current k-th highest
+Both algorithms stream ``(node id, probability)`` results and keep only
+the ``k`` best; the corpus merge streams global positions tuples
+instead.  Keys only need to sort in document order (repro.core.order).  EagerTopK additionally needs the current k-th highest
 probability as its pruning threshold: :meth:`TopKHeap.threshold` is 0
 until the heap fills, after which it is the smallest retained
 probability — so comparisons against it are always conservative.
@@ -16,12 +17,10 @@ discovering results in different orders.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
 from repro.core.order import result_order_key
-from repro.core.result import SLCAResult
-from repro.encoding.dewey import DeweyCode
 from repro.exceptions import QueryError
 from repro.obs.metrics import Collector, NULL_COLLECTOR
 
@@ -30,11 +29,11 @@ class _Entry:
     """Heap entry ordered worst-first: lowest probability, then latest
     document order (so eviction keeps document-order-earliest nodes)."""
 
-    __slots__ = ("probability", "code")
+    __slots__ = ("probability", "key")
 
-    def __init__(self, probability: float, code: DeweyCode):
+    def __init__(self, probability: float, key: Any):
         self.probability = probability
-        self.code = code
+        self.key = key
 
     def __lt__(self, other: "_Entry") -> bool:
         # Worst-first is the exact reverse of the shared result order
@@ -44,12 +43,12 @@ class _Entry:
         # distinct floats as distinct, or the document-order tiebreak
         # would kick in for nearly-equal probabilities and break the
         # PrStack/EagerTopK answer-set identity the tests pin down.
-        return (result_order_key(other.code, other.probability)
-                < result_order_key(self.code, self.probability))
+        return (result_order_key(other.key, other.probability)
+                < result_order_key(self.key, self.probability))
 
 
 class TopKHeap:
-    """Min-heap of the k highest-probability (code, probability) pairs."""
+    """Min-heap of the k highest-probability (key, probability) pairs."""
 
     def __init__(self, k: int, collector: Collector = NULL_COLLECTOR,
                  sanitizer: SanitizerLike = NULL_SANITIZER):
@@ -64,7 +63,7 @@ class TopKHeap:
         self.collector = collector
         self.sanitizer = sanitizer
         self._heap: List[_Entry] = []
-        self._best: Dict[DeweyCode, float] = {}
+        self._best: Dict[Any, float] = {}
 
     def __len__(self) -> int:
         return len(self._best)
@@ -83,27 +82,27 @@ class TopKHeap:
             return 0.0
         return self._heap[0].probability
 
-    def would_accept(self, code: DeweyCode, probability: float) -> bool:
-        """Whether an offer of ``(code, probability)`` would enter the
+    def would_accept(self, key: Any, probability: float) -> bool:
+        """Whether an offer of ``(key, probability)`` would enter the
         heap right now — the tie-aware form of a threshold comparison.
 
         EagerTopK suspends a candidate when even its upper bound would
         not be accepted: a bound *equal* to the k-th probability still
-        loses if the candidate's code falls after the current boundary
+        loses if the candidate falls after the current boundary
         entry in document order, which is exactly the tiebreak
         :meth:`offer` applies.  Using this test keeps the pruned search
         result-identical to PrStack while pruning ties aggressively.
         """
         if probability <= 0.0:
             return False
-        known = self._best.get(code)
+        known = self._best.get(key)
         if known is not None:
             return probability > known
         if len(self._best) >= self.k:
-            return not _Entry(probability, code) < self._heap[0]
+            return not _Entry(probability, key) < self._heap[0]
         return True
 
-    def offer(self, code: DeweyCode, probability: float) -> bool:
+    def offer(self, key: Any, probability: float) -> bool:
         """Insert a result if it belongs in the top-k; returns acceptance.
 
         Zero-probability results are rejected outright: the paper only
@@ -117,20 +116,20 @@ class TopKHeap:
             collector.count("heap.offers")
         if self.sanitizer.enabled:
             self.sanitizer.check_probability(
-                probability, f"heap offer for {code}")
+                probability, f"heap offer for {key}")
         if probability <= 0.0:
             return False
-        known = self._best.get(code)
+        known = self._best.get(key)
         if known is not None and probability <= known:
             return False
         if known is None and len(self._best) >= self.k:
-            if _Entry(probability, code) < self._heap[0]:
+            if _Entry(probability, key) < self._heap[0]:
                 if observed:
                     collector.count("heap.rejected_below_threshold")
                 return False
         before = self.threshold if observed else 0.0
-        self._best[code] = probability
-        heapq.heappush(self._heap, _Entry(probability, code))
+        self._best[key] = probability
+        heapq.heappush(self._heap, _Entry(probability, key))
         self._shrink()
         if self.sanitizer.enabled:
             self.sanitizer.check_heap(self._heap, self._best, self.k)
@@ -150,20 +149,19 @@ class TopKHeap:
         """Drop superseded and evicted entries from the heap top."""
         while len(self._best) > self.k:
             entry = heapq.heappop(self._heap)
-            if self._best.get(entry.code) == entry.probability:
-                del self._best[entry.code]
+            if self._best.get(entry.key) == entry.probability:
+                del self._best[entry.key]
                 if self.collector.enabled:
                     self.collector.count("heap.evictions")
         # Clean stale heads so threshold() reads a live value.
         while self._heap:
             entry = self._heap[0]
-            if self._best.get(entry.code) == entry.probability:
+            if self._best.get(entry.key) == entry.probability:
                 break
             heapq.heappop(self._heap)
 
-    def results(self) -> List[SLCAResult]:
-        """Answers sorted by probability descending, document order on ties."""
-        ordered = sorted(self._best.items(),
-                         key=lambda item: result_order_key(item[0], item[1]))
-        return [SLCAResult(code=code, probability=probability)
-                for code, probability in ordered]
+    def ranked(self) -> List[Tuple[Any, float]]:
+        """``(key, probability)`` pairs sorted by probability
+        descending, document order on ties."""
+        return sorted(self._best.items(),
+                      key=lambda item: result_order_key(item[0], item[1]))

@@ -87,7 +87,7 @@ def monte_carlo_search(index: InvertedIndex, keywords: Iterable[str],
     for node_id, hits in hit_counts.items():
         p_hat = hits / samples
         stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-        result = SLCAResult(code=encoded.codes[node_id],
+        result = SLCAResult(code=encoded.code(node_id),
                             probability=p_hat,
                             node=document.node_by_id(node_id))
         estimates.append(EstimatedResult(result, stderr, hits, samples))

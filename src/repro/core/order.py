@@ -11,12 +11,14 @@ tie at the k boundary).  That order is defined here, once:
 * higher probability first, compared **bitwise** — two distinct
   floats are distinct, so a near-tie never falls through to the
   document-order tiebreak on one path but not another;
-* probability ties break by document order (ascending Dewey
-  ``positions``), so the earliest node in the document wins the last
-  slot deterministically.
+* probability ties break by document order, so the earliest node in
+  the document wins the last slot deterministically.  Within one
+  document the order key is the node's preorder id; across documents
+  (the corpus merge) it is the node's global Dewey ``positions``.
+  Both sort exactly like the node's code.
 
-The order is *total* over ``(code, probability)`` pairs from one
-document (codes are unique), which is what makes top-k answers
+The order is *total* over ``(key, probability)`` pairs (keys are
+unique), which is what makes top-k answers
 bit-identical regardless of executor, shard count, or arrival order —
 the merge-determinism contract of the corpus layer
 (docs/CORPUS.md).
@@ -24,17 +26,17 @@ the merge-determinism contract of the corpus layer
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Tuple
 
 from repro.core.result import SLCAResult
-from repro.encoding.dewey import DeweyCode
 
-#: What the order key looks like: ``(-probability, positions)``.
-OrderKey = Tuple[float, Tuple[int, ...]]
+#: What the order key looks like: ``(-probability, node key)``.
+OrderKey = Tuple[float, Any]
 
 
-def result_order_key(code: DeweyCode, probability: float) -> OrderKey:
-    """The sort key of one answer under the global result order.
+def result_order_key(key: Any, probability: float) -> OrderKey:
+    """The sort key of one answer under the global result order; ``key``
+    is a node id or a positions tuple (see the module docstring).
 
     Sorting ascending by this key yields probability descending with
     document order breaking ties.  Negation is exact for every float
@@ -42,16 +44,9 @@ def result_order_key(code: DeweyCode, probability: float) -> OrderKey:
     preserves the bitwise-exact probability comparison the heap's
     answer-set identity depends on.
     """
-    return (-probability, code.positions)
+    return (-probability, key)
 
 
 def sort_key(result: SLCAResult) -> OrderKey:
     """:func:`result_order_key` adapted to :class:`SLCAResult`."""
-    return result_order_key(result.code, result.probability)
-
-
-def orders_before(code_a: DeweyCode, probability_a: float,
-                  code_b: DeweyCode, probability_b: float) -> bool:
-    """Whether answer *a* ranks strictly ahead of answer *b*."""
-    return (result_order_key(code_a, probability_a)
-            < result_order_key(code_b, probability_b))
+    return result_order_key(result.code.positions, result.probability)

@@ -56,7 +56,7 @@ def possible_worlds_search(index: InvertedIndex, keywords: Iterable[str],
                         len(probability_of))
 
     results = [
-        SLCAResult(code=encoded.codes[node_id], probability=probability,
+        SLCAResult(code=encoded.code(node_id), probability=probability,
                    node=encoded.document.node_by_id(node_id))
         for node_id, probability in probability_of.items()
     ]

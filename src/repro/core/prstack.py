@@ -15,7 +15,7 @@ from typing import Iterable
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
 from repro.core.engine import ResultSink, StackEngine
 from repro.core.heap import TopKHeap
-from repro.core.result import SearchOutcome
+from repro.core.result import SearchOutcome, ranked_results
 from repro.index.cache import CachesLike, NULL_CACHES
 from repro.index.inverted import InvertedIndex
 from repro.index.matchlist import build_match_entries
@@ -68,7 +68,7 @@ def prstack_search(index: InvertedIndex, keywords: Iterable[str],
     outcome = prstack_scan(index, keywords, heap.offer, elca=elca,
                            collector=collector, sanitizer=sanitizer,
                            caches=caches, deadline=deadline)
-    outcome.results = heap.results()
+    outcome.results = ranked_results(index.encoded, heap.ranked())
     outcome.stats["heap_threshold_final"] = heap.threshold
     if _log.isEnabledFor(10):  # logging.DEBUG
         _log.debug(
@@ -87,7 +87,7 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
                  deadline: DeadlineLike = NULL_DEADLINE
                  ) -> SearchOutcome:
     """PrStack's single document-order scan, offering every harvested
-    ``(code, probability)`` to ``sink``.
+    ``(node_id, probability)`` to ``sink``.
 
     :func:`prstack_search` passes its top-k heap; threshold search
     (:mod:`repro.core.threshold`) passes a collecting sink.  Returns an
@@ -115,10 +115,7 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
         return outcome
 
     full_mask = (1 << len(terms)) - 1
-    encoded = index.encoded
-    codes, links = encoded.codes, encoded.links
-    engine = StackEngine(full_mask, sink, elca=elca,
-                         exp_resolver=encoded.exp_subsets_at,
+    engine = StackEngine(full_mask, sink, index.encoded, elca=elca,
                          collector=collector, sanitizer=sanitizer)
     feed = engine.feed
     scanned = 0
@@ -129,7 +126,7 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
                 outcome.termination_reason = deadline.reason
                 engine.cut()
                 break
-            feed(codes[node_id], links[node_id], mask)
+            feed(node_id, mask)
             scanned += 1
         else:
             engine.finish()

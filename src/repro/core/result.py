@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.encoding.dewey import DeweyCode
+from repro.encoding.encoder import EncodedDocument
 from repro.prxml.model import PNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,6 +32,15 @@ class SLCAResult:
 
     def __str__(self) -> str:
         return f"{self.label} [{self.code}] p={self.probability:.6g}"
+
+
+def ranked_results(encoded: EncodedDocument,
+                   ranked: Iterable[Tuple[int, float]]) -> List[SLCAResult]:
+    """Answers for ranked ``(node_id, probability)`` pairs, each with
+    the Dewey code built from ``encoded``'s columns."""
+    code = encoded.code
+    return [SLCAResult(code=code(node), probability=probability)
+            for node, probability in ranked]
 
 
 @dataclass

@@ -11,12 +11,11 @@ so it costs one document-order scan like PrStack itself.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from repro.core import order
 from repro.core.prstack import prstack_scan
-from repro.core.result import SearchOutcome, SLCAResult
-from repro.encoding.dewey import DeweyCode
+from repro.core.result import SearchOutcome, ranked_results
 from repro.exceptions import QueryError
 from repro.index.inverted import InvertedIndex
 
@@ -33,16 +32,15 @@ def threshold_search(index: InvertedIndex, keywords: Iterable[str],
     if not 0.0 < threshold <= 1.0:
         raise QueryError(
             f"threshold must be in (0, 1], got {threshold!r}")
-    collected: List[SLCAResult] = []
+    collected: List[Tuple[int, float]] = []
 
-    def sink(code: DeweyCode, probability: float) -> None:
+    def sink(node: int, probability: float) -> None:
         if probability >= threshold:
-            collected.append(SLCAResult(code=code,
-                                        probability=probability))
+            collected.append((node, probability))
 
     outcome = prstack_scan(index, keywords, sink)
     outcome.stats["algorithm"] = "threshold"
     outcome.stats["threshold"] = threshold
-    collected.sort(key=order.sort_key)
-    outcome.results = collected
+    collected.sort(key=lambda item: order.result_order_key(*item))
+    outcome.results = ranked_results(index.encoded, collected)
     return outcome

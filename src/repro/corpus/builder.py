@@ -168,13 +168,7 @@ def compute_bounds(index: InvertedIndex) -> Tuple[Dict[str, float], float]:
     at 1), and the largest path probability among posting nodes — the
     loosest answer any query against this shard could score.
     """
-    links = index.encoded.links
-    path_probability = [0.0] * len(links)
-    for node_id, link in enumerate(links):
-        probability = 1.0
-        for edge_probability in link:
-            probability *= edge_probability
-        path_probability[node_id] = probability
+    path_probability = index.encoded.paths
     bounds: Dict[str, float] = {}
     best = 0.0
     for term, ids in index.raw_postings().items():

@@ -1070,8 +1070,10 @@ class _Merge:
         # meaning "per-shard algorithm heaps", and corpus.* covers the
         # gather side.
         self.heap = TopKHeap(k)
+        # Global positions -> (shard, shard-local code, global code);
+        # the heap is keyed by the global positions.
         self.origins: Dict[Tuple[int, ...],
-                           Tuple[_ShardState, DeweyCode]] = {}
+                           Tuple[_ShardState, DeweyCode, DeweyCode]] = {}
         self.counts = dict.fromkeys(ACTIONS, 0)
         self.detail: List[Dict[str, object]] = []
         self.degraded = 0
@@ -1142,8 +1144,8 @@ class _Merge:
                 continue  # a child slot the manifest does not know
             code = DeweyCode((positions[0], global_position)
                              + positions[2:], result.code.kinds)
-            self.origins[code.positions] = (shard, result.code)
-            if self.heap.offer(code, result.probability):
+            self.origins[code.positions] = (shard, result.code, code)
+            if self.heap.offer(code.positions, result.probability):
                 merged += 1
         self.counts[ACTION_SEARCHED] += 1
         entry: Dict[str, object] = {"shard": shard.name,
@@ -1160,8 +1162,8 @@ class _Merge:
                 terms: List[str],
                 service_state: Dict[str, object]) -> SearchOutcome:
         results: List[SLCAResult] = []
-        for result in self.heap.results():
-            shard, local_code = self.origins[result.code.positions]
+        for positions, probability in self.heap.ranked():
+            shard, local_code, code = self.origins[positions]
             node = None
             if shard.service is not None:
                 try:
@@ -1170,8 +1172,7 @@ class _Merge:
                 except ReproError:
                     node = None  # shard swapped mid-query; label falls
                     #              back to the code
-            results.append(SLCAResult(code=result.code,
-                                      probability=result.probability,
+            results.append(SLCAResult(code=code, probability=probability,
                                       node=node))
         reason: Optional[str] = None
         if REASON_DEADLINE in self.reasons:

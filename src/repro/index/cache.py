@@ -2,12 +2,10 @@
 
 Every ``topk_search`` against the same prepared index repeats the same
 front-of-query work: merging per-term postings into masked match
-columns and re-deriving per-node path probabilities (the
-product of the node's PrLink — the per-node fragment every
-distribution table starts from).  All of it depends only on the
-document and the normalised term set, never on ``k``, the algorithm or
-the collector — so a service holding one index can reuse it across
-queries.
+columns.  It depends only on the document and the normalised term set,
+never on ``k``, the algorithm or the collector — so a service holding
+one index can reuse it across queries.  (Per-node path probabilities
+need no cache: they are a column of the encoded document.)
 
 This module provides the cache plumbing the search stack threads
 through (mirroring the ``NULL_COLLECTOR`` / ``NULL_SANITIZER``
@@ -18,8 +16,7 @@ null-object idiom):
   and through a :class:`repro.obs.MetricsCollector` under
   ``service.cache.<name>.*``;
 * :class:`QueryCaches` — the bundle the algorithms consume: a match
-  -column cache keyed by the normalised term tuple and the shared
-  path-probability memo;
+  -column cache keyed by the normalised term tuple;
 * :data:`NULL_CACHES` — the do-nothing default; an uncached query pays
   one attribute load per hook point, exactly like the null collector.
 
@@ -37,7 +34,6 @@ from typing import Any, Dict, Hashable, Optional, Union
 
 from repro.analysis.concurrency.witness import (InstrumentedLock,
                                                 NULL_WITNESS, WitnessLike)
-from repro.encoding.dewey import DeweyCode
 from repro.obs.metrics import Collector, NULL_COLLECTOR
 
 #: Default number of distinct term sets a cache retains.
@@ -162,38 +158,25 @@ class QueryCaches:
             :func:`~repro.index.matchlist.build_match_entries` (the
             input both PrStack and EagerTopK scan).  EagerTopK's seed
             lookup reads the index's own postings and needs no cache.
-        path_probs: node code -> product of its PrLink — the per-node
-            distribution fragment reused by EagerTopK's bound
-            computation.  A plain dict (one float per distinct node
-            ever touched, bounded by the document size), shared across
-            queries because path probabilities are query-independent.
     """
 
     enabled = True
 
-    __slots__ = ("match_entries", "path_probs")
+    __slots__ = ("match_entries",)
 
     def __init__(self, capacity: int = DEFAULT_CACHE_SIZE,
                  collector: Collector = NULL_COLLECTOR,
                  witness: WitnessLike = NULL_WITNESS):
         self.match_entries = LRUCache("match_entries", capacity,
                                       collector, witness)
-        # Deliberately lock-free: a GIL-atomic idempotent memo — every
-        # writer stores the same value for a key, so a lost update
-        # costs one recomputation, never a wrong answer.
-        self.path_probs: Dict[DeweyCode, float] = {}
 
     def clear(self) -> None:
         """Drop all cached values (e.g. after swapping the index)."""
         self.match_entries.clear()
-        self.path_probs.clear()
 
     def stats(self) -> Dict[str, object]:
         """Per-cache counters, the ``cache`` block of service reports."""
-        return {
-            "match_entries": self.match_entries.stats(),
-            "path_probs": {"size": len(self.path_probs)},
-        }
+        return {"match_entries": self.match_entries.stats()}
 
 
 class NullQueryCaches:

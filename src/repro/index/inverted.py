@@ -14,6 +14,7 @@ from repro.encoding.encoder import EncodedDocument
 from repro.exceptions import IndexError_, QueryError
 from repro.index.tokenizer import node_terms, normalize_query
 from repro.obs.metrics import NULL_COLLECTOR
+from repro.prxml.model import NodeType
 
 
 class InvertedIndex:
@@ -115,13 +116,22 @@ class InvertedIndex:
     # -- integrity ---------------------------------------------------------------
 
     def check_integrity(self) -> None:
-        """Verify postings are strictly increasing and ids are in range.
+        """Verify postings are strictly increasing, ids are in range and
+        every id names an ordinary node.
+
+        Keywords match ordinary nodes only: a posting on an IND, MUX or
+        EXP node would put its keyword's bit on a frame the stack engine
+        never harvests, silently dropping that keyword's matches.
 
         Raises:
             IndexError_: on any inconsistency (e.g. a stale index loaded
                 against a different document).
         """
-        size = len(self.encoded.document)
+        kinds = self.encoded.kinds
+        size = len(kinds)
+        ordinary = NodeType.ORDINARY
+        distributional = {node_id for node_id, kind in enumerate(kinds)
+                          if kind is not ordinary}
         for term, ids in self._postings.items():
             previous = -1
             for node_id in ids:
@@ -132,6 +142,12 @@ class InvertedIndex:
                     raise IndexError_(
                         f"term {term!r}: postings not strictly increasing")
                 previous = node_id
+            if not distributional.isdisjoint(ids):
+                node_id = min(distributional.intersection(ids))
+                raise IndexError_(
+                    f"term {term!r}: node id {node_id} is a "
+                    f"{kinds[node_id].value} node; only ordinary nodes "
+                    "carry keywords")
 
     def raw_postings(self) -> Dict[str, array]:
         """Internal postings map (used by storage)."""

@@ -4,12 +4,13 @@ Both algorithms consume *match columns*: two parallel columns over the
 distinct nodes that match at least one query term, in document order —
 the nodes' preorder ids (an ``array('q')``, like the postings) and
 their keyword bitmasks (bit ``i`` set means keyword ``i`` present — the
-binary representation of Section III-B).  A node's Dewey code and
-PrLink are looked up by id in the :class:`EncodedDocument` when the
-stack engine needs them; no per-entry object is built.
+binary representation of Section III-B).  The stack engine reads
+everything else about a node from the :class:`EncodedDocument`'s
+columns by id; no per-entry object is built.
 
-:class:`MatchList` adds the bookkeeping EagerTopK needs: binary-searched
-subtree ranges and consumption flags, so a candidate can "access and
+:class:`MatchList` adds the bookkeeping EagerTopK needs: subtree ranges
+(a node's subtree is the id range ``[id, ends[id])``, binary-searched
+in the id column) and consumption flags, so a candidate can "access and
 remove the relevant keyword nodes" (Section IV-B) in logarithmic +
 output time.
 """
@@ -20,7 +21,6 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.encoding.dewey import DeweyCode
 from repro.encoding.encoder import EncodedDocument
 from repro.index.cache import NULL_CACHES
 from repro.index.inverted import InvertedIndex
@@ -117,27 +117,27 @@ class MatchList:
         """How many entries are still unconsumed."""
         return self._remaining
 
-    def subtree_slice(self, code: DeweyCode) -> Tuple[int, int]:
-        """Column range ``[lo, hi)`` of the entries in ``code``'s
-        subtree: preorder ids make it an id range."""
-        ids, encoded = self.ids, self.encoded
-        lo = bisect_left(ids, encoded.id_at(code.positions))
-        return lo, bisect_left(ids, encoded.subtree_end(code), lo)
+    def subtree_slice(self, node: int) -> Tuple[int, int]:
+        """Column range ``[lo, hi)`` of the entries in ``node``'s
+        subtree, the id range ``[node, ends[node])``."""
+        ids = self.ids
+        lo = bisect_left(ids, node)
+        return lo, bisect_left(ids, self.encoded.ends[node], lo)
 
-    def iter_subtree(self, code: DeweyCode,
+    def iter_subtree(self, node: int,
                      unconsumed_only: bool = True) -> Iterator[int]:
-        """Column positions of the entries within ``code``'s subtree,
+        """Column positions of the entries within ``node``'s subtree,
         in document order."""
-        lo, hi = self.subtree_slice(code)
+        lo, hi = self.subtree_slice(node)
         consumed = self._consumed
         for position in range(lo, hi):
             if not (unconsumed_only and consumed[position]):
                 yield position
 
-    def consume_subtree(self, code: DeweyCode) -> List[int]:
+    def consume_subtree(self, node: int) -> List[int]:
         """Mark consumed and return (as column positions, in document
-        order) the unconsumed entries under ``code``."""
-        lo, hi = self.subtree_slice(code)
+        order) the unconsumed entries under ``node``."""
+        lo, hi = self.subtree_slice(node)
         consumed = self._consumed
         taken = [position for position in range(lo, hi)
                  if not consumed[position]]
@@ -145,9 +145,9 @@ class MatchList:
         self._remaining -= len(taken)
         return taken
 
-    def unconsumed_mask_union(self, code: DeweyCode) -> int:
-        """OR of the masks of unconsumed entries under ``code``."""
+    def unconsumed_mask_union(self, node: int) -> int:
+        """OR of the masks of unconsumed entries under ``node``."""
         union = 0
-        for position in self.iter_subtree(code):
+        for position in self.iter_subtree(node):
             union |= self.masks[position]
         return union

@@ -4,10 +4,9 @@ One service wraps one prepared :class:`~repro.index.storage.Database`
 (or bare index) and executes single queries and whole batches without
 repeating per-query preparation work:
 
-* a bundle of :class:`repro.index.cache.QueryCaches` — match-entry
-  lists keyed by the normalised term tuple, per-keyword Dewey lists,
-  and the query-independent path-probability memo — is threaded into
-  every search it runs;
+* a bundle of :class:`repro.index.cache.QueryCaches` — the match
+  columns keyed by the normalised term tuple — is threaded into every
+  search it runs;
 * a result-level LRU replays whole answers for repeated
   ``(terms, k, algorithm, semantics)`` queries, bypassed whenever the
   caller instruments, sanitizes or deadlines the query (those must
@@ -1055,8 +1054,8 @@ class QueryService:
 
     def cache_stats(self) -> Dict[str, object]:
         """Cumulative per-cache counters (``match_entries``,
-        ``path_probs``, ``results``) of the *current*
-        generation's caches (a reload starts fresh ones)."""
+        ``results``) of the *current* generation's caches (a reload
+        starts fresh ones)."""
         state = self._state
         stats = state.caches.stats()
         stats["results"] = state.results.stats()

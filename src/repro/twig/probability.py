@@ -95,13 +95,10 @@ def _twig_engine(index: InvertedIndex, pattern: TwigPattern,
                  sink: ResultSink) -> StackEngine:
     """A stack engine over the pattern-state vectors of ``pattern``."""
     state_bits = (1 << (2 * len(pattern))) - 1
-    engine = StackEngine(state_bits, sink,
-                         exp_resolver=index.encoded.exp_subsets_at,
+    engine = StackEngine(state_bits, sink, index.encoded,
                          ordinary_step=_TwigStep(pattern))
-    encoded = index.encoded
     for node_id, test_mask in _candidate_entries(index, pattern):
-        engine.feed(encoded.codes[node_id], encoded.links[node_id],
-                    test_mask)
+        engine.feed(node_id, test_mask)
     return engine
 
 
@@ -152,9 +149,9 @@ def topk_twig_search(index: InvertedIndex, pattern, k: int = 10
     })
     encoded = index.encoded
     outcome.results = [
-        TwigResult(code=result.code, probability=result.probability,
-                   node=encoded.node_at(result.code))
-        for result in heap.results()
+        TwigResult(code=encoded.code(node_id), probability=probability,
+                   node=encoded.document.node_by_id(node_id))
+        for node_id, probability in heap.ranked()
     ]
     return outcome
 
@@ -163,7 +160,7 @@ def twig_match_probability(index: InvertedIndex, pattern) -> float:
     """Probability that the pattern embeds *anywhere* in a random
     possible world (the twig-matching probability of reference [8])."""
     pattern = _as_pattern(pattern)
-    engine = _twig_engine(index, pattern, lambda code, probability: None)
+    engine = _twig_engine(index, pattern, lambda node, probability: None)
     # The document root is the engine's bottom frame: its table is the
     # whole document's state distribution.
     table = engine.finish_candidate()

@@ -61,6 +61,36 @@ def build_figure1_doc() -> PDocument:
     return builder.build()
 
 
+def coded_document(codes, edges=None) -> PDocument:
+    """A p-document holding a node at every given Dewey code.
+
+    ``codes`` are code texts such as ``"1.M1.I2"``; each code's kinds
+    become its nodes' kinds, missing ancestors and missing lower
+    siblings are filled in as ordinary nodes, and ``edges`` maps a code
+    text to its node's edge probability (default 1).  Unit tests that
+    address nodes by code use it to get a document whose node ids they
+    can feed to the id-based engine and match list.
+    """
+    from repro import DeweyCode
+    edges = edges or {}
+    root = PNode("n")
+    for text in codes:
+        code = DeweyCode.parse(text)
+        node = root
+        for depth in range(1, len(code)):
+            position = code.positions[depth]
+            while len(node.children) < position:
+                node.add_child(PNode("n"))
+            child = node.children[position - 1]
+            kind = code.kinds[depth]
+            if child.node_type is not kind:
+                child.node_type = kind
+                child.label = kind.name
+            node = child
+        node.edge_prob = float(edges.get(text, node.edge_prob))
+    return PDocument(root)
+
+
 def random_pdoc(rng: random.Random, max_nodes: int = 18,
                 keywords=("k1", "k2"), with_exp: bool = False
                 ) -> PDocument:

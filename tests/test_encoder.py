@@ -1,4 +1,5 @@
-"""Unit tests for document encoding (Dewey codes + PrLinks)."""
+"""Unit tests for document encoding (node columns, Dewey codes and
+PrLinks built on request)."""
 
 import pytest
 
@@ -6,10 +7,19 @@ from repro import NodeType, PNode, encode_document
 from repro.exceptions import EncodingError
 
 
+def root_path_edges(encoded, node_id):
+    """A node's PrLink: the edge column along its root path."""
+    edges = []
+    while node_id >= 0:
+        edges.append(encoded.edges[node_id])
+        node_id = encoded.parents[node_id]
+    return tuple(reversed(edges))
+
+
 class TestEncodeDocument:
     def test_codes_follow_figure_1b_convention(self, fragment_doc):
         encoded = encode_document(fragment_doc)
-        by_label = {node.label: str(encoded.code_of(node))
+        by_label = {node.label: str(encoded.code(node.node_id))
                     for node in fragment_doc if node.is_ordinary}
         assert by_label["A"] == "1"
         assert by_label["C1"] == "1.M1.I1.1"
@@ -23,37 +33,39 @@ class TestEncodeDocument:
         fragment uses the same probabilities)."""
         encoded = encode_document(fragment_doc)
         d1 = fragment_doc.find_by_label("D1")[0]
-        assert encoded.link_of(d1) == (1.0, 1.0, 0.25, 0.6, 1.0, 0.5)
+        assert root_path_edges(encoded, d1.node_id) == \
+            (1.0, 1.0, 0.25, 0.6, 1.0, 0.5)
 
     def test_path_probability(self, fragment_doc):
         encoded = encode_document(fragment_doc)
         c1 = fragment_doc.find_by_label("C1")[0]
-        assert encoded.path_probability(encoded.code_of(c1)) == \
-            pytest.approx(0.15)
+        assert encoded.paths[c1.node_id] == pytest.approx(0.15)
 
     def test_codes_sorted_like_node_ids(self, figure1_doc):
         encoded = encode_document(figure1_doc)
-        positions = [code.positions for code in encoded.iter_codes()]
+        positions = [encoded.code(node_id).positions
+                     for node_id in range(len(encoded))]
         assert positions == sorted(positions)
 
     def test_node_at_round_trip(self, figure1_doc):
         encoded = encode_document(figure1_doc)
         for node in figure1_doc:
-            assert encoded.node_at(encoded.code_of(node)) is node
+            assert encoded.node_at(encoded.code(node.node_id)) is node
 
     def test_node_at_unknown_code(self, fragment_doc):
         from repro import DeweyCode
         encoded = encode_document(fragment_doc)
         with pytest.raises(EncodingError, match="no node"):
             encoded.node_at(DeweyCode.parse("1.9.9"))
-        assert not encoded.has_code(DeweyCode.parse("1.9.9"))
+        with pytest.raises(EncodingError, match="no node"):
+            encoded.id_at((1, 9, 9))
 
     def test_links_aligned_with_codes(self, figure1_doc):
         encoded = encode_document(figure1_doc)
         for node in figure1_doc:
-            code = encoded.code_of(node)
-            link = encoded.link_of(node)
-            assert len(link) == len(code)
+            code = encoded.code(node.node_id)
+            link = root_path_edges(encoded, node.node_id)
+            assert len(link) == len(code) == encoded.depths[node.node_id]
             assert link[0] == 1.0
             assert link[-1] == node.edge_prob
 
@@ -66,6 +78,8 @@ class TestEncodeDocument:
     def test_distributional_kinds_in_codes(self, fragment_doc):
         encoded = encode_document(fragment_doc)
         for node in fragment_doc:
-            assert encoded.code_of(node).node_type is node.node_type
+            assert encoded.code(node.node_id).node_type is node.node_type
+            assert encoded.kinds[node.node_id] is node.node_type
             if node.node_type is NodeType.MUX:
-                assert str(encoded.code_of(node)).split(".")[-1][0] == "M"
+                assert str(encoded.code(node.node_id)) \
+                    .split(".")[-1][0] == "M"

@@ -7,86 +7,103 @@ from repro.core.distribution import DistTable
 from repro.core.engine import StackEngine
 from repro.exceptions import ReproError
 from repro.index.matchlist import build_match_entries
+from tests.conftest import coded_document
 
 
-def collect_sink():
+def collect_sink(encoded):
     results = []
-    return results, lambda code, prob: results.append((str(code), prob))
+    return results, lambda node, prob: results.append(
+        (str(encoded.code(node)), prob))
 
 
-def fragment_items(fragment_doc, keywords=("k1", "k2")):
-    """``(code, link, mask)`` feed arguments of the match columns."""
-    encoded = encode_document(fragment_doc)
+def small(*codes, edges=None):
+    """An encoded document holding the given codes, and a lookup from
+    code text to node id."""
+    encoded = encode_document(coded_document(codes, edges))
+    return encoded, lambda text: encoded.id_at(
+        DeweyCode.parse(text).positions)
+
+
+def fragment_items(encoded, keywords=("k1", "k2")):
+    """``(node_id, mask)`` feed arguments of the match columns."""
     index = build_index(encoded)
     ids, masks = build_match_entries(index, index.query_terms(keywords))
-    return [(encoded.codes[node_id], encoded.links[node_id], mask)
-            for node_id, mask in zip(ids, masks)]
+    return list(zip(ids, masks))
 
 
 class TestWholeDocumentRuns:
     def test_fragment_harvests_c1(self, fragment_doc):
-        results, sink = collect_sink()
-        engine = StackEngine(0b11, sink)
-        for item in fragment_items(fragment_doc):
+        encoded = encode_document(fragment_doc)
+        results, sink = collect_sink(encoded)
+        engine = StackEngine(0b11, sink, encoded)
+        for item in fragment_items(encoded):
             engine.feed(*item)
         engine.finish()
         assert results == [("1.M1.I1.1", pytest.approx(0.00945))]
         assert engine.results_emitted == 1
 
     def test_no_items_no_results(self):
-        results, sink = collect_sink()
-        engine = StackEngine(0b1, sink)
+        encoded, _ = small("1")
+        results, sink = collect_sink(encoded)
+        engine = StackEngine(0b1, sink, encoded)
         engine.finish()
         assert results == []
 
     def test_single_match_at_root(self):
-        results, sink = collect_sink()
-        engine = StackEngine(0b1, sink)
-        engine.feed(DeweyCode.parse("1"), (1.0,), 0b1)
+        encoded, node = small("1")
+        results, sink = collect_sink(encoded)
+        engine = StackEngine(0b1, sink, encoded)
+        engine.feed(node("1"), 0b1)
         engine.finish()
         assert results == [("1", pytest.approx(1.0))]
 
 
 class TestInputValidation:
     def test_out_of_order_rejected(self):
-        _, sink = collect_sink()
-        engine = StackEngine(0b1, sink)
-        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+        encoded, node = small("1.2")
+        _, sink = collect_sink(encoded)
+        engine = StackEngine(0b1, sink, encoded)
+        engine.feed(node("1.2"), 0b1)
         with pytest.raises(ReproError, match="document order"):
-            engine.feed(DeweyCode.parse("1.1"), (1.0, 1.0), 0b1)
+            engine.feed(node("1.1"), 0b1)
 
     def test_duplicate_rejected(self):
-        _, sink = collect_sink()
-        engine = StackEngine(0b1, sink)
-        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+        encoded, node = small("1.2")
+        _, sink = collect_sink(encoded)
+        engine = StackEngine(0b1, sink, encoded)
+        engine.feed(node("1.2"), 0b1)
         with pytest.raises(ReproError, match="document order"):
-            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+            engine.feed(node("1.2"), 0b1)
 
     def test_item_outside_context_rejected(self):
-        _, sink = collect_sink()
-        engine = StackEngine(0b1, sink, context_length=2)
+        encoded, node = small("1.2")
+        _, sink = collect_sink(encoded)
+        engine = StackEngine(0b1, sink, encoded, context_length=2)
         with pytest.raises(ReproError, match="outside"):
-            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+            engine.feed(node("1.2"), 0b1)
 
     def test_preset_with_mask_rejected(self):
-        engine = StackEngine(0b1, lambda code, prob: None)
+        encoded, node = small("1.2")
+        engine = StackEngine(0b1, lambda node, prob: None, encoded)
         with pytest.raises(ReproError, match="self mask"):
-            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1,
-                        DistTable.unit())
+            engine.feed(node("1.2"), 0b1, DistTable.unit())
 
     def test_zero_full_mask_rejected(self):
+        encoded, _ = small("1")
         with pytest.raises(ReproError):
-            StackEngine(0, lambda code, prob: None)
+            StackEngine(0, lambda node, prob: None, encoded)
 
 
 class TestCandidateRuns:
     def test_finish_candidate_returns_unpromoted_table(self, fragment_doc):
         """Evaluating C1 as an EagerTopK candidate yields the paper's
         MUX2 table (Example 5) with the full mask harvested."""
-        results, sink = collect_sink()
-        c1 = DeweyCode.parse("1.M1.I1.1")
-        engine = StackEngine(0b11, sink, context_length=len(c1) - 1)
-        for item in fragment_items(fragment_doc):
+        encoded = encode_document(fragment_doc)
+        results, sink = collect_sink(encoded)
+        c1 = encoded.id_at(DeweyCode.parse("1.M1.I1.1").positions)
+        engine = StackEngine(0b11, sink, encoded,
+                             context_length=encoded.depths[c1] - 1)
+        for item in fragment_items(encoded):
             engine.feed(*item)
         table = engine.finish_candidate()
         assert results == [("1.M1.I1.1", pytest.approx(0.00945))]
@@ -97,18 +114,20 @@ class TestCandidateRuns:
         assert table.probability(0b00) == pytest.approx(0.103)
 
     def test_finish_candidate_empty_returns_unit(self):
-        _, sink = collect_sink()
-        engine = StackEngine(0b11, sink, context_length=1)
+        encoded, _ = small("1.1")
+        _, sink = collect_sink(encoded)
+        engine = StackEngine(0b11, sink, encoded, context_length=1)
         table = engine.finish_candidate()
         assert table.probability(0) == 1.0
 
     def test_preset_table_used_verbatim(self):
         """Feeding a preset region table reproduces the same parent
         table as feeding the region's raw matches."""
-        results, sink = collect_sink()
+        encoded, node = small("1.2", edges={"1.2": 0.4})
+        results, sink = collect_sink(encoded)
         preset = DistTable({0b11: 0.5, 0b01: 0.5})
-        engine = StackEngine(0b11, sink, context_length=0)
-        engine.feed(DeweyCode.parse("1.2"), (1.0, 0.4), table=preset)
+        engine = StackEngine(0b11, sink, encoded, context_length=0)
+        engine.feed(node("1.2"), table=preset)
         table = engine.finish_candidate()
         # Root (ordinary) harvests 0.4 * 0.5 of full mass.
         assert results == [("1", pytest.approx(0.2))]

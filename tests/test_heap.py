@@ -36,8 +36,8 @@ class TestTopKHeap:
         heap = TopKHeap(2)
         for index, probability in enumerate((0.1, 0.9, 0.5, 0.7)):
             heap.offer(code(f"1.{index + 1}"), probability)
-        results = heap.results()
-        assert [r.probability for r in results] == [0.9, 0.7]
+        ranked = heap.ranked()
+        assert [probability for _, probability in ranked] == [0.9, 0.7]
         assert heap.threshold == 0.7
 
     def test_rejects_below_threshold(self):
@@ -51,7 +51,7 @@ class TestTopKHeap:
         assert heap.offer(code("1.5"), 0.5)
         # Equal probability, earlier document order: displaces.
         assert heap.offer(code("1.2"), 0.5)
-        assert [str(r.code) for r in heap.results()] == ["1.2"]
+        assert [str(key) for key, _ in heap.ranked()] == ["1.2"]
         # Equal probability, later document order: rejected.
         assert not heap.offer(code("1.9"), 0.5)
 
@@ -64,8 +64,8 @@ class TestTopKHeap:
             for index in permutation:
                 text, probability = offers[index]
                 heap.offer(code(text), probability)
-            outcomes.append([(str(r.code), r.probability)
-                             for r in heap.results()])
+            outcomes.append([(str(key), probability)
+                             for key, probability in heap.ranked()])
         assert all(outcome == outcomes[0] for outcome in outcomes)
         assert outcomes[0] == [("1.2", 0.5), ("1.5", 0.5)]
 
@@ -74,17 +74,18 @@ class TestTopKHeap:
         heap.offer(code("1.1"), 0.3)
         assert not heap.offer(code("1.1"), 0.2)
         assert heap.offer(code("1.1"), 0.6)
-        results = heap.results()
-        assert len(results) == 1
-        assert results[0].probability == 0.6
+        ranked = heap.ranked()
+        assert len(ranked) == 1
+        assert ranked[0][1] == 0.6
 
     def test_results_sorted(self):
         heap = TopKHeap(5)
         for index, probability in enumerate((0.2, 0.8, 0.5)):
             heap.offer(code(f"1.{index + 1}"), probability)
-        assert [r.probability for r in heap.results()] == [0.8, 0.5, 0.2]
+        assert [probability for _, probability in heap.ranked()] == \
+            [0.8, 0.5, 0.2]
 
     def test_fewer_than_k_results(self):
         heap = TopKHeap(10)
         heap.offer(code("1.1"), 0.4)
-        assert len(heap.results()) == 1
+        assert len(heap.ranked()) == 1

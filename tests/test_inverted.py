@@ -99,6 +99,31 @@ class TestInvertedIndex:
         with pytest.raises(IndexError_, match="increasing"):
             broken.check_integrity()
 
+    def test_integrity_rejects_distributional_postings(self):
+        """A posting on an IND, MUX or EXP node would silently drop its
+        keyword's bit in the stack engine; the check refuses it."""
+        builder = DocumentBuilder("root")
+        with builder.ind():
+            builder.leaf("a", text="alpha", prob=0.5)
+        with builder.mux():
+            builder.leaf("b", text="beta", prob=0.5)
+        with builder.exp([((1,), 0.5)]):
+            builder.leaf("c", text="gamma")
+        encoded = encode_document(builder.build())
+        ordinary = [node.node_id for node in encoded.document
+                    if node.is_ordinary]
+        InvertedIndex(encoded, {"alpha": array("q", ordinary)}) \
+            .check_integrity()
+        for node in encoded.document:
+            if node.is_ordinary:
+                continue
+            broken = InvertedIndex(encoded, {
+                "alpha": array("q", ordinary[:1]),
+                "beta": array("q", sorted(ordinary[1:] + [node.node_id]))})
+            with pytest.raises(IndexError_,
+                               match=f"{node.node_type.value} node"):
+                broken.check_integrity()
+
 
 class TestLabelCaseFolding:
     def test_label_lookup_case_insensitive(self):

@@ -17,14 +17,14 @@ import random
 
 import pytest
 
-from repro import Database, DeweyCode, build_index, encode_document, \
-    topk_search
+from repro import Database, build_index, encode_document, topk_search
 from repro.analysis import Sanitizer, SanitizerError
 from repro.core.engine import StackEngine
 from repro.index.matchlist import (MatchList, build_match_entries,
                                    keyword_code_lists)
 from repro.prxml.model import NodeType, PDocument, PNode
 from repro.slca import indexed_lookup_eager, scan_eager, stack_based_slca
+from tests.conftest import coded_document
 from tests.test_slca_algorithms import brute_force_slca
 
 QUARTERS = (0.25, 0.5, 0.75, 1.0)
@@ -97,19 +97,19 @@ def test_seed_lookup_agrees_with_every_reference(seed, with_exp):
         terms = index.query_terms(keywords)
         postings = keyword_code_lists(index, terms)
         seeds = indexed_lookup_eager(encoded, postings)
-        # The answers are the document's own codes, not copies.
-        assert all(code is encoded.codes[encoded.id_at(code.positions)]
-                   for code in seeds)
-        code_lists = [[encoded.codes[node_id] for node_id in ids]
+        # The answers are node ids, in document order.
+        assert seeds == sorted(set(seeds))
+        code_lists = [[encoded.code(node_id) for node_id in ids]
                       for ids in postings]
         ids, masks = build_match_entries(index, terms)
-        expected = sorted(encoded.code_of(node).positions
+        expected = sorted(encoded.code(node.node_id).positions
                           for node in brute_force_slca(document, terms))
         for name, got in (
-                ("indexed_lookup", seeds),
+                ("indexed_lookup", map(encoded.code, seeds)),
                 ("scan_eager", scan_eager(code_lists)),
                 ("stack_based",
-                 stack_based_slca(encoded, ids, masks, len(terms)))):
+                 map(encoded.code, stack_based_slca(encoded, ids, masks,
+                                                    len(terms))))):
             assert sorted(code.positions for code in got) == expected, \
                 (name, keywords)
 
@@ -136,41 +136,47 @@ def test_column_fed_algorithms_equal_the_oracle_bit_for_bit(seed,
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_subtree_ranges_are_id_ranges(seed):
-    """``subtree_end`` and the match list's slices agree with an
+    """The ``ends`` column and the match list's slices agree with an
     ancestor test over every node."""
     encoded = encode_document(dyadic_pdoc(random.Random(seed),
                                           with_exp=True))
-    codes = encoded.codes
+    codes = [encoded.code(node_id) for node_id in range(len(encoded))]
     everything = MatchList(encoded, list(range(len(codes))),
                            [1] * len(codes))
-    for code in codes:
-        inside = [node_id for node_id, other in enumerate(codes)
+    for node_id, code in enumerate(codes):
+        inside = [other_id for other_id, other in enumerate(codes)
                   if code.is_ancestor_or_self_of(other)]
-        assert inside == list(range(inside[0], encoded.subtree_end(code)))
-        lo, hi = everything.subtree_slice(code)
+        assert inside == list(range(node_id, encoded.ends[node_id]))
+        lo, hi = everything.subtree_slice(node_id)
         assert list(range(lo, hi)) == inside
 
 
 class TestSanitizedFeed:
+    """Feeds over a root with children ``1.1`` (id 1) and ``1.2``
+    (id 2)."""
+
+    @staticmethod
+    def engine(sanitizer):
+        encoded = encode_document(coded_document(["1.2"]))
+        return StackEngine(0b1, lambda node, probability: None, encoded,
+                           sanitizer=sanitizer)
+
     def test_out_of_order_feed_raises(self):
-        engine = StackEngine(0b1, lambda code, probability: None,
-                             sanitizer=Sanitizer())
-        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+        engine = self.engine(Sanitizer())
+        engine.feed(2, 0b1)
         with pytest.raises(SanitizerError, match="document-order"):
-            engine.feed(DeweyCode.parse("1.1"), (1.0, 1.0), 0b1)
+            engine.feed(1, 0b1)
 
     def test_repeated_feed_raises(self):
-        engine = StackEngine(0b1, lambda code, probability: None,
-                             sanitizer=Sanitizer())
-        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+        engine = self.engine(Sanitizer())
+        engine.feed(2, 0b1)
         with pytest.raises(SanitizerError, match="document-order"):
-            engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+            engine.feed(2, 0b1)
 
     def test_in_order_feed_is_counted(self):
         sanitizer = Sanitizer()
-        engine = StackEngine(0b1, lambda code, probability: None,
-                             sanitizer=sanitizer)
-        engine.feed(DeweyCode.parse("1.1"), (1.0, 1.0), 0b1)
-        engine.feed(DeweyCode.parse("1.2"), (1.0, 1.0), 0b1)
+        engine = self.engine(sanitizer)
+        engine.feed(1, 0b1)
+        engine.feed(2, 0b1)
         engine.finish()
         assert sanitizer.checks > 2

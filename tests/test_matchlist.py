@@ -20,16 +20,16 @@ class TestBuildMatchEntries:
     def test_masks_merge_per_node(self, fragment_index):
         ids, masks = columns(fragment_index, ["k1", "k2"])
         assert len(ids) == len(masks)
-        codes = fragment_index.encoded.codes
-        by_code = {str(codes[node_id]): mask
+        code = fragment_index.encoded.code
+        by_code = {str(code(node_id)): mask
                    for node_id, mask in zip(ids, masks)}
         assert by_code["1.M1.I1.1.M1.1"] == 0b01        # D1: k1 only
         assert by_code["1.M1.I1.1.M1.I2.2"] == 0b10     # E1: k2 only
 
     def test_document_order(self, fragment_index):
         ids, _ = columns(fragment_index, ["k1", "k2"])
-        codes = fragment_index.encoded.codes
-        positions = [codes[node_id].positions for node_id in ids]
+        code = fragment_index.encoded.code
+        positions = [code(node_id).positions for node_id in ids]
         assert positions == sorted(positions)
         assert list(ids) == sorted(set(ids))
 
@@ -56,15 +56,19 @@ class TestMatchList:
         return MatchList(fragment_index.encoded,
                          *columns(fragment_index, ["k1", "k2"]))
 
+    @staticmethod
+    def node(fragment_index, text):
+        return fragment_index.encoded.id_at(DeweyCode.parse(text).positions)
+
     def test_subtree_slice(self, fragment_index):
         matches = self.build(fragment_index)
-        c1 = DeweyCode.parse("1.M1.I1.1")
+        c1 = self.node(fragment_index, "1.M1.I1.1")
         inside = list(matches.iter_subtree(c1))
         assert len(inside) == 4  # D1, D2, E1, E2
 
     def test_consume_marks_and_removes(self, fragment_index):
         matches = self.build(fragment_index)
-        c1 = DeweyCode.parse("1.M1.I1.1")
+        c1 = self.node(fragment_index, "1.M1.I1.1")
         taken = matches.consume_subtree(c1)
         assert len(taken) == 4
         assert matches.remaining == len(matches) - 4
@@ -73,16 +77,16 @@ class TestMatchList:
 
     def test_consumption_outside_subtree_untouched(self, fragment_index):
         matches = self.build(fragment_index)
-        ind3 = DeweyCode.parse("1.M1.I1.1.M1.I2")
+        ind3 = self.node(fragment_index, "1.M1.I1.1.M1.I2")
         taken = matches.consume_subtree(ind3)
         assert len(taken) == 2  # D2, E1
-        root = DeweyCode.parse("1")
+        root = self.node(fragment_index, "1")
         rest = list(matches.iter_subtree(root))
         assert len(rest) == 2  # D1, E2 remain
 
     def test_unconsumed_mask_union(self, fragment_index):
         matches = self.build(fragment_index)
-        root = DeweyCode.parse("1")
+        root = self.node(fragment_index, "1")
         assert matches.unconsumed_mask_union(root) == 0b11
         matches.consume_subtree(root)
         assert matches.unconsumed_mask_union(root) == 0

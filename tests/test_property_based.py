@@ -142,7 +142,8 @@ def test_harvest_conserves_mass(table):
 @given(pdocuments())
 def test_dewey_order_is_document_order(document):
     encoded = encode_document(document)
-    positions = [code.positions for code in encoded.iter_codes()]
+    positions = [encoded.code(node_id).positions
+                 for node_id in range(len(encoded))]
     assert positions == sorted(positions)
 
 
@@ -256,5 +257,5 @@ def test_heap_matches_reference_sort(offers, k):
             best[code] = probability
     expected = sorted(best.items(),
                       key=lambda item: (-item[1], item[0].positions))[:k]
-    got = [(result.code, result.probability) for result in heap.results()]
+    got = heap.ranked()
     assert got == expected

@@ -44,16 +44,21 @@ def all_algorithms(document, keywords):
     index = build_index(encoded)
     terms = index.query_terms(keywords)
     postings = keyword_code_lists(index, terms)
-    code_lists = [[encoded.codes[node_id] for node_id in ids]
+    code_lists = [[encoded.code(node_id) for node_id in ids]
                   for ids in postings]
     ids, masks = build_match_entries(index, terms)
     expected = sorted(
-        encoded.code_of(node).positions
+        encoded.code(node.node_id).positions
         for node in brute_force_slca(document, terms))
     results = {
-        "indexed_lookup": indexed_lookup_eager(encoded, postings),
+        "indexed_lookup": [
+            encoded.code(node_id)
+            for node_id in indexed_lookup_eager(encoded, postings)],
         "scan_eager": scan_eager(code_lists),
-        "stack_based": stack_based_slca(encoded, ids, masks, len(terms)),
+        "stack_based": [
+            encoded.code(node_id)
+            for node_id in stack_based_slca(encoded, ids, masks,
+                                            len(terms))],
     }
     return expected, {name: sorted(code.positions for code in codes)
                       for name, codes in results.items()}
