@@ -1,9 +1,9 @@
-"""Null-object observability overhead on the BENCH_batch workload.
+"""Null-object observability overhead on the batched-serving workload.
 
 The acceptance bar for the tracing/flight-recorder work: with nothing
 attached (``NULL_COLLECTOR`` / ``NULL_TRACER`` / ``NULL_RECORDER`` —
 the library default) the instrumentation hooks must cost <2% of the
-batched-serving workload of ``BENCH_batch.json``.
+batched-serving workload of ``test_batch_service.py``.
 
 Direct A/B timing against a hook-free build is impossible (the hooks
 *are* the build), so the overhead is measured as a conservative upper
@@ -41,7 +41,7 @@ from repro.service import QueryService
 DISTINCT_QUERIES = 15
 REPETITIONS = 4
 K = 10
-SEED = 673  # BENCH_batch's workload seed
+SEED = 673  # test_batch_service.py's workload seed
 
 
 class CountingCollector(MetricsCollector):
@@ -137,7 +137,7 @@ def test_null_hooks_cost_under_two_percent(benchmark, dataset, report):
         f"{null_ms:.1f} ms)")
 
     report.add_row(
-        "Observability overhead (null hooks, BENCH_batch workload)",
+        "Observability overhead (null hooks, batched-serving workload)",
         ["queries", "hooks", "hook_ns", "batch_ms", "bound_pct",
          "attached_delta_pct"],
         [len(queries), hooks, f"{per_hook_ms * 1e6:7.0f}",

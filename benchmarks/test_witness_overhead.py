@@ -1,9 +1,9 @@
-"""Null-witness overhead on the BENCH_batch workload.
+"""Null-witness overhead on the batched-serving workload.
 
 Acceptance bar for the concurrency pass: with no witness attached
 (``NULL_WITNESS``, the library default) the instrumented-lock hook
 points must cost <2% of the batched-serving workload of
-``BENCH_batch.json``.
+``test_batch_service.py``.
 
 The methodology mirrors ``test_observability_overhead.py``: a direct
 A/B against a hook-free build is impossible (the ``witness.enabled``
@@ -29,7 +29,7 @@ from repro.service import QueryService
 DISTINCT_QUERIES = 15
 REPETITIONS = 4
 K = 10
-SEED = 673  # BENCH_batch's workload seed
+SEED = 673  # test_batch_service.py's workload seed
 
 
 def bench_workload(database):
@@ -75,7 +75,7 @@ def test_null_witness_costs_under_two_percent(benchmark, dataset,
     assert acquisitions > 0, \
         "the workload must exercise the instrumented locks"
     assert witness.violations == [], \
-        f"BENCH_batch violated lock discipline: {witness.violations}"
+        f"batch workload violated lock discipline: {witness.violations}"
 
     def run():
         return run_cold_batch(database, queries)
@@ -94,7 +94,7 @@ def test_null_witness_costs_under_two_percent(benchmark, dataset,
         f"over {null_ms:.1f} ms)")
 
     report.add_row(
-        "Lock-witness overhead (null witness, BENCH_batch workload)",
+        "Lock-witness overhead (null witness, batched-serving workload)",
         ["queries", "acquisitions", "acq_ns", "batch_ms", "bound_pct",
          "witnessed_delta_pct"],
         [len(queries), acquisitions, f"{per_acq_ms * 1e6:7.0f}",

@@ -42,8 +42,10 @@ Phases, in order:
 ``slow-replica-hedge``
     Primaries straggle (``slow_replica``); a fixed-trigger hedge
     policy re-issues the visit to the healthy replica.  Invariants:
-    hedges fire, answers stay bit-identical, wall clock stays inside
-    the deadline envelope.
+    hedges fire, answers stay bit-identical, and no answered query's
+    wall clock reaches the straggle — an unhedged visit to the
+    straggler waits at least that long, so the hedge must cut the
+    tail below it.
 ``torn-skew``
     Seeded-rate ``torn_replica`` reads race ``clock_skew_ms`` budget
     shrinkage.  Invariants: everything answers; partial answers are
@@ -160,6 +162,7 @@ class _Phase:
                  hedge: Optional[HedgePolicy] = None,
                  require_no_partial: bool = False,
                  require_hedges: bool = False,
+                 tail_ms: Optional[float] = None,
                  arm_at: Optional[int] = None,
                  arm: Union[str, Sequence[Fault]] = ()) -> None:
         self.name = name
@@ -172,6 +175,7 @@ class _Phase:
         self.hedge = hedge
         self.require_no_partial = require_no_partial
         self.require_hedges = require_hedges
+        self.tail_ms = tail_ms
         self.arm_at = arm_at
         self.arm = arm if isinstance(arm, str) else tuple(arm)
 
@@ -258,6 +262,12 @@ class _Phase:
                         f"deadline: {wall_ms:.0f}ms > "
                         f"{self.deadline_ms:.0f}ms + "
                         f"{self.epsilon_ms:.0f}ms")
+                if self.tail_ms is not None and wall_ms >= self.tail_ms:
+                    violations.append(
+                        f"[{self.name}] query {position} took "
+                        f"{wall_ms:.0f}ms, at or past the "
+                        f"{self.tail_ms:.0f}ms straggle: the hedge did "
+                        f"not cut the tail")
                 if payload.get("partial"):
                     partial += 1
                     if self.require_no_partial:
@@ -336,7 +346,17 @@ def run_chaos(corpus_dir: Union[str, "object"], seed: int = 7,
 
     Requires a corpus built with ``replicas >= 2`` — the whole point
     is proving that killing a replica of every shard changes nothing.
+    Raises :class:`QueryError` for a caller's bad parameters before
+    any phase runs, so they never read as invariant violations.
     """
+    if queries < 1:
+        raise QueryError(f"chaos needs at least one query, got {queries}")
+    if deadline_ms <= 0:
+        raise QueryError(f"deadline_ms must be positive, got "
+                         f"{deadline_ms}")
+    if epsilon_ms < 0:
+        raise QueryError(f"epsilon_ms must be non-negative, got "
+                         f"{epsilon_ms}")
     corpus_dir = str(corpus_dir)
     manifest = load_corpus_manifest(corpus_dir)
     if manifest.replicas < 2:
@@ -366,7 +386,7 @@ def run_chaos(corpus_dir: Union[str, "object"], seed: int = 7,
                    [Fault(kind="slow_replica", target="r0",
                           delay_ms=slow_ms)], seed=seed),
                hedge=HedgePolicy(hedge_ms=hedge_ms),
-               require_hedges=True),
+               require_hedges=True, tail_ms=slow_ms),
         # Torn reads at a seeded rate, with the surviving replica's
         # clock running ahead (budgets shrink, never overshoot).
         _Phase("torn-skew", corpus_dir, oracle, k, deadline_ms,

@@ -15,7 +15,9 @@ import pytest
 from repro.cli import main
 from repro.corpus import build_corpus
 from repro.exceptions import QueryError
-from repro.resilience.chaos import CHAOS_FORMAT, run_chaos
+from repro.resilience import Fault, FaultInjector
+from repro.resilience.chaos import (CHAOS_FORMAT, _oracle, _Phase,
+                                    _workload, run_chaos)
 from tests.test_corpus import random_corpus
 
 
@@ -51,6 +53,24 @@ class TestRunChaos:
         assert hedge["hedges"]["won"] + hedge["hedges"]["lost"] \
             <= hedge["hedges"]["fired"]
 
+    def test_unhedged_straggler_breaks_the_tail_invariant(
+            self, chaos_corpus):
+        workload = _workload(chaos_corpus, seed=7, queries=2)
+        phase = _Phase(
+            "slow-replica-unhedged", chaos_corpus,
+            _oracle(chaos_corpus, workload, 5), 5,
+            deadline_ms=3000.0, epsilon_ms=1500.0,
+            faults=FaultInjector(
+                [Fault(kind="slow_replica", target="r0",
+                       delay_ms=150.0)], seed=7),
+            tail_ms=150.0)
+        report = phase.run(workload)
+        assert report["answered"] == 2
+        assert report["max_wall_ms"] >= 150.0
+        assert any("did not cut the tail" in violation
+                   for violation in report["violations"]), \
+            report["violations"]
+
     def test_single_replica_corpus_is_rejected(self, tmp_path):
         directory = str(tmp_path / "corpus1")
         build_corpus(random_corpus(31), directory, shards=2)
@@ -77,6 +97,26 @@ class TestChaosCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["format"] == CHAOS_FORMAT
+
+    @pytest.mark.parametrize("args", [
+        ["-k", "0"],
+        ["--queries", "0"],
+        ["--queries", "-3"],
+        ["--deadline-ms", "0"],
+        ["--deadline-ms", "-5"],
+        ["--epsilon-ms", "-1"],
+    ])
+    def test_caller_errors_exit_before_any_phase(
+            self, chaos_corpus, monkeypatch, capsys, args):
+        def no_phase(self, workload):
+            raise AssertionError(f"phase {self.name} ran")
+
+        monkeypatch.setattr(_Phase, "run", no_phase)
+        code = main(["chaos", chaos_corpus] + args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: "), captured.err
+        assert "VIOLATION" not in captured.out
 
     def test_rejects_unreplicated_corpus(self, tmp_path, capsys):
         directory = str(tmp_path / "corpus1")

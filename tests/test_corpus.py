@@ -26,23 +26,9 @@ from repro.index.storage import CURRENT_FILE, Database, save_database
 from repro.obs.metrics import MetricsCollector
 from repro.obs.spans import SpanTracer, derive_trace_id, validate_spans
 from tests.conftest import random_pdoc
+from tests.oracle import corpus_rows, oracle_rows
 
 QUERY = ["k1", "k2"]
-
-
-def oracle_rows(documents, keywords, k):
-    """Brute force over the concatenation, synthetic root dropped."""
-    database = Database.from_document(concat_documents(documents))
-    outcome = topk_search(database, keywords, k + 1)
-    rows = [(str(result.code), result.probability)
-            for result in outcome.results
-            if len(result.code.positions) >= 2]
-    return rows[:k]
-
-
-def corpus_rows(outcome):
-    return [(str(result.code), result.probability)
-            for result in outcome.results]
 
 
 def random_corpus(seed, count=5, max_nodes=20):
@@ -606,29 +592,40 @@ class TestCorpusServing:
         assert health["epoch"] == 2
 
 
-# -- benchmark harness ---------------------------------------------------------
+# -- generated corpus ----------------------------------------------------------
 
 
-class TestCorpusBenchmark:
-    def test_report_shape_and_validity(self, tmp_path):
-        from repro.bench.corpus import (CORPUS_SCHEMA_ID,
-                                        run_corpus_benchmark)
+class TestGeneratedCorpus:
+    def test_selective_workload_is_exact_and_prunes(self, tmp_path):
+        """DBLP documents, rare term pairs, k=1: the regime where a
+        shard's bound falls below the k-th probability, so the serial
+        plan prunes, and every executor still matches brute force."""
         from repro.datagen.dblp import generate_dblp
         from repro.datagen.probabilistic import make_probabilistic
+        from repro.datagen.workload import WorkloadSpec, sample_workload
         documents = []
         for position in range(3):
             seed = 673 + 101 * position
             plain = generate_dblp(publications=40, seed=seed)
             documents.append((f"dblp-{position}",
                               make_probabilistic(plain, seed=seed)))
-        report = run_corpus_benchmark(
-            documents, str(tmp_path / "corpus"), shards=2,
-            distinct_queries=2, k=2, workers=2)
-        assert report["schema"] == CORPUS_SCHEMA_ID
-        assert report["identical_results"]
-        assert report["corpus"]["documents"] == 3
-        assert set(report["executors"]) == {"serial", "thread"}
-        for phase in report["executors"].values():
-            assert phase["shard_visits"] == 4 * 2  # queries x shards
-            assert phase["shards_failed"] == 0
-        assert report["scatter_gather_speedup"] > 0
+        directory = str(tmp_path / "corpus")
+        build_corpus(documents, directory, shards=2)
+        oracle = Database.from_document(concat_documents(documents))
+        spec = WorkloadSpec(queries=6, terms_per_query=2,
+                            min_frequency=2, max_frequency=80)
+        workload = sample_workload(oracle.index, spec,
+                                   rng=random.Random(673))
+        service = CorpusService(directory)
+        pruned = 0
+        for keywords in workload:
+            expected = oracle_rows(documents, keywords, 1)
+            for executor in ("serial", "thread", "process"):
+                outcome = service.search(keywords, k=1,
+                                         executor=executor, workers=2)
+                assert corpus_rows(outcome) == expected, \
+                    (keywords, executor)
+                assert outcome.stats["corpus"]["failed"] == 0
+                if executor == "serial":
+                    pruned += outcome.stats["corpus"][ACTION_PRUNED]
+        assert pruned >= 1

@@ -33,8 +33,8 @@ from repro.obs.spans import SpanTracer
 from repro.resilience import (REASON_DEADLINE, CircuitBreaker, Fault,
                               FaultInjector, parse_faults)
 from repro.service.service import QueryService
-from tests.test_corpus import (build_tiered_docs, corpus_rows,
-                               oracle_rows, random_corpus)
+from tests.oracle import corpus_rows, oracle_rows
+from tests.test_corpus import build_tiered_docs, random_corpus
 
 QUERY = ["k1", "k2"]
 

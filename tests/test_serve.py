@@ -467,6 +467,9 @@ class TestOverloadAndRateLimit:
             if status == 429:
                 assert body["error"]["code"] == "overloaded"
                 assert int(headers["retry-after"]) >= 1
+        # Shedding the burst leaves the server healthy: the next
+        # search is admitted and answered.
+        assert client.post("/search", {"keywords": ["k1"]})[0] == 200
         assert handle.stop() == 0
 
     def test_rate_limit_keyed_by_trusted_header(self, figure1_db):
