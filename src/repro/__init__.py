@@ -22,31 +22,35 @@ Quickstart::
         print(result)
 """
 
-from repro.core import (Algorithm, Explanation, SearchOutcome, SLCAResult,
-                        eager_topk_search, explain_result,
-                        monte_carlo_search, possible_worlds_search,
-                        profile_lines, prstack_search, threshold_search,
-                        topk_search)
-from repro.obs import (FlightRecorder, MetricsCollector, NULL_COLLECTOR,
-                       NULL_RECORDER, NULL_TRACER, SpanTracer, Stopwatch,
-                       TraceRecorder, build_report_v2, configure_logging,
-                       derive_trace_id, get_logger, parse_prometheus,
-                       render_prometheus, validate_spans)
-from repro.encoding import DeweyCode, EncodedDocument, encode_document
-from repro.exceptions import (EncodingError, IndexError_, ModelError,
-                              ParseError, QueryError, ReproError,
-                              StorageError)
-from repro.index import (Database, InvertedIndex, build_index,
-                         load_database, save_database)
-from repro.prxml import (DocumentBuilder, NodeType, PDocument, PNode,
-                         document_stats, enumerate_possible_worlds,
-                         parse_pxml, parse_pxml_file, sample_possible_world,
-                         serialize_pxml, validate_document, write_pxml_file)
-from repro.resilience import (CircuitBreaker, Deadline, Fault,
-                              FaultInjector, RetryPolicy, parse_faults)
-from repro.service import BatchOutcome, QueryService, load_query_file
-from repro.twig import (TwigPattern, parse_twig, topk_twig_search,
-                        twig_match_probability)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": ("Algorithm", "Explanation", "SearchOutcome", "SLCAResult",
+                   "eager_topk_search", "explain_result",
+                   "monte_carlo_search", "possible_worlds_search",
+                   "profile_lines", "prstack_search", "threshold_search",
+                   "topk_search"),
+    "repro.obs": ("FlightRecorder", "MetricsCollector", "NULL_COLLECTOR",
+                  "NULL_RECORDER", "NULL_TRACER", "SpanTracer", "Stopwatch",
+                  "TraceRecorder", "build_report_v2", "configure_logging",
+                  "derive_trace_id", "get_logger", "parse_prometheus",
+                  "render_prometheus", "validate_spans"),
+    "repro.encoding": ("DeweyCode", "EncodedDocument", "encode_document"),
+    "repro.exceptions": ("EncodingError", "IndexError_", "ModelError",
+                         "ParseError", "QueryError", "ReproError",
+                         "StorageError"),
+    "repro.index": ("Database", "InvertedIndex", "build_index",
+                    "load_database", "save_database"),
+    "repro.prxml": ("DocumentBuilder", "NodeType", "PDocument", "PNode",
+                    "document_stats", "enumerate_possible_worlds",
+                    "parse_pxml", "parse_pxml_file", "sample_possible_world",
+                    "serialize_pxml", "validate_document", "write_pxml_file"),
+    "repro.resilience": ("CircuitBreaker", "Deadline", "Fault",
+                         "FaultInjector", "RetryPolicy", "parse_faults"),
+    "repro.service": ("BatchOutcome", "QueryService", "load_query_file"),
+    "repro.twig": ("TwigPattern", "parse_twig", "topk_twig_search",
+                   "twig_match_probability"),
+})
 
 __version__ = "1.0.0"
 

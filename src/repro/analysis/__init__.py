@@ -28,22 +28,26 @@ steers probability comparisons through.
 Everything is documented in docs/ANALYSIS.md.
 """
 
-from repro.analysis.concurrency import (DEFAULT_LOCK_ORDER,
-                                        ConcurrencyWitnessError,
-                                        InstrumentedLock, LockWitness,
-                                        NULL_WITNESS, NullWitness,
-                                        WitnessLike, derive_lock_order,
-                                        wrap_lock)
-from repro.analysis.linter import (Finding, LintError, LintResult,
-                                   lint_paths, lint_source)
-from repro.analysis.numeric import (PROB_ATOL, clamp01, is_close, is_one,
-                                    is_zero)
-from repro.analysis.report import (LINT_SCHEMA_ID, LintReportError,
-                                   build_lint_report, validate_lint_report)
-from repro.analysis.rules import ALL_RULES, default_rules, select_rules
-from repro.analysis.sanitizer import (NULL_SANITIZER, NullSanitizer,
-                                      Sanitizer, SanitizerError,
-                                      SanitizerLike, sanitize_from_env)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.concurrency": ("DEFAULT_LOCK_ORDER",
+                                   "ConcurrencyWitnessError",
+                                   "InstrumentedLock", "LockWitness",
+                                   "NULL_WITNESS", "NullWitness",
+                                   "WitnessLike", "derive_lock_order",
+                                   "wrap_lock"),
+    "repro.analysis.linter": ("Finding", "LintError", "LintResult",
+                              "lint_paths", "lint_source"),
+    "repro.analysis.numeric": ("PROB_ATOL", "clamp01", "is_close", "is_one",
+                               "is_zero"),
+    "repro.analysis.report": ("LINT_SCHEMA_ID", "LintReportError",
+                              "build_lint_report", "validate_lint_report"),
+    "repro.analysis.rules": ("ALL_RULES", "default_rules", "select_rules"),
+    "repro.analysis.sanitizer": ("NULL_SANITIZER", "NullSanitizer",
+                                 "Sanitizer", "SanitizerError",
+                                 "SanitizerLike", "sanitize_from_env"),
+})
 
 __all__ = [
     "DEFAULT_LOCK_ORDER", "ConcurrencyWitnessError", "InstrumentedLock",

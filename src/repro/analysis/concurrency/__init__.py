@@ -19,16 +19,18 @@ The stress harness that drives the witness lives in
 in the service layer.
 """
 
-from repro.analysis.concurrency.model import (ClassModel, LockModel,
-                                              MethodModel,
-                                              build_class_models,
-                                              derive_lock_order)
-from repro.analysis.concurrency.witness import (DEFAULT_LOCK_ORDER,
-                                                ConcurrencyWitnessError,
-                                                InstrumentedLock,
-                                                LockWitness, NullWitness,
-                                                NULL_WITNESS, WitnessLike,
-                                                wrap_lock)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.concurrency.model": ("ClassModel", "LockModel",
+                                         "MethodModel", "build_class_models",
+                                         "derive_lock_order"),
+    "repro.analysis.concurrency.witness": ("DEFAULT_LOCK_ORDER",
+                                           "ConcurrencyWitnessError",
+                                           "InstrumentedLock", "LockWitness",
+                                           "NullWitness", "NULL_WITNESS",
+                                           "WitnessLike", "wrap_lock"),
+})
 
 __all__ = [
     "ClassModel",

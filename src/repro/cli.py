@@ -40,12 +40,6 @@ import sys
 from typing import List, Optional
 
 from repro.core.api import Algorithm, topk_search
-from repro.core.explain import explain_result, profile_lines
-from repro.datagen.dblp import generate_dblp
-from repro.datagen.mondial import generate_mondial
-from repro.datagen.probabilistic import make_probabilistic
-from repro.datagen.xmark import generate_xmark
-from repro.encoding.dewey import DeweyCode
 from repro.exceptions import ReproError
 from repro.index.storage import Database, load_database, save_database
 from repro.obs import (FlightRecorder, MetricsCollector, SpanTracer,
@@ -53,11 +47,10 @@ from repro.obs import (FlightRecorder, MetricsCollector, SpanTracer,
                        configure_logging, derive_trace_id,
                        render_prometheus, validate_report,
                        workers_block, write_spans)
-from repro.prxml.parser import parse_pxml_file
-from repro.prxml.possible_worlds import enumerate_possible_worlds
-from repro.prxml.serializer import write_pxml_file
-from repro.prxml.stats import document_stats
-from repro.prxml.validate import validate_document
+
+# Each subcommand imports what only it uses (the XML parser and
+# serializer, the data generators, explain, possible worlds, the
+# linter), so a long-running `repro serve` never loads them.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,12 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _open_database(source: str) -> Database:
     if source.endswith(".pxml"):
+        from repro.prxml.parser import parse_pxml_file
         document = parse_pxml_file(source)
         return Database.from_document(document)
     return load_database(source)
 
 
 def _cmd_generate(options) -> int:
+    from repro.datagen.dblp import generate_dblp
+    from repro.datagen.mondial import generate_mondial
+    from repro.datagen.probabilistic import make_probabilistic
+    from repro.datagen.xmark import generate_xmark
+    from repro.prxml.serializer import write_pxml_file
+    from repro.prxml.stats import document_stats
+    from repro.prxml.validate import validate_document
     if options.corpus == "xmark":
         document = generate_xmark(scale=options.scale, seed=options.seed)
     elif options.corpus == "mondial":
@@ -436,6 +437,7 @@ def _cmd_generate(options) -> int:
 
 
 def _cmd_index(options) -> int:
+    from repro.prxml.parser import parse_pxml_file
     with Stopwatch() as watch:
         document = parse_pxml_file(options.document)
         database = Database.from_document(document)
@@ -447,6 +449,7 @@ def _cmd_index(options) -> int:
 
 
 def _cmd_stats(options) -> int:
+    from repro.prxml.stats import document_stats
     database = _open_database(options.source)
     stats = document_stats(database.document)
     print(stats.as_table_row(options.source))
@@ -483,6 +486,7 @@ def _cmd_search(options) -> int:
         print(f"{rank:3d}. Pr={result.probability:.6f}  "
               f"<{result.label}> {result.code}")
     if options.profile:
+        from repro.core.explain import profile_lines
         print("\n".join(profile_lines(outcome)))
     if options.metrics_json:
         report = build_report(options.keywords, options.k,
@@ -784,7 +788,8 @@ def _cmd_snapshot(options) -> int:
             try:
                 manifest = read_manifest(
                     snapshot_path(options.database, generation))
-                detail = (f"{manifest['nodes']} nodes, "
+                detail = (f"format {manifest['version']}, "
+                          f"{manifest['nodes']} nodes, "
                           f"{manifest['terms']} terms")
             except ReproError as error:
                 detail = f"unreadable manifest: {error}"
@@ -797,6 +802,8 @@ def _cmd_snapshot(options) -> int:
 
 
 def _cmd_explain(options) -> int:
+    from repro.core.explain import explain_result
+    from repro.encoding.dewey import DeweyCode
     database = _open_database(options.source)
     code = DeweyCode.parse(options.code)
     explanation = explain_result(database.index, options.keywords, code)
@@ -820,6 +827,8 @@ def _cmd_twig(options) -> int:
 
 
 def _cmd_worlds(options) -> int:
+    from repro.prxml.parser import parse_pxml_file
+    from repro.prxml.possible_worlds import enumerate_possible_worlds
     document = parse_pxml_file(options.document)
     worlds = enumerate_possible_worlds(document)
     print(f"{len(worlds)} distinct possible worlds "
@@ -892,6 +901,7 @@ def _run_concurrency_check(database, options) -> int:
 
 
 def _cmd_check(options) -> int:
+    from repro.prxml.validate import validate_document
     database = _open_database(options.source)
     validate_document(database.document)
     print(f"document ok: {len(database.document)} nodes validate")
@@ -938,6 +948,7 @@ def _cmd_corpus(options) -> int:
 
 def _cmd_corpus_build(options) -> int:
     from repro.corpus import build_corpus
+    from repro.prxml.parser import parse_pxml_file
     documents = []
     for path in options.documents:
         documents.append((path, parse_pxml_file(path)))
@@ -1053,7 +1064,7 @@ def _cmd_chaos(options) -> int:
 
 def _cmd_serve(options) -> int:
     import asyncio
-    from repro.corpus import CorpusService, is_corpus_directory
+    from repro.corpus.builder import is_corpus_directory
     from repro.resilience import parse_faults
     from repro.resilience.faults import faults_from_env
     from repro.serve import ServeConfig, ServeServer
@@ -1062,6 +1073,7 @@ def _cmd_serve(options) -> int:
     collector = MetricsCollector()
     if (not options.source.endswith(".pxml")
             and is_corpus_directory(options.source)):
+        from repro.corpus.service import CorpusService
         service = CorpusService(options.source,
                                 cache_size=options.cache_size,
                                 collector=collector)

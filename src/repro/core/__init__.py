@@ -9,16 +9,23 @@
 * :mod:`repro.core.api` — the public entry point :func:`topk_search`.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.result import SLCAResult, SearchOutcome
 from repro.core.distribution import DistTable
 from repro.core.heap import TopKHeap
 from repro.core.prstack import prstack_search
 from repro.core.eager import eager_topk_search
 from repro.core.possible_worlds_search import possible_worlds_search
-from repro.core.monte_carlo import EstimatedResult, monte_carlo_search
-from repro.core.threshold import threshold_search
-from repro.core.explain import Explanation, explain_result, profile_lines
 from repro.core.api import Algorithm, topk_search
+
+# The tree-walking tools load on first use: the search path (and so a
+# server) never needs them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.monte_carlo": ("EstimatedResult", "monte_carlo_search"),
+    "repro.core.threshold": ("threshold_search",),
+    "repro.core.explain": ("Explanation", "explain_result",
+                           "profile_lines"),
+})
 
 __all__ = [
     "SLCAResult",

@@ -3,13 +3,13 @@
 Accepts a raw :class:`~repro.prxml.model.PDocument`, a prepared
 :class:`~repro.index.storage.Database`, or a bare
 :class:`~repro.index.inverted.InvertedIndex`, and dispatches to the
-requested algorithm.  Results come back hydrated with the actual
-p-document nodes so callers can inspect labels and text directly.
+requested algorithm.  Results come back labelled from the label
+column; each result's p-document ``node`` (for its text and subtree)
+is looked up when first accessed.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
 from typing import Iterable, Optional, Union
 
@@ -160,7 +160,8 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
     Returns:
         A :class:`SearchOutcome`; ``outcome.results`` are sorted by
         descending probability with document order breaking ties, and
-        each result carries its p-document ``node``.  See
+        each result carries its ``label`` and, on access, its
+        p-document ``node``.  See
         docs/OBSERVABILITY.md for the instrumented ``stats`` layout.
     """
     keywords = validate_query(keywords, k, algorithm, semantics)
@@ -212,7 +213,7 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         outcome.stats["metrics"] = collector.snapshot()
         if collector.trace is not None:
             outcome.stats["trace"] = collector.trace
-    return _hydrate(outcome, index)
+    return outcome
 
 
 def _crosscheck_bounds(sanitizer: Sanitizer, index: InvertedIndex,
@@ -284,13 +285,3 @@ def _as_index(source: Source) -> InvertedIndex:
     raise QueryError(
         f"unsupported search source type: {type(source).__name__}")
 
-
-def _hydrate(outcome: SearchOutcome, index: InvertedIndex) -> SearchOutcome:
-    """Attach p-document nodes to results that lack them."""
-    encoded = index.encoded
-    outcome.results = [
-        result if result.node is not None
-        else replace(result, node=encoded.node_at(result.code))
-        for result in outcome.results
-    ]
-    return outcome

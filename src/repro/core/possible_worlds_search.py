@@ -10,20 +10,17 @@ suite and the baseline of the infeasibility ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from repro.core import order
 from repro.core.result import SearchOutcome, SLCAResult
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import Collector, NULL_COLLECTOR
-from repro.prxml.possible_worlds import (DEFAULT_MAX_WORLDS,
-                                         enumerate_possible_worlds)
-from repro.slca.deterministic import elca_of_world, slca_of_world
 
 
 def possible_worlds_search(index: InvertedIndex, keywords: Iterable[str],
                            k: int = 10,
-                           max_worlds: int = DEFAULT_MAX_WORLDS,
+                           max_worlds: Optional[int] = None,
                            elca: bool = False,
                            collector: Collector = NULL_COLLECTOR
                            ) -> SearchOutcome:
@@ -32,8 +29,16 @@ def possible_worlds_search(index: InvertedIndex, keywords: Iterable[str],
     Same contract as :func:`repro.core.prstack.prstack_search`
     (including the ``elca`` extension switch and the metrics
     ``collector``); raises :class:`repro.exceptions.ModelError` when
-    the document encodes more than ``max_worlds`` raw worlds.
+    the document encodes more than ``max_worlds`` raw worlds (by
+    default :data:`repro.prxml.possible_worlds.DEFAULT_MAX_WORLDS`).
+    The world enumeration and the deterministic SLCA it runs are
+    imported here, on first use: a server never runs the oracle.
     """
+    from repro.prxml.possible_worlds import (DEFAULT_MAX_WORLDS,
+                                             enumerate_possible_worlds)
+    from repro.slca.deterministic import elca_of_world, slca_of_world
+    if max_worlds is None:
+        max_worlds = DEFAULT_MAX_WORLDS
     if k <= 0:
         from repro.exceptions import QueryError
         raise QueryError(f"k must be positive, got {k}")

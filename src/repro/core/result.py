@@ -13,22 +13,59 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import TraceRecorder
 
 
-@dataclass(frozen=True)
 class SLCAResult:
     """One answer: an ordinary node and its global SLCA probability.
 
     ``probability`` is ``Pr^G_slca(v)`` of Equation 1 — the total
     probability of the possible worlds in which the node is an SLCA.
+    ``label`` is the node's tag, read from the encoding's label column
+    (it falls back to the code when neither a label nor a node is
+    known).  ``node`` is the p-document node: given directly, or looked
+    up on first access from ``origin`` — the encoded document the
+    answer came from and the node's code in it — so answers that are
+    only labelled and serialised never build the tree.
     """
 
-    code: DeweyCode
-    probability: float
-    node: Optional[PNode] = None
+    __slots__ = ("code", "probability", "label", "_node", "_origin")
+
+    def __init__(self, code: DeweyCode, probability: float,
+                 node: Optional[PNode] = None, label: Optional[str] = None,
+                 origin: "Optional[Tuple[EncodedDocument, DeweyCode]]"
+                 = None):
+        self.code = code
+        self.probability = probability
+        if label is None:
+            label = node.label if node is not None else str(code)
+        self.label = label
+        self._node = node
+        self._origin = origin
 
     @property
-    def label(self) -> str:
-        """The answer node's tag (falls back to its code)."""
-        return self.node.label if self.node is not None else str(self.code)
+    def node(self) -> Optional[PNode]:
+        """The answer's p-document node (``None`` when unknown)."""
+        if self._node is None and self._origin is not None:
+            encoded, code = self._origin
+            self._node = encoded.node_at(code)
+        return self._node
+
+    def relocated(self, code: DeweyCode) -> "SLCAResult":
+        """The same answer under another code (a corpus shard's answer
+        in global document positions); its node stays reachable."""
+        return SLCAResult(code, self.probability, self._node, self.label,
+                          self._origin)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SLCAResult):
+            return NotImplemented
+        return (self.code, self.probability, self.label) \
+            == (other.code, other.probability, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.code, self.probability))
+
+    def __repr__(self) -> str:
+        return (f"SLCAResult(code={self.code!r}, "
+                f"probability={self.probability!r}, label={self.label!r})")
 
     def __str__(self) -> str:
         return f"{self.label} [{self.code}] p={self.probability:.6g}"
@@ -37,10 +74,16 @@ class SLCAResult:
 def ranked_results(encoded: EncodedDocument,
                    ranked: Iterable[Tuple[int, float]]) -> List[SLCAResult]:
     """Answers for ranked ``(node_id, probability)`` pairs, each with
-    the Dewey code built from ``encoded``'s columns."""
-    code = encoded.code
-    return [SLCAResult(code=code(node), probability=probability)
-            for node, probability in ranked]
+    the Dewey code built from ``encoded``'s columns and the label from
+    its label column; the node is looked up only if asked for."""
+    code_of, tags, labels = encoded.code, encoded.tags, encoded.labels
+    results = []
+    for node, probability in ranked:
+        code = code_of(node)
+        results.append(SLCAResult(code, probability,
+                                  label=tags[labels[node]],
+                                  origin=(encoded, code)))
+    return results
 
 
 @dataclass

@@ -20,17 +20,21 @@ touches it — with the skip counted in ``stats["corpus"]`` and the
 search over all documents concatenated into one tree.
 """
 
-from repro.corpus.builder import (BOUNDS_FILE, BOUNDS_FORMAT, CORPUS_FILE,
-                                  CORPUS_FORMAT, CorpusDocument,
-                                  CorpusManifest, build_corpus,
-                                  compute_bounds, concat_documents,
-                                  load_corpus_manifest, is_corpus_directory,
-                                  read_bounds, write_bounds)
-from repro.corpus.replication import (HedgePolicy, LatencyTracker,
-                                      ReplicaHealth, ReplicaSelector,
-                                      replica_dir_name, replica_name)
-from repro.corpus.service import CorpusService, corpus_fsck
-from repro.corpus.sharding import STRATEGIES, assign_shards
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.corpus.builder": ("BOUNDS_FILE", "BOUNDS_FORMAT", "CORPUS_FILE",
+                             "CORPUS_FORMAT", "CorpusDocument",
+                             "CorpusManifest", "build_corpus",
+                             "compute_bounds", "concat_documents",
+                             "load_corpus_manifest", "is_corpus_directory",
+                             "read_bounds", "write_bounds"),
+    "repro.corpus.replication": ("HedgePolicy", "LatencyTracker",
+                                 "ReplicaHealth", "ReplicaSelector",
+                                 "replica_dir_name", "replica_name"),
+    "repro.corpus.service": ("CorpusService", "corpus_fsck"),
+    "repro.corpus.sharding": ("STRATEGIES", "assign_shards"),
+})
 
 __all__ = [
     "CORPUS_FILE", "CORPUS_FORMAT", "BOUNDS_FILE", "BOUNDS_FORMAT",

@@ -914,7 +914,9 @@ class _Scatter:
             outcome = payload
         else:
             rows, meta = payload
-            outcome = decode_rows(rows)[0]
+            outcome = decode_rows(rows, replica.service.current_index()
+                                  .encoded if replica.service is not None
+                                  else None)[0]
             worker_spans = meta["spans"]
             # Worker counters count like a thread visit's, hedge losers
             # included: the work really ran.
@@ -1070,10 +1072,10 @@ class _Merge:
         # meaning "per-shard algorithm heaps", and corpus.* covers the
         # gather side.
         self.heap = TopKHeap(k)
-        # Global positions -> (shard, shard-local code, global code);
-        # the heap is keyed by the global positions.
-        self.origins: Dict[Tuple[int, ...],
-                           Tuple[_ShardState, DeweyCode, DeweyCode]] = {}
+        # Global positions -> the shard's answer under its global code
+        # (label and node carried over); the heap is keyed by the
+        # global positions.
+        self.origins: Dict[Tuple[int, ...], SLCAResult] = {}
         self.counts = dict.fromkeys(ACTIONS, 0)
         self.detail: List[Dict[str, object]] = []
         self.degraded = 0
@@ -1144,7 +1146,7 @@ class _Merge:
                 continue  # a child slot the manifest does not know
             code = DeweyCode((positions[0], global_position)
                              + positions[2:], result.code.kinds)
-            self.origins[code.positions] = (shard, result.code, code)
+            self.origins[code.positions] = result.relocated(code)
             if self.heap.offer(code.positions, result.probability):
                 merged += 1
         self.counts[ACTION_SEARCHED] += 1
@@ -1161,19 +1163,8 @@ class _Merge:
                 algorithm: str, semantics: str, k: int,
                 terms: List[str],
                 service_state: Dict[str, object]) -> SearchOutcome:
-        results: List[SLCAResult] = []
-        for positions, probability in self.heap.ranked():
-            shard, local_code, code = self.origins[positions]
-            node = None
-            if shard.service is not None:
-                try:
-                    node = shard.service.current_index() \
-                        .encoded.node_at(local_code)
-                except ReproError:
-                    node = None  # shard swapped mid-query; label falls
-                    #              back to the code
-            results.append(SLCAResult(code=code, probability=probability,
-                                      node=node))
+        results = [self.origins[positions]
+                   for positions, _probability in self.heap.ranked()]
         reason: Optional[str] = None
         if REASON_DEADLINE in self.reasons:
             reason = REASON_DEADLINE

@@ -11,15 +11,11 @@ from the columns on request.
 """
 
 from repro.encoding.dewey import DeweyCode, common_prefix_length
-from repro.encoding.prlink import PrLink, path_probability, prefix_probabilities
 from repro.encoding.encoder import EncodedDocument, encode_document
 
 __all__ = [
     "DeweyCode",
     "common_prefix_length",
-    "PrLink",
-    "path_probability",
-    "prefix_probabilities",
     "EncodedDocument",
     "encode_document",
 ]

@@ -3,9 +3,10 @@
 :func:`fsck_database` walks a database directory written by
 :func:`repro.index.storage.save_database` (or a legacy flat directory)
 and triages every corruption it finds into a typed
-:class:`FsckFinding` — a missing file, a checksum mismatch, a
-truncated or malformed postings line, a posting id outside the
-document, a malformed p-document element — each carrying a
+:class:`FsckFinding` — a missing file, a checksum mismatch (each
+format 2 column, table and postings file is named on its own), a
+truncated or malformed format 1 postings line, a posting id outside
+the document, a malformed p-document element — each carrying a
 ``path[:line]`` diagnostic.
 
 With ``repair=True`` it acts on the triage, always through the same
@@ -16,9 +17,10 @@ just another crash the *next* fsck recovers from):
   ``quarantine/<generation>/`` next to a ``REPORT.txt`` of
   ``path:line`` diagnostics;
 * when the snapshot's *document* is bit-for-bit intact (its manifest
-  checksum matches), the postings and metadata are rebuilt from it
-  into a **new** generation — by construction the rebuilt index
-  answers every query exactly like the pristine database;
+  checksum matches), the columns, postings and metadata are rebuilt
+  from it into a **new** format 2 generation — by construction the
+  rebuilt index answers every query exactly like the pristine
+  database;
 * when the document itself is damaged, ``CURRENT`` is rolled back to
   the newest older generation that verifies end-to-end;
 * a damaged document is **never** silently patched into a loadable
@@ -44,14 +46,18 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import ParseError, StorageError
-from repro.index.storage import (CURRENT_FILE, DATA_FILES, MANIFEST_FILE,
+from repro.exceptions import IndexError_, ParseError, StorageError
+from repro.index.storage import (CURRENT_FILE, DOCUMENT_FILE,
+                                 FORMAT1_VERSION, MANIFEST_FILE,
+                                 META_FILE, POSTINGS_JSONL_FILE,
                                  SNAPSHOTS_DIR, STAGING_PREFIX, Database,
                                  _atomic_write, _fsync_dir,
-                                 current_generation, is_legacy_layout,
-                                 list_generations, parse_posting_line,
-                                 read_manifest, save_database,
-                                 snapshot_path, verify_snapshot)
+                                 _index_from_bodies, _read_bodies,
+                                 current_generation, data_files,
+                                 is_legacy_layout, list_generations,
+                                 parse_posting_line, read_manifest,
+                                 save_database, snapshot_path,
+                                 verify_snapshot)
 from repro.obs.logging import get_logger
 from repro.obs.metrics import Collector, NULL_COLLECTOR
 from repro.prxml.parser import (SalvageDrop, parse_pxml_file,
@@ -76,6 +82,7 @@ KIND_TRUNCATED_LINE = "truncated_line"
 KIND_BAD_RECORD = "bad_record"
 KIND_POSTING_OUT_OF_RANGE = "posting_out_of_range"
 KIND_BAD_META = "bad_meta"
+KIND_BAD_COLUMN = "bad_column"
 KIND_COUNT_MISMATCH = "count_mismatch"
 KIND_FALLBACK = "generation_fallback"
 KIND_DOCUMENT_DEGRADED = "document_degraded"
@@ -163,10 +170,14 @@ class FsckReport:
 
 @dataclass
 class _PostingsScan:
-    """Line-level triage of one postings.jsonl file."""
+    """Triage of one snapshot's postings: line by line for a format 1
+    postings.jsonl, one decode check for format 2's packed files,
+    whose damaged files (``bad_files``, with their findings) are kept
+    whole in the quarantine."""
 
     findings: List[FsckFinding] = field(default_factory=list)
     bad_lines: List[Tuple[int, str]] = field(default_factory=list)
+    bad_files: List[FsckFinding] = field(default_factory=list)
     terms: int = 0
 
     @property
@@ -242,9 +253,10 @@ def _bare_detail(message: str) -> str:
     return message
 
 
-def _scan_meta(meta_path: str, nodes: int,
-               terms: int) -> List[FsckFinding]:
-    """Classify a meta.json against the actual document and postings."""
+def _scan_meta(meta_path: str, nodes: int, terms: Optional[int],
+               version: int) -> List[FsckFinding]:
+    """Classify a meta.json against the actual document and postings
+    (``terms`` is ``None`` when the postings could not be counted)."""
     findings: List[FsckFinding] = []
     try:
         with open(meta_path, encoding="utf-8") as handle:
@@ -263,18 +275,17 @@ def _scan_meta(meta_path: str, nodes: int,
         findings.append(FsckFinding(KIND_BAD_META, meta_path,
                                     "not a JSON object"))
         return findings
-    from repro.index.storage import FORMAT_VERSION
-    if meta.get("version") != FORMAT_VERSION:
+    if meta.get("version") != version:
         findings.append(FsckFinding(
             KIND_BAD_META, meta_path,
-            f"format version {meta.get('version')!r} (this library "
-            f"writes {FORMAT_VERSION})"))
+            f"format version {meta.get('version')!r} in a format "
+            f"{version} snapshot"))
     if meta.get("nodes") != nodes:
         findings.append(FsckFinding(
             KIND_COUNT_MISMATCH, meta_path,
             f"records {meta.get('nodes')!r} nodes but the document "
             f"has {nodes}"))
-    if meta.get("terms") != terms:
+    if terms is not None and meta.get("terms") != terms:
         findings.append(FsckFinding(
             KIND_COUNT_MISMATCH, meta_path,
             f"records {meta.get('terms')!r} terms but the postings "
@@ -291,42 +302,45 @@ def _triage_snapshot(snapshot_dir: str, report: FsckReport
     the parsed p-document whenever it can be trusted (its manifest
     checksum matched and it parsed).
     """
-    doc_path = os.path.join(snapshot_dir, DATA_FILES[0])
-    postings_path = os.path.join(snapshot_dir, DATA_FILES[1])
-    meta_path = os.path.join(snapshot_dir, DATA_FILES[2])
+    doc_path = os.path.join(snapshot_dir, DOCUMENT_FILE)
+    meta_path = os.path.join(snapshot_dir, META_FILE)
     try:
         manifest = read_manifest(snapshot_dir)
     except StorageError as exc:
         report.add(KIND_BAD_MANIFEST,
                    os.path.join(snapshot_dir, MANIFEST_FILE), str(exc))
         return _UNUSABLE, None, _PostingsScan()
+    version = manifest["version"]
     problems = verify_snapshot(snapshot_dir, manifest)
-    document_trusted = True
+    scan = _PostingsScan()
     damaged = set()
     for name, kind, detail in problems:
         report.add(kind, os.path.join(snapshot_dir, name), detail)
         damaged.add(name)
-    if DATA_FILES[0] in damaged:
-        document_trusted = False
-
-    document = None
-    if document_trusted:
-        try:
-            document = parse_pxml_file(doc_path)
-        except ParseError as exc:
-            # A checksum-clean file that fails to parse was saved
-            # corrupt (or the library regressed) — either way the
-            # document cannot be trusted.
-            report.add(KIND_MALFORMED_DOCUMENT, doc_path, str(exc))
-            document_trusted = False
-    if not document_trusted:
+        if version != FORMAT1_VERSION and kind != KIND_MISSING_FILE:
+            scan.bad_files.append(report.findings[-1])
+    if DOCUMENT_FILE in damaged:
+        return _UNUSABLE, None, _PostingsScan()
+    try:
+        document = parse_pxml_file(doc_path)
+    except ParseError as exc:
+        # A checksum-clean file that fails to parse was saved
+        # corrupt (or the library regressed) — either way the
+        # document cannot be trusted.
+        report.add(KIND_MALFORMED_DOCUMENT, doc_path, str(exc))
         return _UNUSABLE, None, _PostingsScan()
 
-    scan = _PostingsScan()
-    if os.path.exists(postings_path):
-        scan = _scan_postings(postings_path, len(document))
+    terms: Optional[int] = None
+    if version == FORMAT1_VERSION:
+        postings_path = os.path.join(snapshot_dir, POSTINGS_JSONL_FILE)
+        if os.path.exists(postings_path):
+            scan = _scan_postings(postings_path, len(document))
+            report.findings.extend(scan.findings)
+        terms = scan.terms
+    elif not damaged:
+        terms = _scan_format2(snapshot_dir, version, scan)
         report.findings.extend(scan.findings)
-    meta_findings = _scan_meta(meta_path, len(document), scan.terms)
+    meta_findings = _scan_meta(meta_path, len(document), terms, version)
     # A postings file already known damaged makes the term-count
     # mismatch in meta.json derivative noise, but the findings stay —
     # each names exactly what will be rebuilt.
@@ -337,6 +351,22 @@ def _triage_snapshot(snapshot_dir: str, report: FsckReport
     return _REPAIRABLE, document, scan
 
 
+def _scan_format2(snapshot_dir: str, version: int,
+                  scan: _PostingsScan) -> Optional[int]:
+    """Unpack a checksum-clean format 2 snapshot the way a load does;
+    returns its term count, or ``None`` (with a finding) when its
+    files do not decode into a consistent index."""
+    bodies = _read_bodies(snapshot_dir, [
+        name for name in data_files(version) if name != DOCUMENT_FILE])
+    try:
+        return len(_index_from_bodies(snapshot_dir, bodies, version,
+                                      None))
+    except (StorageError, IndexError_) as exc:
+        scan.findings.append(FsckFinding(KIND_BAD_COLUMN, snapshot_dir,
+                                         str(exc)))
+        return None
+
+
 # -- quarantine ---------------------------------------------------------------
 
 
@@ -344,7 +374,7 @@ def _quarantine(directory: str, generation: str, report: FsckReport,
                 scan: _PostingsScan,
                 drops: Optional[List[SalvageDrop]] = None) -> None:
     """Preserve the bad bytes and their diagnostics before rebuilding."""
-    if not scan.bad_lines and not drops:
+    if not scan.bad_lines and not scan.bad_files and not drops:
         return
     base = os.path.join(directory, QUARANTINE_DIR, generation)
     suffix = 1
@@ -361,6 +391,12 @@ def _quarantine(directory: str, generation: str, report: FsckReport,
         report.quarantined.append(path)
         diagnostics.extend(
             finding.describe() for finding in scan.findings)
+    for finding in scan.bad_files:
+        path = os.path.join(target, os.path.basename(finding.path))
+        with open(finding.path, "rb") as handle:
+            _atomic_write(path, handle.read())
+        report.quarantined.append(path)
+        diagnostics.append(finding.describe())
     for number, drop in enumerate(drops or (), start=1):
         path = os.path.join(target, f"subtree-{number:03d}.xml")
         _atomic_write(path, drop.xml_text + "\n")
@@ -398,7 +434,7 @@ def fsck_database(directory, repair: bool = False,
             raise StorageError(
                 f"{directory} is not a database directory: no "
                 f"{CURRENT_FILE} pointer, no snapshots and no legacy "
-                f"{DATA_FILES[2]}")
+                f"{META_FILE}")
         else:
             _fsck_snapshots(directory, generation, report, repair)
 
@@ -491,7 +527,7 @@ def _fsck_legacy(directory: str, report: FsckReport,
                  repair: bool) -> None:
     """The pre-snapshot flat layout: no manifest, so salvage leniently."""
     report.legacy = True
-    doc_path = os.path.join(directory, DATA_FILES[0])
+    doc_path = os.path.join(directory, DOCUMENT_FILE)
     drops: List[SalvageDrop] = []
     try:
         document = parse_pxml_file(doc_path)
@@ -512,12 +548,12 @@ def _fsck_legacy(directory: str, report: FsckReport,
                    f"salvaged by dropping {len(drops)} malformed "
                    f"subtree(s); answers may differ from the original "
                    f"document")
-    scan = _scan_postings(os.path.join(directory, DATA_FILES[1]),
+    scan = _scan_postings(os.path.join(directory, POSTINGS_JSONL_FILE),
                           len(document))
     report.findings.extend(scan.findings)
     report.findings.extend(
-        _scan_meta(os.path.join(directory, DATA_FILES[2]),
-                   len(document), scan.terms))
+        _scan_meta(os.path.join(directory, META_FILE),
+                   len(document), scan.terms, FORMAT1_VERSION))
     report.document_ok = True
     if repair and (not report.clean or drops):
         _quarantine(directory, "legacy", report, scan, drops)

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.encoding.encoder import EncodedDocument
 from repro.exceptions import IndexError_, QueryError
-from repro.index.tokenizer import node_terms, normalize_query
+from repro.index.tokenizer import normalize_query, tokenize
 from repro.obs.metrics import NULL_COLLECTOR
 from repro.prxml.model import NodeType
 
@@ -30,12 +30,12 @@ class InvertedIndex:
                  label_postings: Optional[Dict[str, array]] = None):
         self.encoded = encoded
         self._postings = postings
-        # Normalisation happens here and nowhere else: a missing map is
-        # derived from the document, and label keys are casefolded so
-        # label lookups match the case-insensitive term postings.
-        if label_postings is None:
-            self._labels = _label_postings_of(encoded)
-        else:
+        # Normalisation happens here and nowhere else: label keys are
+        # casefolded so label lookups match the case-insensitive term
+        # postings.  Only twig queries read label postings, so a
+        # missing map is derived from the columns on first use.
+        self._labels: Optional[Dict[str, array]] = None
+        if label_postings is not None:
             self._labels = {label.lower(): ids
                             for label, ids in label_postings.items()}
 
@@ -45,9 +45,26 @@ class InvertedIndex:
     def from_document(cls, encoded: EncodedDocument) -> "InvertedIndex":
         """Build postings over every ordinary node's tag and text."""
         postings: Dict[str, List[int]] = {}
+        tag_terms: Dict[str, List[str]] = {}
+        ordinary = NodeType.ORDINARY
         for node in encoded.document.iter_preorder():
-            for term in set(node_terms(node)):
-                postings.setdefault(term, []).append(node.node_id)
+            if node.node_type is not ordinary:
+                continue
+            label = node.label
+            terms = tag_terms.get(label)
+            if terms is None:
+                terms = tag_terms[label] = tokenize(label)
+            text = node.text
+            unique = set(terms)
+            if text:
+                unique.update(tokenize(text))
+            node_id = node.node_id
+            for term in unique:
+                ids = postings.get(term)
+                if ids is None:
+                    postings[term] = [node_id]
+                else:
+                    ids.append(node_id)
         packed = {term: array("q", ids) for term, ids in postings.items()}
         return cls(encoded, packed)
 
@@ -63,13 +80,19 @@ class InvertedIndex:
         The whole tag must match (tokenised sub-terms do not count) but,
         like term postings, the comparison is case-insensitive — the
         index boundary applies one normalisation everywhere."""
-        return self._labels.get(label.lower(), array("q"))
+        labels = self._labels
+        if labels is None:
+            # Idempotent: racing threads build equal maps.
+            labels = self._labels = _label_postings_of(self.encoded)
+        return labels.get(label.lower(), array("q"))
 
     def ordinary_ids(self) -> array:
         """All ordinary node ids in document order (twig wildcard
         steps fall back to this)."""
-        return array("q", (node.node_id
-                           for node in self.encoded.document.iter_ordinary()))
+        ordinary = NodeType.ORDINARY
+        return array("q", (node_id for node_id, kind
+                           in enumerate(self.encoded.kinds)
+                           if kind is ordinary))
 
     def document_frequency(self, term: str) -> int:
         """How many nodes match ``term``."""
@@ -155,9 +178,15 @@ class InvertedIndex:
 
 
 def _label_postings_of(encoded: EncodedDocument) -> Dict[str, array]:
+    """Exact-tag postings from the label and kind columns, keys
+    casefolded like term postings."""
+    keys = [tag.lower() for tag in encoded.tags]
+    ordinary = NodeType.ORDINARY
     labels: Dict[str, List[int]] = {}
-    for node in encoded.document.iter_ordinary():
-        labels.setdefault(node.label.lower(), []).append(node.node_id)
+    for node_id, (kind, tag) in enumerate(zip(encoded.kinds,
+                                              encoded.labels)):
+        if kind is ordinary:
+            labels.setdefault(keys[tag], []).append(node_id)
     return {label: array("q", ids) for label, ids in labels.items()}
 
 

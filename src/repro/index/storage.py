@@ -8,34 +8,47 @@ atomic pointer to the active generation::
       snapshots/
         g00000001/
           document.pxml          # the p-document in the XML text format
-          postings.jsonl         # one JSON object per line: {"t": term, "ids": [...]}
+          parents.i64 ...        # the node columns, packed little-endian
+          tags.json, exp.json    # interned tags, EXP subset table
+          terms.json             # the postings: sorted term list,
+          postings.i64           #   every list's ids back to back,
+          offsets.i64            #   and where each list starts
           meta.json              # format version and integrity counters
           MANIFEST.json          # repro.manifest/v1: per-file size + SHA-256
         g00000002/
           ...
 
-:func:`save_database` writes every file of a new generation to a
-staging directory (each file through :func:`_atomic_write`: temp name,
-flush, fsync, rename), fsyncs, atomically renames the staging directory
-into ``snapshots/<generation>/`` and only then flips ``CURRENT`` with
-one more atomic rename.  A crash at *any* byte therefore leaves the
+:func:`save_database` writes format 2 (:data:`DATA_FILES`): every
+column of the encoding (:class:`~repro.encoding.encoder.EncodedDocument`)
+and the postings as packed arrays, beside the document's XML text.  It
+writes every file of a new generation to a staging directory (each
+file through :func:`_atomic_write`: temp name, flush, fsync, rename),
+fsyncs, atomically renames the staging directory into
+``snapshots/<generation>/`` and only then flips ``CURRENT`` with one
+more atomic rename.  A crash at *any* byte therefore leaves the
 previous generation fully intact and loadable — at worst a stale
 staging directory remains, which the next save (or ``repro fsck``)
 sweeps away.
 
 :func:`load_database` resolves ``CURRENT``, reads each data file once,
 verifies those bytes' size and SHA-256 against the manifest (skippable
-with ``verify=False`` for speed), and parses the same bytes: it
-re-encodes the document (Dewey codes are deterministic, so they never
-need to be stored) and cross-checks the posting lists against it.  A
-verified snapshot whose content is already loaded in this process
-shares that in-memory index instead of parsing it again.
-Pre-snapshot *legacy* directories — the three data files sitting flat
-in ``dbdir`` with no ``CURRENT`` — keep loading read-only for backward
-compatibility; ``repro snapshot`` migrates them.
+with ``verify=False`` for speed), and unpacks the columns and postings
+with ``array.frombytes``; it does not parse the XML.  The document tree
+is built on first use of ``.document`` (explain, twig, validation,
+saving), after re-reading ``document.pxml`` and re-checking its
+checksum.  A verified snapshot whose content is already loaded in this
+process shares that in-memory index instead of unpacking it again.
+
+Format 1 snapshots (``document.pxml``, ``postings.jsonl``,
+``meta.json``: :data:`FORMAT1_FILES`) keep loading — their document is
+parsed and re-encoded — and ``repro snapshot`` migrates them to format
+2.  Pre-snapshot *legacy* directories — format 1's three data files
+sitting flat in ``dbdir`` with no ``CURRENT`` — keep loading read-only
+for backward compatibility; ``repro snapshot`` migrates them too.
 
 Corruption recovery lives in :mod:`repro.index.fsck`; the full layout
-and manifest schema are documented in docs/STORAGE.md.
+and manifest schema are documented in docs/STORAGE.md, the byte layout
+of the packed files in docs/FORMAT.md.
 """
 
 from __future__ import annotations
@@ -45,19 +58,27 @@ import io
 import json
 import os
 import shutil
+import sys
 import threading
 import weakref
 from array import array
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Type, Union)
 
 from repro.encoding.encoder import EncodedDocument, encode_document
 from repro.exceptions import ParseError, ReproError, StorageError
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import Collector, NULL_COLLECTOR
-from repro.prxml.parser import parse_pxml
-from repro.prxml.serializer import serialize_pxml
+from repro.prxml.model import NodeType
 
-FORMAT_VERSION = 1
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.prxml.model import PDocument
+
+#: The format :func:`save_database` writes.
+FORMAT_VERSION = 2
+
+#: The older format :func:`load_database` still reads.
+FORMAT1_VERSION = 1
 
 #: Manifest schema identifier (``repro.manifest/v<n>``).
 MANIFEST_FORMAT = "repro.manifest/v1"
@@ -66,15 +87,78 @@ CURRENT_FILE = "CURRENT"
 SNAPSHOTS_DIR = "snapshots"
 MANIFEST_FILE = "MANIFEST.json"
 
-_DOCUMENT_FILE = "document.pxml"
-_POSTINGS_FILE = "postings.jsonl"
-_META_FILE = "meta.json"
+DOCUMENT_FILE = "document.pxml"
+META_FILE = "meta.json"
+POSTINGS_JSONL_FILE = "postings.jsonl"
+TAGS_FILE = "tags.json"
+EXP_FILE = "exp.json"
+TERMS_FILE = "terms.json"
+POSTINGS_FILE = "postings.i64"
+OFFSETS_FILE = "offsets.i64"
 
-#: The checksummed data files of one snapshot, in write order.
-DATA_FILES = (_DOCUMENT_FILE, _POSTINGS_FILE, _META_FILE)
+#: Format 2's node columns: ``(file, array typecode, column)``.  Each
+#: file is the column's values packed little-endian; the suffix names
+#: the element type (``i64``/``i32`` signed, ``u8`` unsigned, ``f64``
+#: IEEE 754 double).
+COLUMN_FILES: Tuple[Tuple[str, str, str], ...] = (
+    ("parents.i64", "q", "parents"),
+    ("depths.i32", "i", "depths"),
+    ("positions.i32", "i", "positions"),
+    ("kinds.u8", "B", "kinds"),
+    ("edges.f64", "d", "edges"),
+    ("paths.f64", "d", "paths"),
+    ("ends.i64", "q", "ends"),
+    ("labels.i32", "i", "labels"),
+)
+
+#: The checksummed data files of a format 2 snapshot, in write order.
+DATA_FILES: Tuple[str, ...] = (
+    (DOCUMENT_FILE,) + tuple(name for name, _, _ in COLUMN_FILES)
+    + (TAGS_FILE, EXP_FILE, TERMS_FILE, POSTINGS_FILE, OFFSETS_FILE,
+       META_FILE))
+
+#: The data files of a format 1 snapshot (and of a legacy directory).
+FORMAT1_FILES: Tuple[str, ...] = (DOCUMENT_FILE, POSTINGS_JSONL_FILE,
+                                  META_FILE)
+
+#: The ``kinds.u8`` code of each node type (its index).
+KIND_CODES: Tuple[NodeType, ...] = (NodeType.ORDINARY, NodeType.IND,
+                                    NodeType.MUX, NodeType.EXP)
+
+#: Keyed by member identity: hashing an Enum member runs Python code,
+#: which would dominate packing a large kinds column.
+_KIND_CODE = {id(kind): code for code, kind in enumerate(KIND_CODES)}
+
+#: Packed arrays are little-endian on disk whatever the host's order.
+_SWAP = sys.byteorder != "little"
 
 #: Prefix of staging directories (an interrupted save leaves one behind).
 STAGING_PREFIX = ".staging-"
+
+
+def data_files(version: object) -> Tuple[str, ...]:
+    """The data files of a snapshot in format ``version``.
+
+    Raises:
+        StorageError: for a version this library cannot read.
+    """
+    if version == FORMAT_VERSION:
+        return DATA_FILES
+    if version == FORMAT1_VERSION:
+        return FORMAT1_FILES
+    raise StorageError(_version_message(version))
+
+
+def _version_message(version: object) -> str:
+    if isinstance(version, int) and version > FORMAT_VERSION:
+        return (f"database format version {version} is newer than this "
+                f"library's supported version {FORMAT_VERSION}; upgrade "
+                f"the repro library (or re-run 'repro index' with this "
+                f"version to rewrite the database)")
+    return (f"unsupported database format version {version!r} (this "
+            f"library reads version {FORMAT_VERSION} and migrates version "
+            f"{FORMAT1_VERSION}); re-index the source document with "
+            f"'repro index'")
 
 
 class Database:
@@ -96,8 +180,9 @@ class Database:
         self.directory = directory
 
     @property
-    def document(self):
-        """The underlying :class:`PDocument`."""
+    def document(self) -> "PDocument":
+        """The underlying :class:`PDocument` (built on first use when
+        the database came from a format 2 snapshot)."""
         return self.encoded.document
 
     @classmethod
@@ -110,8 +195,9 @@ class Database:
 # -- the blessed atomic writer ------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so a crash never leaves a torn file.
+def _atomic_write(path: str, data: Union[str, bytes]) -> None:
+    """Write ``data`` (text is encoded as UTF-8) to ``path`` so a crash
+    never leaves a torn file.
 
     The bytes land in ``path + ".tmp"`` first, are flushed and fsynced,
     and only then renamed over ``path`` — readers see either the old
@@ -119,9 +205,11 @@ def _atomic_write(path: str, text: str) -> None:
     the *only* sanctioned way to write inside ``repro/index/`` and
     ``repro/service/`` (linter rule R007, docs/ANALYSIS.md).
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(tmp, "wb") as handle:
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -141,9 +229,8 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _sha256_text(text: str) -> Tuple[str, int]:
-    """Checksum and byte size of a file body (UTF-8)."""
-    data = text.encode("utf-8")
+def _sha256_bytes(data: bytes) -> Tuple[str, int]:
+    """Checksum and byte size of a file body."""
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
@@ -206,7 +293,7 @@ def is_legacy_layout(directory) -> bool:
     """Whether ``directory`` is a pre-snapshot flat database dir."""
     directory = os.fspath(directory)
     return (not os.path.exists(os.path.join(directory, CURRENT_FILE))
-            and os.path.exists(os.path.join(directory, _META_FILE)))
+            and os.path.exists(os.path.join(directory, META_FILE)))
 
 
 def _next_generation(directory: str) -> str:
@@ -219,23 +306,65 @@ def _next_generation(directory: str) -> str:
 # -- saving -------------------------------------------------------------------
 
 
-def _postings_text(index: InvertedIndex) -> str:
-    """Render the postings JSONL body, rejecting corrupt inputs."""
-    lines: List[str] = []
-    for term, ids in sorted(index.raw_postings().items()):
-        if not len(ids):
+def _packed(values: Sequence, typecode: str) -> bytes:
+    """``values`` as a little-endian packed array of ``typecode``."""
+    packed = array(typecode, values)
+    if _SWAP:  # pragma: no cover - big-endian hosts
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpacked(path: str, body: bytes, typecode: str) -> array:
+    """The packed array in ``body``; raises naming ``path`` when its
+    size is not a whole number of elements."""
+    values = array(typecode)
+    if len(body) % values.itemsize:
+        raise StorageError(f"{path}: {len(body)} bytes is not a whole "
+                           f"number of {values.itemsize}-byte values")
+    values.frombytes(body)
+    if _SWAP:  # pragma: no cover - big-endian hosts
+        values.byteswap()
+    return values
+
+
+def _json_bytes(value: object) -> bytes:
+    # ensure_ascii=False keeps non-ASCII text (e.g. 'café') as readable
+    # UTF-8 instead of double-escaping it.
+    return (json.dumps(value, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _format2_bodies(database: Database) -> Dict[str, bytes]:
+    """Every format 2 data file's bytes, rejecting corrupt inputs."""
+    encoded = database.encoded
+    bodies: Dict[str, bytes] = {}
+    for name, typecode, column in COLUMN_FILES:
+        values = getattr(encoded, column)
+        if column == "kinds":
+            values = list(map(_KIND_CODE.__getitem__, map(id, values)))
+        bodies[name] = _packed(values, typecode)
+    bodies[TAGS_FILE] = _json_bytes(encoded.tags)
+    bodies[EXP_FILE] = _json_bytes(
+        [[node_id, [[list(positions), probability]
+                    for positions, probability in subsets]]
+         for node_id, subsets in sorted(encoded.exp.items())])
+    postings = database.index.raw_postings()
+    terms = sorted(postings)
+    ids = array("q")
+    offsets = [0]
+    for term in terms:
+        if not len(postings[term]):
             # A term with no matching node cannot come from indexing a
-            # document; writing it would only defer the failure to load
-            # time.  Reject symmetrically with the loader.
+            # document; writing it would only defer the failure to
+            # load time.  Reject symmetrically with the loader.
             raise StorageError(
                 f"term {term!r} has an empty posting list; "
                 f"refusing to persist a corrupt index")
-        # ensure_ascii=False keeps non-ASCII terms (e.g. 'café') as
-        # readable UTF-8 in the JSONL, matching the file's declared
-        # encoding instead of double-escaping.
-        lines.append(json.dumps({"t": term, "ids": list(ids)},
-                                ensure_ascii=False))
-    return "\n".join(lines) + "\n" if lines else ""
+        ids.extend(postings[term])
+        offsets.append(len(ids))
+    bodies[TERMS_FILE] = _json_bytes(terms)
+    bodies[POSTINGS_FILE] = _packed(ids, "q")
+    bodies[OFFSETS_FILE] = _packed(offsets, "q")
+    return bodies
 
 
 def build_manifest(generation: str, nodes: int, terms: int,
@@ -261,6 +390,9 @@ def save_database(database: Database, directory,
     updated to match.  A failure (or crash) at any point leaves the
     previously-current generation untouched and loadable.
     """
+    # Imported here: saving is the only storage path that writes XML,
+    # and a server never saves.
+    from repro.prxml.serializer import serialize_pxml
     directory = os.fspath(directory)
     snapshots = os.path.join(directory, SNAPSHOTS_DIR)
     staging: Optional[str] = None
@@ -272,22 +404,21 @@ def save_database(database: Database, directory,
             shutil.rmtree(staging, ignore_errors=True)
             os.makedirs(staging)
 
-            bodies = {
-                _DOCUMENT_FILE: serialize_pxml(database.document),
-                _POSTINGS_FILE: _postings_text(database.index),
-                _META_FILE: json.dumps({
-                    "version": FORMAT_VERSION,
-                    "nodes": len(database.document),
-                    "terms": len(database.index),
-                }, indent=2) + "\n",
-            }
+            nodes = len(database.encoded)
+            bodies = _format2_bodies(database)
+            bodies[DOCUMENT_FILE] = serialize_pxml(
+                database.document).encode("utf-8")
+            bodies[META_FILE] = (json.dumps({
+                "version": FORMAT_VERSION,
+                "nodes": nodes,
+                "terms": len(database.index),
+            }, indent=2) + "\n").encode("utf-8")
             files: Dict[str, Dict[str, object]] = {}
             for name in DATA_FILES:
                 _atomic_write(os.path.join(staging, name), bodies[name])
-                digest, size = _sha256_text(bodies[name])
+                digest, size = _sha256_bytes(bodies[name])
                 files[name] = {"bytes": size, "sha256": digest}
-            manifest = build_manifest(generation,
-                                      len(database.document),
+            manifest = build_manifest(generation, nodes,
                                       len(database.index), files)
             _atomic_write(os.path.join(staging, MANIFEST_FILE),
                           json.dumps(manifest, indent=2) + "\n")
@@ -354,6 +485,9 @@ def read_manifest(snapshot_dir) -> Dict[str, object]:
             f"{MANIFEST_FORMAT!r})")
     if not isinstance(manifest.get("files"), dict):
         raise StorageError(f"{path}: manifest has no 'files' table")
+    version = manifest.get("version")
+    if version not in (FORMAT_VERSION, FORMAT1_VERSION):
+        raise StorageError(f"{path}: {_version_message(version)}")
     return manifest
 
 
@@ -371,7 +505,7 @@ def verify_snapshot(snapshot_dir,
         manifest = read_manifest(snapshot_dir)
     problems: List[Tuple[str, str, str]] = []
     files = manifest.get("files", {})
-    for name in DATA_FILES:
+    for name in data_files(manifest.get("version")):
         record = files.get(name)
         path = os.path.join(snapshot_dir, name)
         measured = (sha256_file(path)
@@ -430,11 +564,11 @@ def resolve_snapshot(directory) -> Tuple[str, Optional[str]]:
                 f"exist (present: {known}); run 'repro fsck --repair' "
                 f"to fall back to the newest intact generation")
         return snapshot, generation
-    if os.path.exists(os.path.join(directory, _META_FILE)):
+    if os.path.exists(os.path.join(directory, META_FILE)):
         return directory, None
     raise StorageError(
         f"{directory} is not a database directory: no {CURRENT_FILE} "
-        f"pointer and no legacy {_META_FILE}")
+        f"pointer and no legacy {META_FILE}")
 
 
 def load_database(directory, verify: bool = True,
@@ -442,7 +576,9 @@ def load_database(directory, verify: bool = True,
     """Load the active generation written by :func:`save_database`.
 
     Each data file is read once: the bytes checked against the
-    manifest are the bytes parsed.  A verified snapshot whose content
+    manifest are the bytes unpacked.  A format 2 load parses no XML —
+    ``document.pxml`` is read only to check it, and the tree is built
+    from it when first asked for.  A verified snapshot whose content
     is already loaded in this process — a shard's other replica, a
     reload of an unchanged generation — shares that in-memory index
     (see :class:`_SharedIndexes`); the returned :class:`Database`
@@ -452,25 +588,38 @@ def load_database(directory, verify: bool = True,
         directory: the database directory (snapshot layout, or a
             legacy flat directory — loaded read-only).
         verify: check every data file's size and SHA-256 against the
-            snapshot manifest before parsing (legacy directories have
-            no manifest and skip this).  Passing ``False`` trades the
-            integrity check for load speed; unverified loads never
-            share an index.
+            snapshot manifest before unpacking (legacy directories
+            have no manifest and skip this), and check
+            ``document.pxml`` again before the tree is built from it.
+            Passing ``False`` trades the integrity checks for load
+            speed; unverified loads never share an index.
         collector: receives ``storage.load`` timing and
             ``storage.verify.*`` / ``storage.load.*`` counters.
     """
     directory = os.fspath(directory)
     with collector.time("storage.load"):
         data_dir, generation = resolve_snapshot(directory)
-        manifest = (read_manifest(data_dir) if generation is not None
-                    else None)
-        bodies = _read_bodies(data_dir)
+        manifest: Optional[Dict[str, object]] = None
+        if generation is not None:
+            manifest = read_manifest(data_dir)
+            version = manifest["version"]
+        elif os.path.exists(os.path.join(data_dir, POSTINGS_JSONL_FILE)):
+            version = FORMAT1_VERSION
+        else:
+            version = FORMAT_VERSION
+        files = data_files(version)
+        verified = manifest if verify else None
+        bodies = _read_bodies(data_dir, [
+            name for name in files
+            if name != DOCUMENT_FILE or verified is not None
+            or version == FORMAT1_VERSION])
         key: Optional[_ContentKey] = None
-        if manifest is not None and verify:
+        if verified is not None:
             with collector.time("storage.verify"):
-                problems = _verify_bodies(data_dir, manifest, bodies)
+                problems = _verify_bodies(data_dir, verified, files,
+                                          bodies)
             if collector.enabled:
-                collector.count("storage.verify.files", len(DATA_FILES))
+                collector.count("storage.verify.files", len(files))
                 collector.count("storage.verify.failures", len(problems))
             if problems:
                 _file, kind, detail = problems[0]
@@ -480,11 +629,12 @@ def load_database(directory, verify: bool = True,
                     f"snapshot {generation} failed verification: "
                     f"{kind}: {detail}{more}; run 'repro fsck "
                     f"--repair' to quarantine and rebuild")
-            key = _content_key(manifest)
+            key = _content_key(verified, files)
         index = _SHARED.get(key) if key is not None else None
         shared = index is not None
         if index is None:
-            parsed = _index_from_bodies(data_dir, bodies)
+            parsed = _index_from_bodies(data_dir, bodies, version,
+                                        verified)
             index = parsed if key is None else _SHARED.offer(key, parsed)
             shared = index is not parsed
         database = Database(index.encoded, index, generation, directory)
@@ -501,10 +651,12 @@ def load_database(directory, verify: bool = True,
 _ContentKey = Tuple[Tuple[str, object, object], ...]
 
 
-def _content_key(manifest: Dict[str, object]) -> _ContentKey:
-    files = manifest.get("files", {})
-    return tuple((name, files[name].get("bytes"), files[name].get("sha256"))
-                 for name in DATA_FILES)
+def _content_key(manifest: Dict[str, object],
+                 files: Sequence[str]) -> _ContentKey:
+    records = manifest.get("files", {})
+    return tuple((name, records[name].get("bytes"),
+                  records[name].get("sha256"))
+                 for name in files)
 
 
 class _SharedIndexes:
@@ -542,10 +694,11 @@ _SHARED = _SharedIndexes()
 os.register_at_fork(after_in_child=_SHARED.after_fork)
 
 
-def _read_bodies(data_dir: str) -> Dict[str, Union[bytes, OSError]]:
-    """Each data file's bytes, or the error reading it, in one read."""
+def _read_bodies(data_dir: str, names: Sequence[str]
+                 ) -> Dict[str, Union[bytes, OSError]]:
+    """Each named file's bytes, or the error reading it, in one read."""
     bodies: Dict[str, Union[bytes, OSError]] = {}
-    for name in DATA_FILES:
+    for name in names:
         try:
             with open(os.path.join(data_dir, name), "rb") as handle:
                 bodies[name] = handle.read()
@@ -555,18 +708,18 @@ def _read_bodies(data_dir: str) -> Dict[str, Union[bytes, OSError]]:
 
 
 def _verify_bodies(data_dir: str, manifest: Dict[str, object],
+                   files: Sequence[str],
                    bodies: Dict[str, Union[bytes, OSError]]
                    ) -> List[Tuple[str, str, str]]:
     """:func:`verify_snapshot` over bytes already read."""
     problems: List[Tuple[str, str, str]] = []
-    files = manifest.get("files", {})
-    for name in DATA_FILES:
+    records = manifest.get("files", {})
+    for name in files:
         path = os.path.join(data_dir, name)
         measured = None
         if not isinstance(bodies[name], FileNotFoundError):
-            body = _body(bodies, name, path)
-            measured = (hashlib.sha256(body).hexdigest(), len(body))
-        problem = _file_problem(name, path, files.get(name), measured)
+            measured = _sha256_bytes(_body(bodies, name, path))
+        problem = _file_problem(name, path, records.get(name), measured)
         if problem is not None:
             problems.append(problem)
     return problems
@@ -581,45 +734,44 @@ def _body(bodies: Dict[str, Union[bytes, OSError]], name: str, path: str,
     return body
 
 
-def _index_from_bodies(data_dir: str,
-                       bodies: Dict[str, Union[bytes, OSError]]
-                       ) -> InvertedIndex:
-    """Parse and cross-check the three data files of one location."""
-    meta_path = os.path.join(data_dir, _META_FILE)
+def _json_body(bodies: Dict[str, Union[bytes, OSError]], data_dir: str,
+               name: str) -> object:
+    path = os.path.join(data_dir, name)
     try:
-        meta = json.loads(_body(bodies, _META_FILE, meta_path)
-                          .decode("utf-8"))
+        return json.loads(_body(bodies, name, path).decode("utf-8"))
     except ValueError as exc:
-        raise StorageError(f"cannot read {meta_path}: {exc}") from exc
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        raise StorageError(f"cannot read {path}: {exc}") from exc
+
+
+def _index_from_bodies(data_dir: str,
+                       bodies: Dict[str, Union[bytes, OSError]],
+                       version: object,
+                       manifest: Optional[Dict[str, object]]
+                       ) -> InvertedIndex:
+    """Unpack (format 2) or parse (format 1) the data files of one
+    location and cross-check them.  ``manifest`` is given when the
+    load verifies: the lazy tree then checks ``document.pxml`` against
+    it again."""
+    meta_path = os.path.join(data_dir, META_FILE)
+    meta = _json_body(bodies, data_dir, META_FILE)
     if not isinstance(meta, dict):
         raise StorageError(f"{meta_path}: not a JSON object")
-    version = meta.get("version")
-    if version != FORMAT_VERSION:
-        if isinstance(version, int) and version > FORMAT_VERSION:
-            raise StorageError(
-                f"{meta_path}: database format version {version} is "
-                f"newer than this library's supported version "
-                f"{FORMAT_VERSION}; upgrade the repro library (or "
-                f"re-run 'repro index' with this version to rewrite "
-                f"the database)")
-        raise StorageError(
-            f"{meta_path}: unsupported database format version "
-            f"{version!r} (this library reads version {FORMAT_VERSION}); "
-            f"re-index the source document with 'repro index'")
-
-    document_path = os.path.join(data_dir, _DOCUMENT_FILE)
-    document = parse_pxml(_body(bodies, _DOCUMENT_FILE, document_path,
-                                error=ParseError),
-                          path=document_path)
-    if len(document) != meta.get("nodes"):
-        raise StorageError(
-            f"document has {len(document)} nodes but metadata recorded "
-            f"{meta.get('nodes')}")
-    encoded = encode_document(document)
-
-    postings_path = os.path.join(data_dir, _POSTINGS_FILE)
-    postings = _parse_postings(
-        postings_path, _body(bodies, _POSTINGS_FILE, postings_path))
+    if meta.get("version") != version:
+        raise StorageError(f"{meta_path}: "
+                           f"{_version_message(meta.get('version'))}")
+    if version == FORMAT1_VERSION:
+        encoded = _format1_encoding(data_dir, bodies, meta)
+        postings_path = os.path.join(data_dir, POSTINGS_JSONL_FILE)
+        postings = _parse_postings(
+            postings_path, _body(bodies, POSTINGS_JSONL_FILE,
+                                 postings_path))
+    else:
+        records = manifest.get("files") if manifest is not None else None
+        record = records.get(DOCUMENT_FILE) \
+            if isinstance(records, dict) else None
+        encoded = _format2_encoding(data_dir, bodies, meta, record)
+        postings = _format2_postings(data_dir, bodies)
     if len(postings) != meta.get("terms"):
         raise StorageError(
             f"index has {len(postings)} terms but metadata recorded "
@@ -627,6 +779,132 @@ def _index_from_bodies(data_dir: str,
     index = InvertedIndex(encoded, postings)
     index.check_integrity()
     return index
+
+
+def _format1_encoding(data_dir: str,
+                      bodies: Dict[str, Union[bytes, OSError]],
+                      meta: Dict[str, object]) -> EncodedDocument:
+    """Format 1 stores only the XML: parse and re-encode it."""
+    from repro.prxml.parser import parse_pxml
+    document_path = os.path.join(data_dir, DOCUMENT_FILE)
+    document = parse_pxml(_body(bodies, DOCUMENT_FILE, document_path,
+                                error=ParseError),
+                          path=document_path)
+    if len(document) != meta.get("nodes"):
+        raise StorageError(
+            f"document has {len(document)} nodes but metadata recorded "
+            f"{meta.get('nodes')}")
+    return encode_document(document)
+
+
+def _format2_encoding(data_dir: str,
+                      bodies: Dict[str, Union[bytes, OSError]],
+                      meta: Dict[str, object],
+                      record: Optional[Dict[str, object]]
+                      ) -> EncodedDocument:
+    """The node columns, label and EXP tables of a format 2 snapshot."""
+    nodes = meta.get("nodes")
+    columns: Dict[str, array] = {}
+    for name, typecode, column in COLUMN_FILES:
+        path = os.path.join(data_dir, name)
+        values = _unpacked(path, _body(bodies, name, path), typecode)
+        if len(values) != nodes:
+            raise StorageError(
+                f"{path} holds {len(values)} nodes but metadata "
+                f"recorded {nodes}")
+        columns[column] = values
+    kinds_path = os.path.join(data_dir, COLUMN_FILES[3][0])
+    try:
+        kinds = list(map(KIND_CODES.__getitem__, columns["kinds"]))
+    except IndexError:
+        raise StorageError(f"{kinds_path}: unknown node kind code "
+                           f"{max(columns['kinds'])}") from None
+    tags_path = os.path.join(data_dir, TAGS_FILE)
+    tags = _json_body(bodies, data_dir, TAGS_FILE)
+    if not isinstance(tags, list) \
+            or not all(isinstance(tag, str) for tag in tags):
+        raise StorageError(f"{tags_path}: not a list of tags")
+    labels = columns["labels"]
+    if labels and not 0 <= min(labels) <= max(labels) < len(tags):
+        raise StorageError(f"{os.path.join(data_dir, COLUMN_FILES[7][0])}"
+                           f": label index outside the {len(tags)} tags "
+                           f"of {tags_path}")
+    exp_path = os.path.join(data_dir, EXP_FILE)
+    try:
+        exp = {node_id: [(tuple(positions), probability)
+                         for positions, probability in subsets]
+               for node_id, subsets in _json_body(bodies, data_dir,
+                                                  EXP_FILE)}
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"{exp_path}: bad EXP table: {exc}") from exc
+    document_path = os.path.join(data_dir, DOCUMENT_FILE)
+    return EncodedDocument(
+        columns["parents"], columns["depths"], columns["positions"], kinds,
+        columns["edges"], columns["paths"], columns["ends"], labels, tags,
+        exp, load=_document_loader(document_path, record, len(kinds)))
+
+
+def _format2_postings(data_dir: str,
+                      bodies: Dict[str, Union[bytes, OSError]]
+                      ) -> Dict[str, array]:
+    """The term list, id array and offsets of a format 2 snapshot."""
+    terms_path = os.path.join(data_dir, TERMS_FILE)
+    terms = _json_body(bodies, data_dir, TERMS_FILE)
+    if not isinstance(terms, list) \
+            or not all(isinstance(term, str) for term in terms):
+        raise StorageError(f"{terms_path}: not a list of terms")
+    ids_path = os.path.join(data_dir, POSTINGS_FILE)
+    ids = _unpacked(ids_path, _body(bodies, POSTINGS_FILE, ids_path), "q")
+    offsets_path = os.path.join(data_dir, OFFSETS_FILE)
+    offsets = _unpacked(offsets_path,
+                        _body(bodies, OFFSETS_FILE, offsets_path), "q")
+    if len(offsets) != len(terms) + 1 or offsets[0] != 0 \
+            or offsets[-1] != len(ids):
+        raise StorageError(
+            f"{offsets_path}: {len(offsets)} offsets do not delimit "
+            f"{len(terms)} terms' lists in the {len(ids)} ids of "
+            f"{ids_path}")
+    postings: Dict[str, array] = {}
+    start = 0
+    for term, end in zip(terms, offsets[1:]):
+        if end <= start:
+            raise StorageError(f"{offsets_path}: term {term!r} has an "
+                               f"empty posting list")
+        if term in postings:
+            raise StorageError(f"{terms_path}: term {term!r} appears "
+                               f"twice")
+        postings[term] = ids[start:end]
+        start = end
+    return postings
+
+
+def _document_loader(path: str, record: Optional[Dict[str, object]],
+                     nodes: int) -> "Callable[[], PDocument]":
+    """Build the tree of a format 2 snapshot on demand: re-read
+    ``document.pxml``, check it against its manifest ``record`` (when
+    the load verified), parse it and match its size to the columns."""
+    def load() -> "PDocument":
+        from repro.prxml.parser import parse_pxml
+        try:
+            with open(path, "rb") as handle:
+                body = handle.read()
+        except OSError as exc:
+            raise StorageError(f"cannot read {path}: {exc}") from exc
+        if record is not None:
+            problem = _file_problem(DOCUMENT_FILE, path, record,
+                                    _sha256_bytes(body))
+            if problem is not None:
+                raise StorageError(
+                    f"{path} no longer matches its snapshot: "
+                    f"{problem[1]}: {problem[2]}; run 'repro fsck "
+                    f"--repair'")
+        document = parse_pxml(body, path=path)
+        if len(document) != nodes:
+            raise StorageError(
+                f"{path} has {len(document)} nodes but the snapshot's "
+                f"columns hold {nodes}")
+        return document
+    return load
 
 
 def _parse_postings(postings_path: str, body: bytes) -> Dict[str, array]:

@@ -25,8 +25,13 @@ _TOKEN_PATTERN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def tokenize(text: str) -> List[str]:
-    """Lowercased alphanumeric tokens of ``text`` (order preserved)."""
-    return [match.group(0).lower() for match in _TOKEN_PATTERN.finditer(text)]
+    """Lowercased alphanumeric tokens of ``text`` (order preserved).
+
+    Tokens are cut from the original text and lowercased one by one:
+    lowercasing first would move token boundaries, because some
+    characters lowercase to a letter plus a combining mark (``İ``
+    becomes ``i`` + U+0307, which is not a word character)."""
+    return [token.lower() for token in _TOKEN_PATTERN.findall(text)]
 
 
 def node_terms(node: PNode) -> List[str]:

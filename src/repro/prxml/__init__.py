@@ -6,18 +6,20 @@ probabilities), a text parser/serializer, model validation, exact
 possible-world enumeration, and dataset statistics.
 """
 
-from repro.prxml.model import NodeType, PNode, PDocument
-from repro.prxml.builder import DocumentBuilder
-from repro.prxml.parser import parse_pxml, parse_pxml_file
-from repro.prxml.serializer import serialize_pxml, write_pxml_file
-from repro.prxml.validate import validate_document
-from repro.prxml.possible_worlds import (
-    PossibleWorld,
-    enumerate_possible_worlds,
-    count_possible_worlds,
-    sample_possible_world,
-)
-from repro.prxml.stats import DocumentStats, document_stats
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.prxml.model": ("NodeType", "PNode", "PDocument"),
+    "repro.prxml.builder": ("DocumentBuilder",),
+    "repro.prxml.parser": ("parse_pxml", "parse_pxml_file"),
+    "repro.prxml.serializer": ("serialize_pxml", "write_pxml_file"),
+    "repro.prxml.validate": ("validate_document",),
+    "repro.prxml.possible_worlds": ("PossibleWorld",
+                                    "enumerate_possible_worlds",
+                                    "count_possible_worlds",
+                                    "sample_possible_world"),
+    "repro.prxml.stats": ("DocumentStats", "document_stats"),
+})
 
 __all__ = [
     "NodeType",

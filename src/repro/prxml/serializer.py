@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import os
 from typing import List, Union
-from xml.sax.saxutils import escape, quoteattr
 
 from repro.prxml.model import NodeType, PDocument, PNode
 
 _TAGS = {NodeType.IND: "ind", NodeType.MUX: "mux", NodeType.EXP: "exp"}
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` in character data (what
+    ``xml.sax.saxutils.escape`` does, without importing ``xml.sax``
+    and, through it, ``urllib``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;") \
+        .replace("<", "&lt;")
 
 
 def _subsets_attribute(node: PNode) -> str:
@@ -27,6 +34,7 @@ def _subsets_attribute(node: PNode) -> str:
 def serialize_pxml(document: PDocument, indent: int = 2) -> str:
     """Render ``document`` as indented p-document XML text."""
     pieces: List[str] = []
+    ordinary, exp = NodeType.ORDINARY, NodeType.EXP
     # Iterative rendering: each stack entry is either a node to open (with
     # its depth) or a ready-made closing tag string.
     stack: List[object] = [(document.root, 0)]
@@ -37,31 +45,35 @@ def serialize_pxml(document: PDocument, indent: int = 2) -> str:
             continue
         node, depth = entry
         pad = " " * (indent * depth)
-        tag = _TAGS.get(node.node_type, node.label)
+        kind = node.node_type
+        tag = node.label if kind is ordinary else _TAGS[kind]
         attrs = ""
         # Exact sentinel: only an edge whose stored probability is
         # bit-for-bit 1.0 may drop its 'prob' attribute, or the
         # parse -> serialize round trip would not be the identity.
         if (node.edge_prob != 1.0  # repro: ignore[R001] round-trip sentinel
                 and node.parent is not None
-                and node.parent.node_type is not NodeType.EXP):
+                and node.parent.node_type is not exp):
             # repr is the shortest exact decimal form, so serialise ->
             # parse is lossless for every float (``:g`` would truncate
-            # to 6 significant digits and skew probabilities).
-            attrs = f" prob={quoteattr(repr(node.edge_prob))}"
-        if node.node_type is NodeType.EXP:
-            attrs += f" subsets={quoteattr(_subsets_attribute(node))}"
-        if not node.children and node.text is None:
+            # to 6 significant digits and skew probabilities).  A float
+            # repr (and a subsets list of them) holds no character an
+            # attribute value must escape.
+            attrs = f' prob="{node.edge_prob!r}"'
+        if kind is exp:
+            attrs += f' subsets="{_subsets_attribute(node)}"'
+        children = node.children
+        text = node.text
+        if not children and text is None:
             pieces.append(f"{pad}<{tag}{attrs}/>")
-        elif not node.children:
-            pieces.append(
-                f"{pad}<{tag}{attrs}>{escape(node.text)}</{tag}>")
+        elif not children:
+            pieces.append(f"{pad}<{tag}{attrs}>{_escape(text)}</{tag}>")
         else:
-            text = escape(node.text) if node.text else ""
-            pieces.append(f"{pad}<{tag}{attrs}>{text}")
+            pieces.append(
+                f"{pad}<{tag}{attrs}>{_escape(text) if text else ''}")
             stack.append(f"{pad}</{tag}>")
             stack.extend((child, depth + 1)
-                         for child in reversed(node.children))
+                         for child in reversed(children))
     return "\n".join(pieces) + "\n"
 
 

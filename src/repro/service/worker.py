@@ -4,9 +4,9 @@
 :class:`~repro.service.QueryService` batch chunks and
 :class:`~repro.corpus.CorpusService` shard visits alike: it loads the
 job's source once per worker process, runs :meth:`QueryService.search`
-on each term list, and ships back plain rows — code strings and the
-exact float probabilities — that :func:`decode_rows` re-hydrates in
-the coordinator (shipping ``PNode`` objects would drag the whole
+on each term list, and ships back plain rows — code strings, the
+exact float probabilities and the labels — that :func:`decode_rows`
+turns back into results in the coordinator (shipping ``PNode`` objects would drag the whole
 document through pickle).  Every executor is built by
 :class:`WorkerPool`; the ``serial`` one is an :class:`InlineExecutor`.
 """
@@ -133,9 +133,10 @@ class Job:
     cache_size: int = DEFAULT_CACHE_SIZE
 
 
-#: Per query: result code strings, their probabilities, JSON-safe
-#: stats, and the partial marker + reason.
-Row = Tuple[List[str], List[float], Dict[str, object], bool, str]
+#: Per query: result code strings, their probabilities and labels,
+#: JSON-safe stats, and the partial marker + reason.
+Row = Tuple[List[str], List[float], List[str], Dict[str, object], bool,
+            str]
 
 #: Per job: the worker's pid, metrics snapshot and serialized spans.
 Meta = Dict[str, object]
@@ -231,6 +232,7 @@ def run_job(job: Job) -> Tuple[List[Row], Meta]:
                           for result in outcome.results],
                          [result.probability
                           for result in outcome.results],
+                         [result.label for result in outcome.results],
                          stats, outcome.partial,
                          outcome.termination_reason))
     meta: Meta = {"pid": os.getpid(),
@@ -245,16 +247,16 @@ def decode_rows(rows: Sequence[Row],
                 ) -> List[SearchOutcome]:
     """Rebuild outcomes from worker rows.  Codes parse back
     bit-identically and floats cross pickle exactly; ``encoded``, when
-    given, re-attaches each result's p-document node."""
+    given, is where each result's p-document node is looked up if a
+    caller asks for it."""
     outcomes: List[SearchOutcome] = []
-    for codes, probabilities, stats, partial, reason in rows:
+    for codes, probabilities, labels, stats, partial, reason in rows:
         results = []
-        for text, probability in zip(codes, probabilities):
+        for text, probability, label in zip(codes, probabilities, labels):
             code = DeweyCode.parse(text)
             results.append(SLCAResult(
-                code=code, probability=probability,
-                node=encoded.node_at(code)
-                if encoded is not None else None))
+                code, probability, label=label,
+                origin=(encoded, code) if encoded is not None else None))
         outcomes.append(SearchOutcome(results=results, stats=stats,
                                       partial=partial,
                                       termination_reason=reason))

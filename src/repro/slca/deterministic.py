@@ -7,10 +7,12 @@ with one postorder pass propagating keyword bitmasks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.index.tokenizer import tokenize
-from repro.prxml.possible_worlds import DetNode
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.prxml.possible_worlds import DetNode
 
 
 def keyword_mask_of_det_node(node: DetNode, terms: Sequence[str]) -> int:

@@ -304,7 +304,7 @@ class TestCorpusCommand:
                           if "weak1" in doc.name)
         snapshot_dir, _ = resolve_snapshot(
             manifest.shard_dir(weak_shard))
-        with open(os.path.join(snapshot_dir, "postings.jsonl"), "a",
+        with open(os.path.join(snapshot_dir, "postings.i64"), "a",
                   encoding="utf-8") as handle:
             handle.write("{torn-final-line")
         capsys.readouterr()

@@ -412,12 +412,11 @@ class TestDegradation:
         victim = next(position for position in range(3)
                       if position != strong_shard)
         snapshot_dir, _ = resolve_snapshot(manifest.shard_dir(victim))
-        postings = os.path.join(snapshot_dir, "postings.jsonl")
-        with open(postings, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        with open(postings, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:-1])
-            handle.write("{torn-final-line")
+        postings = os.path.join(snapshot_dir, "postings.i64")
+        with open(postings, "rb") as handle:
+            body = handle.read()
+        with open(postings, "wb") as handle:
+            handle.write(body[:-8] + b"{torn-final-line")
         reports = dict(corpus_fsck(directory, repair=True))
         assert not reports[manifest.shard_names[victim]].clean
         service = CorpusService(directory)

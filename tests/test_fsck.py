@@ -22,9 +22,10 @@ from repro.index.fsck import (KIND_BAD_MANIFEST, KIND_BAD_RECORD,
                               KIND_POSTING_OUT_OF_RANGE,
                               KIND_STALE_STAGING, KIND_TRUNCATED_LINE,
                               QUARANTINE_DIR, fsck_database)
-from repro.index.storage import (DATA_FILES, MANIFEST_FILE, SNAPSHOTS_DIR,
+from repro.index.storage import (MANIFEST_FILE, SNAPSHOTS_DIR,
                                  STAGING_PREFIX, current_generation,
                                  resolve_snapshot, snapshot_path)
+from tests.format1 import save_format1, save_legacy
 
 QUERY = ["k1", "k2"]
 
@@ -40,6 +41,16 @@ def populated(figure1_doc, tmp_path):
     database = Database.from_document(figure1_doc)
     directory = tmp_path / "db"
     save_database(database, directory)
+    return directory, answers(database)
+
+
+@pytest.fixture
+def populated_format1(figure1_doc, tmp_path):
+    """``populated`` in format 1, whose postings.jsonl fsck triages
+    line by line."""
+    database = Database.from_document(figure1_doc)
+    directory = tmp_path / "db1"
+    save_format1(database, directory)
     return directory, answers(database)
 
 
@@ -59,8 +70,8 @@ class TestTriage:
         assert report.exit_code() == 0
         assert any("clean" in line for line in report.lines())
 
-    def test_bad_postings_record(self, populated):
-        directory, _ = populated
+    def test_bad_postings_record(self, populated_format1):
+        directory, _ = populated_format1
         with open(data_file(directory, "postings.jsonl"), "a") as handle:
             handle.write('{"t": "ghost"\n')
         report = fsck_database(directory)
@@ -70,8 +81,8 @@ class TestTriage:
         assert bad[0].line is not None
         assert f":{bad[0].line}:" in bad[0].describe()
 
-    def test_truncated_final_line(self, populated):
-        directory, _ = populated
+    def test_truncated_final_line(self, populated_format1):
+        directory, _ = populated_format1
         path = data_file(directory, "postings.jsonl")
         body = open(path, encoding="utf-8").read()
         with open(path, "w", encoding="utf-8") as handle:
@@ -80,8 +91,8 @@ class TestTriage:
         assert KIND_TRUNCATED_LINE in kinds(report)
         assert report.document_ok
 
-    def test_posting_id_out_of_range(self, populated):
-        directory, _ = populated
+    def test_posting_id_out_of_range(self, populated_format1):
+        directory, _ = populated_format1
         path = data_file(directory, "postings.jsonl")
         lines = open(path, encoding="utf-8").readlines()
         record = json.loads(lines[0])
@@ -123,8 +134,8 @@ class TestTriage:
 
 
 class TestRepair:
-    def test_postings_repair_is_exact(self, populated):
-        directory, pristine = populated
+    def test_postings_repair_is_exact(self, populated_format1):
+        directory, pristine = populated_format1
         path = data_file(directory, "postings.jsonl")
         with open(path, "a") as handle:
             handle.write("{garbage\n")
@@ -134,8 +145,8 @@ class TestRepair:
             current_generation(directory)
         assert answers(load_database(directory)) == pristine
 
-    def test_quarantine_preserves_bad_lines(self, populated):
-        directory, _ = populated
+    def test_quarantine_preserves_bad_lines(self, populated_format1):
+        directory, _ = populated_format1
         path = data_file(directory, "postings.jsonl")
         generation = current_generation(directory)
         with open(path, "a") as handle:
@@ -206,8 +217,8 @@ class TestRepair:
         assert report.document_ok and report.repaired
         load_database(directory)
 
-    def test_repair_is_idempotent(self, populated):
-        directory, pristine = populated
+    def test_repair_is_idempotent(self, populated_format1):
+        directory, pristine = populated_format1
         with open(data_file(directory, "postings.jsonl"), "a") as handle:
             handle.write("{garbage\n")
         fsck_database(directory, repair=True)
@@ -219,14 +230,8 @@ class TestRepair:
 class TestLegacySalvage:
     @pytest.fixture
     def legacy_dir(self, figure1_doc, tmp_path):
-        database = Database.from_document(figure1_doc)
-        modern = tmp_path / "modern"
-        save_database(database, modern)
-        data_dir, _ = resolve_snapshot(modern)
         legacy = tmp_path / "legacy"
-        os.makedirs(legacy)
-        for name in DATA_FILES:
-            shutil.copy(os.path.join(data_dir, name), legacy / name)
+        save_legacy(Database.from_document(figure1_doc), legacy)
         return legacy
 
     def test_clean_legacy_reports_clean(self, legacy_dir):
@@ -268,9 +273,9 @@ class TestLegacySalvage:
 
 
 class TestFsckCli:
-    def test_cli_clean_and_corrupt_paths(self, populated, capsys):
+    def test_cli_clean_and_corrupt_paths(self, populated_format1, capsys):
         from repro.cli import main
-        directory, pristine = populated
+        directory, pristine = populated_format1
         assert main(["fsck", str(directory)]) == 0
         assert "clean" in capsys.readouterr().out
         with open(data_file(directory, "postings.jsonl"),

@@ -23,7 +23,7 @@ import pytest
 from repro import Database, load_database, save_database, topk_search
 from repro.exceptions import StorageError
 from repro.index.fsck import fsck_database
-from repro.index.storage import (CURRENT_FILE, MANIFEST_FILE,
+from repro.index.storage import (CURRENT_FILE, DATA_FILES, MANIFEST_FILE,
                                  resolve_snapshot)
 
 TRIALS = 100
@@ -45,9 +45,7 @@ def _target_files(directory: str) -> list:
     data_dir, _generation = resolve_snapshot(directory)
     targets = [os.path.join(directory, CURRENT_FILE),
                os.path.join(data_dir, MANIFEST_FILE)]
-    targets.extend(os.path.join(data_dir, name)
-                   for name in ("document.pxml", "postings.jsonl",
-                                "meta.json"))
+    targets.extend(os.path.join(data_dir, name) for name in DATA_FILES)
     return targets
 
 

@@ -353,7 +353,7 @@ class TestSharedReplicaCopy:
         documents, directory, manifest = self.build(tmp_path, 2012)
         primary, mirror = manifest.replica_dirs(0)
         snapshot = snapshot_path(mirror, current_generation(mirror))
-        with open(os.path.join(snapshot, "postings.jsonl"), "a",
+        with open(os.path.join(snapshot, "postings.i64"), "a",
                   encoding="utf-8") as handle:
             handle.write("\n{torn")
         with pytest.raises(StorageError) as alone:

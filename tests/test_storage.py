@@ -7,7 +7,8 @@ import pytest
 
 from repro import Database, load_database, save_database
 from repro.exceptions import StorageError
-from repro.index.storage import resolve_snapshot
+from repro.index.storage import DATA_FILES, resolve_snapshot
+from tests.format1 import save_format1
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestSaveLoad:
 
     def test_corrupt_postings_line(self, database, tmp_path):
         directory = tmp_path / "db"
-        save_database(database, directory)
+        save_format1(database, directory)  # JSONL postings
         postings_path = os.path.join(data_dir(directory),
                                      "postings.jsonl")
         with open(postings_path, "a", encoding="utf-8") as handle:
@@ -86,7 +87,7 @@ class TestSaveLoad:
 
     def test_term_count_mismatch(self, database, tmp_path):
         directory = tmp_path / "db"
-        save_database(database, directory)
+        save_format1(database, directory)  # JSONL postings
         postings_path = os.path.join(data_dir(directory),
                                      "postings.jsonl")
         with open(postings_path, "a", encoding="utf-8") as handle:
@@ -104,7 +105,7 @@ class TestPersistenceHardening:
         database = Database.from_document(builder.build())
         directory = tmp_path / "db"
         save_database(database, directory)
-        raw_path = os.path.join(data_dir(directory), "postings.jsonl")
+        raw_path = os.path.join(data_dir(directory), "terms.json")
         raw = open(raw_path, encoding="utf-8").read()
         assert "café" in raw and "\\u" not in raw
         loaded = load_database(directory)
@@ -121,7 +122,7 @@ class TestPersistenceHardening:
 
     def test_load_rejects_empty_posting_list(self, database, tmp_path):
         directory = tmp_path / "db"
-        save_database(database, directory)
+        save_format1(database, directory)  # JSONL postings
         postings_path = os.path.join(data_dir(directory),
                                      "postings.jsonl")
         with open(postings_path, encoding="utf-8") as handle:
@@ -135,7 +136,7 @@ class TestPersistenceHardening:
 
     def test_load_rejects_non_string_term(self, database, tmp_path):
         directory = tmp_path / "db"
-        save_database(database, directory)
+        save_format1(database, directory)  # JSONL postings
         postings_path = os.path.join(data_dir(directory),
                                      "postings.jsonl")
         with open(postings_path, "a", encoding="utf-8") as handle:
@@ -145,7 +146,7 @@ class TestPersistenceHardening:
 
     def test_load_rejects_duplicate_term(self, database, tmp_path):
         directory = tmp_path / "db"
-        save_database(database, directory)
+        save_format1(database, directory)  # JSONL postings
         postings_path = os.path.join(data_dir(directory),
                                      "postings.jsonl")
         with open(postings_path, encoding="utf-8") as handle:
@@ -158,12 +159,13 @@ class TestPersistenceHardening:
     def test_verify_catches_every_tampered_file(self, database, tmp_path):
         directory = tmp_path / "db"
         save_database(database, directory)
-        for name in ("document.pxml", "postings.jsonl", "meta.json"):
+        for name in DATA_FILES:
             path = os.path.join(data_dir(directory), name)
             original = open(path, "rb").read()
             with open(path, "ab") as handle:
                 handle.write(b" ")
-            with pytest.raises(StorageError, match="verification"):
+            with pytest.raises(StorageError,
+                               match=f"verification.*{name}"):
                 load_database(directory)
             with open(path, "wb") as handle:
                 handle.write(original)
@@ -188,7 +190,6 @@ class TestSingleReadSharedCopy:
         import builtins
         import xml.etree.ElementTree as ET
         import xml.parsers.expat
-        from repro.index.storage import DATA_FILES
         from repro.obs.metrics import MetricsCollector
         directory = tmp_path / "db"
         save_database(unique_database("single-read"), directory)
@@ -223,6 +224,7 @@ class TestSingleReadSharedCopy:
 
         counters = collector.snapshot()["counters"]
         assert "storage.load.shared" not in counters  # really parsed
+        assert not database.encoded.has_document  # no XML parsed
         assert len(database.document) == 5
         for name in DATA_FILES:
             assert opened.count(name) == 1, (name, opened)
@@ -266,7 +268,6 @@ class TestSingleReadSharedCopy:
 
     def test_unverified_and_legacy_loads_never_share(self, tmp_path):
         import shutil
-        from repro.index.storage import DATA_FILES
         directory = tmp_path / "db"
         save_database(unique_database("unshared"), directory)
         verified = load_database(directory)
@@ -292,7 +293,7 @@ class TestSingleReadSharedCopy:
         save_database(unique_database("torn"), directory)
         twin = tmp_path / "twin"
         shutil.copytree(directory, twin)
-        with open(os.path.join(data_dir(twin), "postings.jsonl"),
+        with open(os.path.join(data_dir(twin), "postings.i64"),
                   "a", encoding="utf-8") as handle:
             handle.write("\n{torn")
         with pytest.raises(StorageError) as alone:

@@ -24,6 +24,7 @@ from repro.index.storage import (CURRENT_FILE, DATA_FILES,
                                  FORMAT_VERSION, MANIFEST_FILE,
                                  current_generation, list_generations,
                                  resolve_snapshot, snapshot_path)
+from tests.format1 import save_legacy
 
 
 @pytest.fixture
@@ -224,13 +225,8 @@ class TestLegacyLayout:
     def legacy_dir(self, database, tmp_path):
         """A pre-snapshot flat directory: data files at the top level,
         no CURRENT, no manifest."""
-        source = tmp_path / "modern"
-        save_database(database, source)
-        data_dir, _ = resolve_snapshot(source)
         legacy = tmp_path / "legacy"
-        os.makedirs(legacy)
-        for name in DATA_FILES:
-            shutil.copy(os.path.join(data_dir, name), legacy / name)
+        save_legacy(database, legacy)
         return legacy
 
     def test_loads_read_only(self, database, legacy_dir):
