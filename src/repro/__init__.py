@@ -32,7 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                    "topk_search"),
     "repro.obs": ("FlightRecorder", "MetricsCollector", "NULL_COLLECTOR",
                   "NULL_RECORDER", "NULL_TRACER", "SpanTracer", "Stopwatch",
-                  "TraceRecorder", "build_report_v2", "configure_logging",
+                  "build_report", "configure_logging",
                   "derive_trace_id", "get_logger", "parse_prometheus",
                   "render_prometheus", "validate_spans"),
     "repro.encoding": ("DeweyCode", "EncodedDocument", "encode_document"),
@@ -61,9 +61,9 @@ __all__ = [
     "explain_result", "profile_lines", "Explanation", "SearchOutcome",
     "SLCAResult",
     # observability
-    "MetricsCollector", "NULL_COLLECTOR", "Stopwatch", "TraceRecorder",
+    "MetricsCollector", "NULL_COLLECTOR", "Stopwatch",
     "SpanTracer", "NULL_TRACER", "FlightRecorder", "NULL_RECORDER",
-    "derive_trace_id", "validate_spans", "build_report_v2",
+    "derive_trace_id", "validate_spans", "build_report",
     "render_prometheus", "parse_prometheus",
     "configure_logging", "get_logger",
     # model

@@ -14,9 +14,10 @@ paper's numeric invariants *live*, at the moment they can break:
 
 Enable it with ``REPRO_SANITIZE=1`` in the environment or
 ``topk_search(..., sanitize=True)``.  Violations raise
-:class:`SanitizerError` carrying the tail of the active
-:mod:`repro.obs` trace (when the query runs with tracing), so a failed
-invariant arrives with the narrative that led to it.
+:class:`SanitizerError` carrying the last engine events of the
+query's span tree (when its collector carries a
+:class:`repro.obs.SpanTracer`), so a failed invariant arrives with the
+narrative that led to it.
 
 Like the metrics layer, the default is a no-op: engines hold a
 :data:`NULL_SANITIZER` whose ``enabled`` flag guards every hook, so an
@@ -93,8 +94,8 @@ class Sanitizer:
     Args:
         epsilon: absolute tolerance for mass and bound comparisons.
         collector: the query's metrics collector; when it carries a
-            :class:`repro.obs.TraceRecorder`, violation messages quote
-            the last few trace events as context.
+            :class:`repro.obs.SpanTracer`, violation messages quote
+            the last few engine event spans as context.
     """
 
     enabled = True
@@ -241,16 +242,21 @@ class Sanitizer:
         raise SanitizerError(message + self._trace_context())
 
     def _trace_context(self, limit: int = 5) -> str:
-        trace = getattr(self.collector, "trace", None)
-        if trace is None or not len(trace):
+        """The last ``limit`` event spans (zero-duration spans) of the
+        collector's tracer, rendered for a violation message."""
+        tracer = getattr(self.collector, "tracer", None)
+        if tracer is None:
             return ""
-        events = trace.as_dicts()[-limit:]
+        events = [span for span in tracer.export()
+                  if not span["duration_ms"]][-limit:]
+        if not events:
+            return ""
         rendered = " | ".join(
             "{name}({fields})".format(
                 name=event["name"],
                 fields=", ".join(
-                    f"{key}={value}" for key, value in event.items()
-                    if key not in ("name", "seq", "offset_ms")))
+                    f"{key}={value}" for key, value
+                    in event.get("attrs", {}).items()))
             for event in events)
         return f" [trace tail: {rendered}]"
 

@@ -42,8 +42,8 @@ from typing import List, Optional
 from repro.core.api import Algorithm, topk_search
 from repro.exceptions import ReproError
 from repro.index.storage import Database, load_database, save_database
-from repro.obs import (FlightRecorder, MetricsCollector, SpanTracer,
-                       Stopwatch, build_report, build_report_v2,
+from repro.obs import (FlightRecorder, MetricsCollector, NULL_TRACER,
+                       SpanTracer, Stopwatch, build_report,
                        configure_logging, derive_trace_id,
                        render_prometheus, validate_report,
                        workers_block, write_spans)
@@ -99,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result semantics (elca needs --algorithm "
                              "prstack or possible_worlds)")
     search.add_argument("--profile", action="store_true",
-                        help="collect metrics + a per-query trace and "
-                             "print the profile after the results")
+                        help="collect metrics + the query's span tree "
+                             "and print the profile after the results")
     search.add_argument("--metrics-json", metavar="PATH",
-                        help="write the query's repro.metrics/v1 JSON "
+                        help="write the query's repro.metrics/v2 JSON "
                              "report to PATH (docs/OBSERVABILITY.md)")
     search.add_argument("--sanitize", action="store_true",
                         help="run under the runtime invariant sanitizer "
@@ -129,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("slca", "elca"))
     batch.add_argument("--workers", type=int, default=None,
                        help="fan-out width (default: serial)")
-    batch.add_argument("--executor", default="thread",
+    batch.add_argument("--executor", default=None,
                        choices=("serial", "thread", "process"),
-                       help="worker model when --workers > 1: threads "
-                            "share the hot caches, processes each "
-                            "index their own document copy "
-                            "(docs/SERVICE.md)")
+                       help="worker model when --workers > 1 "
+                            "(default serial): threads share the hot "
+                            "caches, processes each index their own "
+                            "document copy (docs/SERVICE.md)")
     batch.add_argument("--cache-size", type=int, default=256,
                        metavar="M", dest="cache_size",
                        help="entries per service cache (default 256)")
@@ -462,15 +462,19 @@ def _cmd_stats(options) -> int:
 def _cmd_search(options) -> int:
     database = _open_database(options.source)
     instrumented = options.profile or options.metrics_json
-    collector = (MetricsCollector(trace=options.profile)
-                 if instrumented else None)
-    with Stopwatch() as watch:
+    # An instrumented query runs under one root span, with the engine
+    # phases and events nested below it.
+    tracer = SpanTracer() if instrumented else NULL_TRACER
+    collector = MetricsCollector(tracer=tracer) if instrumented else None
+    with Stopwatch() as watch, tracer.span(
+            "search", terms=" ".join(options.keywords), k=options.k):
         outcome = topk_search(database, options.keywords, options.k,
                               options.algorithm,
                               semantics=options.semantics,
                               collector=collector,
                               sanitize=True if options.sanitize else None,
                               deadline=options.deadline_ms)
+    spans = tracer.export() if instrumented else None
     marker = (f" [PARTIAL: {outcome.termination_reason}]"
               if outcome.partial else "")
     print(f"{len(outcome)} answer(s) in {watch.elapsed_ms:.1f} ms "
@@ -487,11 +491,11 @@ def _cmd_search(options) -> int:
               f"<{result.label}> {result.code}")
     if options.profile:
         from repro.core.explain import profile_lines
-        print("\n".join(profile_lines(outcome)))
+        print("\n".join(profile_lines(outcome, spans)))
     if options.metrics_json:
         report = build_report(options.keywords, options.k,
                               options.algorithm, options.semantics,
-                              outcome, watch.elapsed_ms)
+                              outcome, watch.elapsed_ms, spans=spans)
         try:
             with open(options.metrics_json, "w", encoding="utf-8") as sink:
                 json.dump(report, sink, indent=2)
@@ -550,10 +554,11 @@ def _build_tracer(options, queries, recorder):
 
 def _run_batch(options, queries, service, collector, faults,
                tracer=None, recorder=None) -> int:
+    from repro.service.worker import DEFAULT_EXECUTOR
     batch = service.batch_search(
         queries, k=options.k, algorithm=options.algorithm,
         semantics=options.semantics, workers=options.workers,
-        executor=options.executor,
+        executor=options.executor or DEFAULT_EXECUTOR,
         sanitize=True if options.sanitize else None,
         deadline_ms=options.deadline_ms,
         max_retries=options.max_retries, faults=faults,
@@ -623,8 +628,8 @@ def _run_batch(options, queries, service, collector, faults,
 
 def _build_batch_report(options, queries, batch, collector,
                         spans=None):
-    """The batch's ``repro.metrics/v2`` report: the v1 shape with the
-    merged (coordinator + process workers) metrics block, plus the
+    """The batch's ``repro.metrics/v2`` report: the merged
+    (coordinator + process workers) metrics block, plus the
     worker-provenance / resilience / span blocks when present."""
     from repro.core.result import SearchOutcome
     stats = batch.stats
@@ -635,7 +640,7 @@ def _build_batch_report(options, queries, batch, collector,
                              merged["merged_snapshots"])
                if merged else None)
     resilience = dict(stats.get("resilience") or {}) or None
-    return validate_report(build_report_v2(
+    return validate_report(build_report(
         [" ".join(query) for query in queries], options.k,
         options.algorithm, options.semantics, summary,
         batch.elapsed_ms, spans=spans, workers=workers,
@@ -1064,7 +1069,7 @@ def _cmd_chaos(options) -> int:
 
 def _cmd_serve(options) -> int:
     import asyncio
-    from repro.corpus.builder import is_corpus_directory
+    from repro.corpus import is_corpus_directory
     from repro.resilience import parse_faults
     from repro.resilience.faults import faults_from_env
     from repro.serve import ServeConfig, ServeServer

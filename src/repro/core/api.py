@@ -88,7 +88,6 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
                 algorithm: Union[Algorithm, str] = Algorithm.EAGER,
                 semantics: str = "slca",
                 collector: Optional[MetricsCollector] = None,
-                trace: bool = False,
                 sanitize: Optional[bool] = None,
                 caches: CachesLike = NULL_CACHES,
                 deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None,
@@ -116,11 +115,12 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
             operation counts, timings and histograms; its snapshot is
             attached to ``outcome.stats["metrics"]``.  With the default
             ``None`` the no-op collector runs and nothing is recorded
-            (results are byte-identical either way).
-        trace: record a per-query event trace; implies a collector (one
-            is created when ``collector`` is None) and attaches the
-            :class:`repro.obs.TraceRecorder` to
-            ``outcome.stats["trace"]``.
+            (results are byte-identical either way).  A collector
+            built with a :class:`repro.obs.SpanTracer` also records
+            the engine phases as spans and the engine events
+            (``eager.prune_path``, ``eager.suspend``,
+            ``eager.process``, ``heap.threshold``) as zero-duration
+            spans under them.
         sanitize: run the query under the runtime invariant sanitizer
             (docs/ANALYSIS.md): every probability, distribution table,
             MUX mass, scan order, heap state and EagerTopK bound is
@@ -171,15 +171,10 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         # ad-hoc and batched traffic.
         return source.search(keywords, k, algorithm=algorithm,
                              semantics=semantics, collector=collector,
-                             trace=trace, sanitize=sanitize,
-                             deadline=deadline)
+                             sanitize=sanitize, deadline=deadline)
     deadline = as_deadline(deadline)
     if collector is None:
-        collector = MetricsCollector(trace=True) if trace \
-            else NULL_COLLECTOR
-    elif trace and collector.enabled and collector.trace is None:
-        from repro.obs.trace import TraceRecorder
-        collector.trace = TraceRecorder()
+        collector = NULL_COLLECTOR
     if sanitize is None:
         sanitize = sanitize_from_env()
     sanitizer = Sanitizer(collector=collector) if sanitize \
@@ -211,8 +206,6 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         outcome.stats["sanitizer"] = sanitizer.summary()
     if collector.enabled and _attach_metrics:
         outcome.stats["metrics"] = collector.snapshot()
-        if collector.trace is not None:
-            outcome.stats["trace"] = collector.trace
     return outcome
 
 

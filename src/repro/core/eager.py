@@ -37,7 +37,7 @@ Candidates, seeds, regions and the DeleteSet are preorder node ids: an
 ancestor test is an id range check against the subtree end column, a
 subtree's regions or match entries are one id-range slice, and a
 node's path probability is read from the path column.  Dewey codes are
-built only for the answers (and for trace events).
+built only for the answers (and for event spans).
 """
 
 from __future__ import annotations
@@ -182,8 +182,9 @@ def eager_topk_search(index: InvertedIndex, keywords: Iterable[str],
             still exact and identical as a multiset).
         collector: metrics collector receiving the ``eager.*`` /
             ``engine.*`` / ``heap.*`` operation counts, bound
-            histograms and (when tracing) the candidate-by-candidate
-            trace (docs/OBSERVABILITY.md); the default no-op records
+            histograms and (when it carries a span tracer) the
+            candidate-by-candidate events as spans
+            (docs/OBSERVABILITY.md); the default no-op records
             nothing.
         sanitizer: runtime invariant checker (sanitize mode,
             docs/ANALYSIS.md); additionally records every Property 1-5
@@ -322,7 +323,7 @@ class _EagerSearch:
                     self.stats["pruning"]["path_bound_properties_1_3"] += 1
                     if collector.enabled:
                         collector.count("eager.pruned_path_bound")
-                        if collector.trace is not None:
+                        if collector.tracer is not None:
                             collector.event(
                                 "eager.prune_path",
                                 code=str(encoded.code(node)),
@@ -358,7 +359,7 @@ class _EagerSearch:
         reason = self.deadline.reason
         if self.collector.enabled:
             self.collector.count("resilience.deadline_expired")
-            if self.collector.trace is not None:
+            if self.collector.tracer is not None:
                 self.collector.event("eager.deadline", reason=reason,
                                      open_candidates=len(self.candidates))
         _log.debug("eager: %s expired with %d candidates open; "
@@ -395,7 +396,7 @@ class _EagerSearch:
         collector = self.collector
         if collector.enabled:
             collector.count("eager.suspended_node_bound")
-            if collector.trace is not None:
+            if collector.tracer is not None:
                 collector.event("eager.suspend",
                                 code=str(self.encoded.code(node)),
                                 bound=round(bound, 9),
@@ -515,7 +516,7 @@ class _EagerSearch:
             collector.count("eager.regions_collapsed", len(inner_regions))
             collector.observe("eager.sweep_items",
                               len(taken) + len(inner_regions))
-            if collector.trace is not None:
+            if collector.tracer is not None:
                 collector.event("eager.process",
                                 code=str(encoded.code(node)),
                                 entries=len(taken),

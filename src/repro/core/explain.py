@@ -10,14 +10,14 @@ Examples 3-6.
 
 ``profile_lines`` is the companion answer to "why was this query fast
 (or slow)?": it renders an instrumented :class:`SearchOutcome`'s
-counters, timers, histograms and recorded trace — the CLI's
-``--profile`` output.
+counters, timers and histograms, then the query's span tree with its
+engine events — the CLI's ``--profile`` output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.engine import StackEngine
 from repro.core.result import SearchOutcome
@@ -25,7 +25,7 @@ from repro.encoding.dewey import DeweyCode
 from repro.exceptions import EncodingError, QueryError
 from repro.index.inverted import InvertedIndex
 from repro.index.matchlist import MatchList, build_match_entries
-from repro.obs.trace import render_trace
+from repro.obs.spans import render_span_tree
 from repro.prxml.model import PNode
 
 
@@ -121,14 +121,17 @@ def explain_result(index: InvertedIndex, keywords: Iterable[str],
     )
 
 
-def profile_lines(outcome: SearchOutcome, trace_limit: int = 40
+def profile_lines(outcome: SearchOutcome,
+                  spans: Optional[List[Dict[str, object]]] = None
                   ) -> List[str]:
-    """Render an instrumented outcome's metrics and trace.
+    """Render an instrumented outcome's metrics and span tree.
 
-    Consumes the ``stats["metrics"]`` snapshot and the live
-    ``stats["trace"]`` recorder that :func:`repro.core.api.topk_search`
-    attaches when given a collector; degrades gracefully (one
-    explanatory line) on an uninstrumented outcome.
+    Consumes the ``stats["metrics"]`` snapshot that
+    :func:`repro.core.api.topk_search` attaches when given a collector,
+    and ``spans``, the export of the collector's
+    :class:`repro.obs.SpanTracer` (engine events are its zero-duration
+    spans); degrades gracefully (one explanatory line) on an
+    uninstrumented outcome.
     """
     metrics = outcome.metrics
     if not metrics:
@@ -158,8 +161,7 @@ def profile_lines(outcome: SearchOutcome, trace_limit: int = 40
             f"min={summary['min']:g} mean={summary['mean']:g} "
             f"max={summary['max']:g}"
             for name, summary in histograms.items())
-    trace = outcome.trace
-    if trace is not None:
-        lines.append(f"  trace ({len(trace)} event(s))")
-        lines.extend(render_trace(trace, limit=trace_limit))
+    if spans is not None:
+        lines.append(f"  spans ({len(spans)})")
+        lines.extend(render_span_tree(spans))
     return lines

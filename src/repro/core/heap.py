@@ -139,7 +139,7 @@ class TopKHeap:
             if threshold > before:
                 collector.count("heap.threshold_raises")
                 collector.observe("heap.threshold", threshold)
-                if collector.trace is not None:
+                if collector.tracer is not None:
                     collector.event("heap.threshold",
                                     value=round(threshold, 9),
                                     size=len(self._best))

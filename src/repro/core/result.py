@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, Tuple
 
 from repro.encoding.dewey import DeweyCode
 from repro.encoding.encoder import EncodedDocument
 from repro.prxml.model import PNode
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.trace import TraceRecorder
 
 
 class SLCAResult:
@@ -98,10 +95,8 @@ class SearchOutcome:
             candidates pruned, tables merged, ...), filled in by each
             algorithm and consumed by the benchmark harness.  When the
             query ran with a metrics collector, ``stats["metrics"]``
-            holds its snapshot and — with tracing on —
-            ``stats["trace"]`` the live
-            :class:`repro.obs.TraceRecorder` (see
-            docs/OBSERVABILITY.md for the layout).
+            holds its snapshot (see docs/OBSERVABILITY.md for the
+            layout).
         partial: True when the search stopped before convergence — a
             :class:`repro.resilience.Deadline` expired mid-scan, or the
             service substituted an error outcome for a failed query.
@@ -130,11 +125,6 @@ class SearchOutcome:
     def metrics(self) -> dict:
         """The collector snapshot ({} when run uninstrumented)."""
         return self.stats.get("metrics", {})
-
-    @property
-    def trace(self) -> "Optional[TraceRecorder]":
-        """The recorded trace (None unless run with ``trace=True``)."""
-        return self.stats.get("trace")
 
     def probabilities(self) -> List[float]:
         """Result probabilities, best first."""

@@ -20,15 +20,29 @@ touches it — with the skip counted in ``stats["corpus"]`` and the
 search over all documents concatenated into one tree.
 """
 
+import os
+
 from repro._lazy import lazy_exports
 
+#: The corpus manifest; its presence is what makes a directory a corpus.
+CORPUS_FILE = "CORPUS.json"
+
+
+def is_corpus_directory(directory: str) -> bool:
+    """Whether ``directory`` holds a corpus (a ``CORPUS.json``).
+    Defined here, not in the builder, so ``repro serve`` can tell a
+    corpus from a single database without importing the corpus
+    modules."""
+    return os.path.isfile(os.path.join(os.fspath(directory), CORPUS_FILE))
+
+
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.corpus.builder": ("BOUNDS_FILE", "BOUNDS_FORMAT", "CORPUS_FILE",
+    "repro.corpus.builder": ("BOUNDS_FILE", "BOUNDS_FORMAT",
                              "CORPUS_FORMAT", "CorpusDocument",
                              "CorpusManifest", "build_corpus",
                              "compute_bounds", "concat_documents",
-                             "load_corpus_manifest", "is_corpus_directory",
-                             "read_bounds", "write_bounds"),
+                             "load_corpus_manifest", "read_bounds",
+                             "write_bounds"),
     "repro.corpus.replication": ("HedgePolicy", "LatencyTracker",
                                  "ReplicaHealth", "ReplicaSelector",
                                  "replica_dir_name", "replica_name"),

@@ -43,10 +43,10 @@ from repro.index.inverted import InvertedIndex
 from repro.index.storage import Database, _atomic_write, save_database
 from repro.obs.metrics import Collector, NULL_COLLECTOR
 from repro.prxml.model import NodeType, PDocument, PNode
+from repro.corpus import CORPUS_FILE
 from repro.corpus.replication import replica_dir_name
 from repro.corpus.sharding import assign_shards
 
-CORPUS_FILE = "CORPUS.json"
 CORPUS_FORMAT = "repro.corpus/v1"
 BOUNDS_FILE = "BOUNDS.json"
 BOUNDS_FORMAT = "repro.corpus.bounds/v1"
@@ -129,11 +129,6 @@ class CorpusManifest:
 def shard_name(shard: int) -> str:
     """Zero-padded directory name of shard ``shard`` (``s0003``)."""
     return f"s{shard:04d}"
-
-
-def is_corpus_directory(directory: str) -> bool:
-    """Whether ``directory`` holds a corpus (a ``CORPUS.json``)."""
-    return os.path.isfile(os.path.join(os.fspath(directory), CORPUS_FILE))
 
 
 # -- concatenation -------------------------------------------------------------

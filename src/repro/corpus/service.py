@@ -96,9 +96,9 @@ from repro.resilience.faults import NULL_FAULTS, FaultsLike
 from repro.resilience.retry import CircuitBreaker
 from repro.service.service import (BatchOutcome, DEFAULT_CACHE_SIZE,
                                    QueryService)
-from repro.service.worker import (InlineExecutor, Job, ShardSource,
-                                  WorkerPool, check_executor,
-                                  decode_rows, run_job)
+from repro.service.worker import (DEFAULT_EXECUTOR, InlineExecutor, Job,
+                                  ShardSource, WorkerPool,
+                                  check_executor, decode_rows, run_job)
 
 _log = logging.getLogger("repro.corpus")
 
@@ -459,7 +459,7 @@ class CorpusService:
                      algorithm: Union[Algorithm, str] = Algorithm.EAGER,
                      semantics: str = "slca",
                      workers: Optional[int] = None,
-                     executor: str = "thread",
+                     executor: str = DEFAULT_EXECUTOR,
                      deadline_ms: Optional[float] = None,
                      tracer: Optional[Any] = None) -> BatchOutcome:
         """Many queries, each scattered over the shards.

@@ -1,28 +1,17 @@
-"""Merged-report construction and the Prometheus text exporter.
+"""The Prometheus text exporter and the report's worker block.
 
-PR 3's batch service runs queries in *other processes*, and PR 1's
-report schema only ever described one collector.  This module closes
-that gap from the export side:
-
-* :func:`build_report_v2` assembles a ``repro.metrics/v2`` document —
-  the v1 shape (so every v1 consumer keeps working field-for-field)
-  plus three optional blocks: ``spans`` (the exported trace tree),
-  ``workers`` (how many process-worker snapshots were merged into the
-  ``metrics`` block, by pid), and ``resilience`` (the batch outcome's
-  retry/breaker/fault stats).  The ``metrics`` block of a v2 report is
-  *merged*: coordinator + every worker, via
-  :meth:`repro.obs.metrics.MetricsCollector.merge_snapshot`.
 * :func:`render_prometheus` turns any metrics snapshot into Prometheus
-  text exposition format (version 0.0.4) — the format the ROADMAP's
-  async ``/metrics`` endpoint will serve verbatim.  Counters become
-  ``counter`` samples; histogram and timer summaries become a
-  ``_count`` / ``_sum`` / ``_min`` / ``_max`` / ``_mean`` gauge family.
+  text exposition format (version 0.0.4) — the format the ``/metrics``
+  endpoint serves verbatim.  Counters become ``counter`` samples;
+  histogram and timer summaries become a ``_count`` / ``_sum`` /
+  ``_min`` / ``_max`` / ``_mean`` gauge family.
   :func:`parse_prometheus` reads that text back (used by the
   round-trip tests and the CI smoke job).
+* :func:`workers_block` is the merge provenance block of a
+  ``repro.metrics/v2`` report: how many process-worker snapshots were
+  merged into its ``metrics`` block, by pid.
 
-Schema validation for both report versions lives in
-:mod:`repro.obs.report` (:func:`~repro.obs.report.validate_report`
-accepts v1 and v2); this module only *builds* and *renders*.
+Report construction and validation live in :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
@@ -31,7 +20,6 @@ import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
-from repro.obs.report import SCHEMA_ID_V2, build_report
 
 #: Metric name prefix on every exported Prometheus sample.
 PROMETHEUS_PREFIX = "repro"
@@ -42,34 +30,6 @@ _SUMMARY_FIELDS = ("count", "sum", "min", "max", "mean")
 
 class ExportError(ReproError):
     """A metrics export could not be rendered or parsed."""
-
-
-def build_report_v2(keywords: List[str], k: int, algorithm: str,
-                    semantics: str, outcome, elapsed_ms: float,
-                    spans: Optional[List[Dict[str, object]]] = None,
-                    workers: Optional[Dict[str, object]] = None,
-                    resilience: Optional[Dict[str, object]] = None,
-                    ) -> Dict[str, object]:
-    """Assemble a ``repro.metrics/v2`` report.
-
-    Arguments mirror :func:`repro.obs.report.build_report` (the v1
-    builder this delegates to); the extra blocks are attached only
-    when provided, so an un-traced single-process run produces a v2
-    report that differs from v1 in nothing but the schema tag.
-
-    ``workers`` is the merge provenance block — see
-    :func:`workers_block` for the canonical shape.
-    """
-    report = build_report(keywords, k, algorithm, semantics, outcome,
-                          elapsed_ms)
-    report["schema"] = SCHEMA_ID_V2
-    if spans is not None:
-        report["spans"] = spans
-    if workers is not None:
-        report["workers"] = workers
-    if resilience is not None:
-        report["resilience"] = resilience
-    return report
 
 
 def workers_block(pids: List[int],

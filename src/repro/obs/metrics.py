@@ -10,12 +10,11 @@ lengths — through it.  Two implementations share the interface:
   query pays one attribute load + no-op call at each hook point and
   allocates nothing.
 * :class:`MetricsCollector`: accumulates named counters, histograms and
-  timers, and (with ``trace=True``) records a per-query
-  :class:`~repro.obs.trace.TraceRecorder`.
+  timers.
 
 Hot loops may additionally guard on ``collector.enabled`` (a plain
 class attribute) to skip argument construction entirely, and on
-``collector.trace is not None`` before formatting trace event fields.
+``collector.tracer is not None`` before formatting event fields.
 
 Two cross-cutting seams ride on the collector so the engines never
 need new parameters:
@@ -27,7 +26,9 @@ need new parameters:
   ``eager.climb``, ``storage.load`` …) *are* the span tree's leaves.
   :meth:`MetricsCollector.mark` additionally annotates the current
   span (cache hits, entry counts) without allocating when no span is
-  open.
+  open, and :meth:`MetricsCollector.event` files an engine event
+  (``eager.prune_path``, ``heap.threshold`` …) as a zero-duration
+  span under it.
 * **Merging.**  :meth:`MetricsCollector.merge` /
   :meth:`~MetricsCollector.merge_snapshot` fold another collector (or
   its serialized snapshot, e.g. shipped back from a process worker)
@@ -48,8 +49,6 @@ import threading
 import time
 from array import array
 from typing import Dict, Mapping, Optional, Sequence, Union
-
-from repro.obs.trace import DEFAULT_MAX_EVENTS, TraceRecorder
 
 
 class Histogram:
@@ -331,12 +330,11 @@ class NullCollector:
 
     All methods accept the full instrumentation vocabulary and discard
     it.  ``enabled`` is False so hot loops can skip argument
-    construction; ``trace`` is None so trace-only formatting is never
-    performed.
+    construction; ``tracer`` is None so event fields are never
+    formatted.
     """
 
     enabled = False
-    trace: Optional[TraceRecorder] = None
     tracer = None
 
     __slots__ = ()
@@ -387,28 +385,20 @@ class MetricsCollector:
     batch of queries — nothing resets automatically).
 
     Args:
-        trace: also record a per-query event trace (bounded by
-            ``max_trace_events``); engines emit events only when this
-            is on.
         tracer: a :class:`repro.obs.spans.SpanTracer`; when set, every
             ``time(name)`` block is also recorded as a span (see
-            :class:`_TimedSpan`) and :meth:`mark` annotates the
-            current span.
+            :class:`_TimedSpan`), :meth:`mark` annotates the current
+            span and :meth:`event` files engine events as spans.
     """
 
     enabled = True
 
-    __slots__ = ("counters", "histograms", "timers", "trace", "tracer",
-                 "_lock")
+    __slots__ = ("counters", "histograms", "timers", "tracer", "_lock")
 
-    def __init__(self, trace: bool = False,
-                 max_trace_events: int = DEFAULT_MAX_EVENTS,
-                 tracer=None):
+    def __init__(self, tracer=None):
         self.counters: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.timers: Dict[str, Histogram] = {}
-        self.trace: Optional[TraceRecorder] = (
-            TraceRecorder(max_trace_events) if trace else None)
         self.tracer = tracer if tracer is not None \
             and getattr(tracer, "enabled", False) else None
         self._lock = threading.Lock()
@@ -475,9 +465,11 @@ class MetricsCollector:
         return _Timed(self, name)
 
     def event(self, name: str, **fields: object) -> None:
-        """Record a trace event (no-op unless tracing is on)."""
-        if self.trace is not None:
-            self.trace.record(name, **fields)
+        """File an engine event as a zero-duration span under the
+        thread's current span, ``fields`` as its attributes (a no-op
+        without a tracer)."""
+        if self.tracer is not None:
+            self.tracer.instant(name, **fields)
 
     def mark(self, key: str, value: float = 1) -> None:
         """Bump a numeric attribute on the tracer's current span.

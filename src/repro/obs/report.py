@@ -1,15 +1,16 @@
 """The metrics JSON report: schema, construction, validation.
 
-``repro search ... --metrics-json PATH`` (and any embedding harness)
-emits one report per query.  The shape is versioned by the ``schema``
-field and documented in docs/OBSERVABILITY.md; :func:`validate_report`
-is the machine-checkable form of that document and is what the CI
-smoke job runs against a freshly emitted report.
+``repro search ... --metrics-json PATH``, ``repro batch`` and the HTTP
+server emit one ``repro.metrics/v2`` report per query or batch.  The
+shape is versioned by the ``schema`` field and documented in
+docs/OBSERVABILITY.md; :func:`validate_report` is the
+machine-checkable form of that document and is what the CI smoke job
+runs against a freshly emitted report.
 
-Top-level shape (``repro.metrics/v1``)::
+Top-level shape::
 
     {
-      "schema": "repro.metrics/v1",
+      "schema": "repro.metrics/v2",
       "query": {"keywords": [...], "k": int,
                 "algorithm": str, "semantics": str},
       "elapsed_ms": float,
@@ -18,33 +19,33 @@ Top-level shape (``repro.metrics/v1``)::
       "stats": {...},              # per-algorithm counters (free-form)
       "metrics": {"counters": {...}, "histograms": {...},
                   "timers": {...}},
-      "trace": [{"seq": int, "offset_ms": float, "name": str, ...}]
+      "spans": [...],              # optional: the exported span tree
+      "workers": {...},            # optional: process-worker merges
+      "resilience": {...}          # optional: retry/breaker/fault stats
     }
 
-``trace`` is present only when the query ran with tracing on.
+The ``metrics`` block of a batch report is *merged* across the
+coordinator and every process worker.  ``spans`` (validated by
+:func:`repro.obs.spans.validate_spans`) includes the engine events
+as zero-duration spans when the query was traced.
 
-``repro.metrics/v2`` (built by :func:`repro.obs.export
-.build_report_v2`) is the same shape with three optional extra
-blocks — ``spans`` (exported span tree, validated by
-:func:`repro.obs.spans.validate_spans`), ``workers`` (process-worker
-merge provenance) and ``resilience`` (retry/breaker/fault stats) —
-and, crucially, a ``metrics`` block that has been *merged* across the
-coordinator and every process worker.  :func:`validate_report`
-accepts both versions; v1 consumers can read a v2 report by ignoring
-the extra blocks.
+Earlier versions wrote ``repro.metrics/v1`` — the same shape without
+the three optional blocks, with an optional ``trace`` event list.
+:func:`validate_report` still reads those documents.
 """
 
 from __future__ import annotations
 
 from numbers import Number
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.exceptions import ReproError
 
-#: Version tag written into (and required from) every report.
+#: The legacy single-query version: read by :func:`validate_report`,
+#: no longer written.
 SCHEMA_ID = "repro.metrics/v1"
 
-#: The merged/cross-process report version (see repro.obs.export).
+#: The version every report is written with.
 SCHEMA_ID_V2 = "repro.metrics/v2"
 
 #: Every schema version :func:`validate_report` accepts.
@@ -63,22 +64,26 @@ class ReportError(ReproError):
 
 
 def build_report(keywords: List[str], k: int, algorithm: str,
-                 semantics: str, outcome,
-                 elapsed_ms: float) -> Dict[str, object]:
-    """Assemble the ``repro.metrics/v1`` report for one query.
+                 semantics: str, outcome, elapsed_ms: float,
+                 spans: Optional[List[Dict[str, object]]] = None,
+                 workers: Optional[Dict[str, object]] = None,
+                 resilience: Optional[Dict[str, object]] = None,
+                 ) -> Dict[str, object]:
+    """Assemble the ``repro.metrics/v2`` report for a query or batch.
 
     ``outcome`` is a :class:`repro.core.result.SearchOutcome` (typed
     loosely so this package stays dependency-free below the core).
-
     ``outcome.stats`` is copied minus the non-JSON members the library
-    attaches in-process (the metrics snapshot and the live trace
-    recorder become the report's own ``metrics`` / ``trace`` blocks;
-    Monte-Carlo ``estimates`` objects are summarised by the results).
+    attaches in-process (the metrics snapshot becomes the report's own
+    ``metrics`` block; Monte-Carlo ``estimates`` objects are
+    summarised by the results).  The optional blocks are attached only
+    when given; ``workers`` is the merge provenance block — see
+    :func:`repro.obs.export.workers_block` for its shape.
     """
     stats = {key: value for key, value in outcome.stats.items()
-             if key not in ("metrics", "trace", "estimates")}
+             if key not in ("metrics", "estimates")}
     report: Dict[str, object] = {
-        "schema": SCHEMA_ID,
+        "schema": SCHEMA_ID_V2,
         "query": {"keywords": list(keywords), "k": k,
                   "algorithm": str(algorithm), "semantics": str(semantics)},
         "elapsed_ms": round(float(elapsed_ms), 6),
@@ -90,9 +95,10 @@ def build_report(keywords: List[str], k: int, algorithm: str,
         "stats": stats,
         "metrics": outcome.stats.get("metrics", {}),
     }
-    trace = outcome.stats.get("trace")
-    if trace is not None:
-        report["trace"] = trace.as_dicts()
+    for block, value in (("spans", spans), ("workers", workers),
+                         ("resilience", resilience)):
+        if value is not None:
+            report[block] = value
     return report
 
 
@@ -145,6 +151,7 @@ def validate_report(report: object) -> Dict[str, object]:
         raise ReportError("stats must be an object")
     _validate_metrics(report["metrics"])
 
+    # The event list of reports written before events became spans.
     trace = report.get("trace")
     if trace is not None:
         if not isinstance(trace, list):

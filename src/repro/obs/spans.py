@@ -28,7 +28,9 @@ The bridge into the engines is :class:`repro.obs.metrics
 ``collector.time(name)`` block becomes a span under the current one —
 so ``index.lookup``, ``prstack.scan``, ``eager.seed``/``eager.climb``,
 ``storage.load`` and friends appear in the tree without any engine
-signature changes.  See docs/OBSERVABILITY.md.
+signature changes — and every ``collector.event(name, **fields)``
+becomes a zero-duration span (:meth:`SpanTracer.instant`) carrying the
+fields as attributes.  See docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.exceptions import ReproError
 
 #: Cap on spans one tracer retains; beyond it spans are counted in
-#: ``dropped`` and discarded (the same never-silent policy as the
-#: trace recorder's).
+#: ``dropped`` and discarded, so truncation is never silent.
 DEFAULT_MAX_SPANS = 50_000
 
 #: Span status values (``ok`` is implied and not serialized).
@@ -238,11 +239,7 @@ class SpanTracer:
             span.status = status
         if attrs:
             span.attrs.update(attrs)
-        with self._lock:
-            if len(self.finished) >= self.max_spans:
-                self.dropped += 1
-            else:
-                self.finished.append(span)
+        self._file(span)
         if self.recorder is not None and self.recorder.enabled:
             self.recorder.record("span", span.name,
                                  span_id=span.span_id,
@@ -250,6 +247,27 @@ class SpanTracer:
                                  duration_ms=round(span.duration_ms, 3),
                                  status=span.status)
         return span
+
+    def instant(self, name: str, **attrs: object) -> Span:
+        """File a zero-duration span under this thread's current span:
+        an engine event (``eager.suspend``, ``heap.threshold`` …).
+
+        Unlike :meth:`finish` it does not feed the flight recorder: one
+        query can emit hundreds of events, which would rotate the span
+        and resilience records out of the recorder's ring.
+        """
+        span = self.begin(name, **attrs)
+        span._started = None
+        self._file(span)
+        return span
+
+    def _file(self, span: Span) -> None:
+        """Retain a finished span, or count it past the cap."""
+        with self._lock:
+            if len(self.finished) >= self.max_spans:
+                self.dropped += 1
+            else:
+                self.finished.append(span)
 
     @contextmanager
     def span(self, name: str, parent: Optional[Span] = None,

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.api import Algorithm
 from repro.exceptions import QueryError, ReproError
+from repro.service.worker import DEFAULT_EXECUTOR, EXECUTORS
 
 #: Largest request body accepted by default (1 MiB).
 DEFAULT_MAX_BODY = 1 << 20
@@ -46,7 +47,7 @@ _REASONS = {
 
 _ALGORITHMS = frozenset(choice.value for choice in Algorithm)
 _SEMANTICS = frozenset(("slca", "elca"))
-_EXECUTORS = frozenset(("serial", "thread", "process"))
+_EXECUTORS = frozenset(EXECUTORS)
 
 #: Request fields accepted by ``POST /search``.
 _SEARCH_FIELDS = frozenset(("keywords", "k", "algorithm", "semantics",
@@ -234,7 +235,7 @@ class BatchRequest:
     algorithm: str = Algorithm.EAGER.value
     semantics: str = "slca"
     deadline_ms: Optional[float] = None
-    executor: str = "thread"
+    executor: str = DEFAULT_EXECUTOR
     workers: Optional[int] = None
 
 
@@ -284,7 +285,7 @@ def parse_batch_request(payload: Mapping[str, Any]) -> BatchRequest:
         semantics=_coerce_choice(payload, "semantics", "slca",
                                  _SEMANTICS),
         deadline_ms=_coerce_deadline(payload),
-        executor=_coerce_choice(payload, "executor", "thread",
+        executor=_coerce_choice(payload, "executor", DEFAULT_EXECUTOR,
                                 _EXECUTORS),
         workers=workers)
 

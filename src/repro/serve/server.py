@@ -60,7 +60,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.exceptions import QueryError, ReproError, StorageError
 from repro.obs import (MetricsCollector, NullTracer, SpanTracer,
-                       Stopwatch, TracerLike, build_report_v2,
+                       Stopwatch, TracerLike, build_report,
                        derive_trace_id, format_sample,
                        prometheus_lines, quantile_lines)
 from repro.obs.logging import get_logger
@@ -684,7 +684,7 @@ class ServeServer:
                           "ratelimit": self._ratelimit.stats(),
                           "service": self._service_snapshot()},
             })
-            report = build_report_v2(
+            report = build_report(
                 [], 0, "serve", "slca", outcome,
                 elapsed_ms=self._watch.elapsed * 1000.0)
             return json_response(200, report,

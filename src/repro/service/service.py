@@ -87,9 +87,9 @@ from repro.resilience.deadline import (Deadline, DeadlineLike,
 from repro.resilience.faults import FaultsLike, faults_from_env
 from repro.resilience.retry import (CircuitBreaker, DEFAULT_BACKOFF_MS,
                                     DEFAULT_MAX_RETRIES, RetryPolicy)
-from repro.service.worker import (DocumentSource, Job, SourceLoadError,
-                                  WorkerPool, check_executor, decode_rows,
-                                  run_job)
+from repro.service.worker import (DEFAULT_EXECUTOR, DocumentSource, Job,
+                                  SourceLoadError, WorkerPool,
+                                  check_executor, decode_rows, run_job)
 
 _log = get_logger("service")
 
@@ -135,11 +135,11 @@ class BatchOutcome:
 class _ResilienceTracker:
     """Thread-safe counters for one batch's failure handling.
 
-    Every bump is mirrored to the service collector as a
-    ``resilience.<name>`` counter *and* trace event, so a metrics
-    report shows the same numbers the batch stats block does, and is
-    appended to the flight recorder's ring so a post-failure dump
-    replays the exact retry/degradation sequence.
+    Every bump is mirrored to the collector as a ``resilience.<name>``
+    counter *and* event (a span on the batch tree when the batch is
+    traced), so a metrics report shows the same numbers the batch
+    stats block does, and is appended to the flight recorder's ring so
+    a post-failure dump replays the exact retry/degradation sequence.
     """
 
     FIELDS = ("retries", "recovered_queries", "query_errors",
@@ -488,7 +488,6 @@ class QueryService:
                algorithm: Union[Algorithm, str] = Algorithm.EAGER,
                semantics: str = "slca",
                collector: Optional[MetricsCollector] = None,
-               trace: bool = False,
                sanitize: Optional[bool] = None,
                deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None,
                tracer: Optional[TracerLike] = None) -> SearchOutcome:
@@ -501,10 +500,10 @@ class QueryService:
         un-deadlined query repeated with the same
         ``(terms, k, algorithm, semantics)`` replays the cached outcome
         (marked ``stats["service"] == "result_cache"``) without running
-        any algorithm.  Passing ``collector``/``trace``/``sanitize``/
-        ``deadline`` bypasses the result cache so the instrumentation
-        (or the budget) really applies; a partial outcome is never
-        cached — a replay must not masquerade as complete.
+        any algorithm.  Passing ``collector``/``sanitize``/``deadline``
+        bypasses the result cache so the instrumentation (or the
+        budget) really applies; a partial outcome is never cached — a
+        replay must not masquerade as complete.
 
         ``tracer`` hangs the query's span tree under the caller's
         tracer (the HTTP serving layer passes a per-request
@@ -520,13 +519,13 @@ class QueryService:
         keywords = validate_query(keywords, k)
         terms = sorted(normalize_query(keywords))
         return self._search_terms(terms, k, algorithm, semantics,
-                                  collector, trace, sanitize, deadline,
+                                  collector, sanitize, deadline,
                                   tracer=tracer)
 
     def _search_terms(self, terms: List[str], k: int,
                       algorithm: Union[Algorithm, str], semantics: str,
                       collector: Optional[MetricsCollector],
-                      trace: bool, sanitize: Optional[bool],
+                      sanitize: Optional[bool],
                       deadline: object = None,
                       tracer: Optional[TracerLike] = None
                       ) -> SearchOutcome:
@@ -538,8 +537,8 @@ class QueryService:
 
         One rule picks the collector the engines run on:
 
-        * a caller's ``collector`` or ``trace=True`` — that one, and
-          its snapshot lands in ``stats["metrics"]``;
+        * a caller's ``collector`` — that one, and its snapshot lands
+          in ``stats["metrics"]``;
         * a live ``tracer`` — an ephemeral :class:`MetricsCollector`
           carrying it, so every engine timer becomes a span under this
           query's span, merged into the service collector afterwards;
@@ -557,8 +556,8 @@ class QueryService:
             self.collector.count("service.queries")
         effective_sanitize = sanitize if sanitize is not None \
             else sanitize_from_env()
-        replayable = (collector is None and not trace
-                      and not effective_sanitize and deadline is None)
+        replayable = (collector is None and not effective_sanitize
+                      and deadline is None)
         key = (tuple(terms), k, algorithm.value, semantics)
         if tracer is not None and not tracer.enabled:
             tracer = None
@@ -572,7 +571,7 @@ class QueryService:
                 replayed = _replay(cached)
                 _annotate_state(replayed, state)
                 return replayed
-        attach = collector is not None or trace
+        attach = collector is not None
         run_collector = collector
         if not attach:
             if tracer is not None:
@@ -587,7 +586,6 @@ class QueryService:
                 outcome = topk_search(state.index, terms, k, algorithm,
                                       semantics=semantics,
                                       collector=run_collector,
-                                      trace=trace,
                                       sanitize=sanitize,
                                       caches=state.caches,
                                       deadline=deadline,
@@ -611,7 +609,7 @@ class QueryService:
                      algorithm: Union[Algorithm, str] = Algorithm.EAGER,
                      semantics: str = "slca",
                      workers: Optional[int] = None,
-                     executor: str = "thread",
+                     executor: str = DEFAULT_EXECUTOR,
                      sanitize: Optional[bool] = None,
                      deadline_ms: Optional[float] = None,
                      max_retries: int = DEFAULT_MAX_RETRIES,
@@ -636,7 +634,8 @@ class QueryService:
                 string (one line of a query file).
             workers: fan-out width; ``None``/``1`` runs serially on
                 the calling thread.
-            executor: ``"serial"``, ``"thread"`` (workers share this
+            executor: ``"serial"`` (the default, and the fastest on
+                CPU-bound queries), ``"thread"`` (workers share this
                 service and its hot caches — best for replay-heavy
                 traffic), or ``"process"`` (each worker parses its own
                 copy of the document once and serves its contiguous
@@ -696,9 +695,14 @@ class QueryService:
         width = min(workers or 1, len(order)) if order else 0
         serial = executor == "serial" or width <= 1
         outcomes: List[Optional[SearchOutcome]] = [None] * len(prepared)
-        tracker = _ResilienceTracker(self.collector, self.recorder)
         if tracer is not None and not tracer.enabled:
             tracer = None
+        # A traced batch counts its resilience events on a collector
+        # carrying the tracer, so they land on the batch span tree, and
+        # merges those counts into the service collector afterwards.
+        tracker = _ResilienceTracker(
+            MetricsCollector(tracer=tracer) if tracer is not None
+            else self.collector, self.recorder)
         merged_pids: List[int] = []
         if self.collector.enabled:
             self.collector.count("service.batches")
@@ -723,6 +727,8 @@ class QueryService:
                 else:
                     self._run_processes(outcomes, order, prepared,
                                         width, run, merged_pids)
+        if tracer is not None and self.collector.enabled:
+            self.collector.merge(tracker.collector)
         stats: Dict[str, object] = {
             "queries": len(prepared),
             "distinct_term_sets":
@@ -777,7 +783,7 @@ class QueryService:
             if run.injector.enabled:
                 run.injector.before_query(terms)
             outcome = self._search_terms(
-                terms, run.k, run.algorithm, run.semantics, None, False,
+                terms, run.k, run.algorithm, run.semantics, None,
                 run.sanitize, deadline, tracer=run.tracer)
             if outcome.partial:
                 run.tracker.note_partial(outcome.termination_reason)

@@ -39,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
 #: :meth:`CorpusService.search`.
 EXECUTORS = ("serial", "thread", "process")
 
+#: The batch executor when a caller names none.  Serial: the queries
+#: are CPU-bound, so a thread pool only adds GIL contention, and a
+#: process pool pays its start-up and document shipping first.
+DEFAULT_EXECUTOR = "serial"
+
 
 def check_executor(executor: str, label: str = "executor") -> None:
     """Reject an executor name outside :data:`EXECUTORS` (a caller
@@ -141,10 +146,10 @@ Row = Tuple[List[str], List[float], List[str], Dict[str, object], bool,
 #: Per job: the worker's pid, metrics snapshot and serialized spans.
 Meta = Dict[str, object]
 
-#: Outcome stats a worker does not ship: the trace and estimates are
-#: bulky, the metrics travel once in :data:`Meta`, and the coordinator
-#: stamps the generation it served itself.
-_LOCAL_STATS = ("trace", "estimates", "metrics", "service_state")
+#: Outcome stats a worker does not ship: the estimates are bulky, the
+#: metrics travel once in :data:`Meta` (and the events as its spans),
+#: and the coordinator stamps the generation it served itself.
+_LOCAL_STATS = ("estimates", "metrics", "service_state")
 
 
 class SourceLoadError(RuntimeError):

@@ -63,6 +63,29 @@ def test_serve_import_leaves_tree_tools_unimported():
     assert loaded == []
 
 
+def test_single_document_serve_leaves_corpus_modules_unimported(tmp_path):
+    """``repro serve`` on a database tells it from a corpus by the
+    manifest file alone; the corpus builder, replication and sharding
+    modules stay unimported once the snapshot is loaded."""
+    directory = tmp_path / "db"
+    save_database(Database.from_document(dblp(5)), directory)
+    corpus = ["repro.corpus.builder", "repro.corpus.replication",
+              "repro.corpus.sharding"]
+    loaded = json.loads(run_fresh(
+        "import asyncio, json, sys\n"
+        "import repro.cli\n"
+        "def stop(main):\n"
+        "    main.close()\n"
+        "    return 0\n"
+        "asyncio.run = stop  # return once the server is built\n"
+        f"assert repro.cli.main(['serve', {str(directory)!r}, "
+        "'--port', '0']) == 0\n"
+        "assert 'repro.service.service' in sys.modules\n"
+        f"print(json.dumps([m for m in {corpus!r} "
+        "if m in sys.modules]))\n"))
+    assert loaded == []
+
+
 def test_traced_boundaries_resolve_in_a_fresh_process():
     """The boundaries must be module attributes in their own right,
     not names a package ``__init__`` happened to import first."""

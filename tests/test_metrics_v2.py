@@ -4,13 +4,13 @@ Prometheus exporter (satellites S1/S4 of the observability issue)."""
 import pytest
 
 from repro.core.result import SearchOutcome
-from repro.obs import (MetricsCollector, build_report, build_report_v2,
-                       parse_prometheus, prometheus_lines,
+from repro.obs import (MetricsCollector, build_report, parse_prometheus, prometheus_lines,
                        render_prometheus, validate_report,
                        workers_block)
 from repro.obs.export import ExportError
 from repro.obs.metrics import Histogram
-from repro.obs.report import ReportError, SCHEMA_ID, SCHEMA_ID_V2
+from repro.obs.report import (REQUIRED_KEYS, ReportError, SCHEMA_ID,
+                               SCHEMA_ID_V2)
 from repro.obs.spans import Span, SpanTracer
 
 
@@ -26,24 +26,25 @@ def outcome_with_metrics():
 
 class TestSchemaCompat:
     def test_v1_report_still_validates(self):
+        # Reports written before v2 (and still on disk) keep reading.
         report = build_report(["k1"], 3, "eager", "slca",
                               outcome_with_metrics(), 1.5)
-        assert report["schema"] == SCHEMA_ID
+        report["schema"] = SCHEMA_ID
+        report["trace"] = [{"seq": 0, "offset_ms": 0.1,
+                            "name": "eager.process"}]
         assert validate_report(report) is report
 
     def test_v2_without_blocks_is_v1_plus_tag(self):
-        outcome = outcome_with_metrics()
-        v1 = build_report(["k1"], 3, "eager", "slca", outcome, 1.5)
-        v2 = build_report_v2(["k1"], 3, "eager", "slca", outcome, 1.5)
-        assert v2.pop("schema") == SCHEMA_ID_V2
-        v1.pop("schema")
-        assert v1 == v2
+        report = build_report(["k1"], 3, "eager", "slca",
+                              outcome_with_metrics(), 1.5)
+        assert report["schema"] == SCHEMA_ID_V2
+        assert set(report) == set(REQUIRED_KEYS)
 
     def test_v2_with_all_blocks_validates(self):
         tracer = SpanTracer(trace_id="t")
         with tracer.span("batch"):
             pass
-        report = build_report_v2(
+        report = build_report(
             ["k1"], 3, "eager", "slca", outcome_with_metrics(), 1.5,
             spans=tracer.export(),
             workers=workers_block([41, 42, 42], 3),
@@ -55,19 +56,20 @@ class TestSchemaCompat:
     def test_v1_must_not_carry_v2_blocks(self):
         report = build_report(["k1"], 3, "eager", "slca",
                               outcome_with_metrics(), 1.5)
+        report["schema"] = SCHEMA_ID
         report["workers"] = workers_block([1], 1)
         with pytest.raises(ReportError, match="must not carry"):
             validate_report(report)
 
     def test_v2_rejects_invalid_spans_block(self):
-        report = build_report_v2(
+        report = build_report(
             ["k1"], 3, "eager", "slca", outcome_with_metrics(), 1.5,
             spans=[{"span_id": "s0"}])
         with pytest.raises(ReportError, match="spans block invalid"):
             validate_report(report)
 
     def test_v2_rejects_malformed_workers_block(self):
-        report = build_report_v2(
+        report = build_report(
             ["k1"], 3, "eager", "slca", outcome_with_metrics(), 1.5,
             workers={"pids": ["not-a-pid"]})
         with pytest.raises(ReportError, match="workers.count"):

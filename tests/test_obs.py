@@ -6,11 +6,10 @@ import time
 
 import pytest
 
-from repro.obs import (MetricsCollector, NULL_COLLECTOR, Stopwatch,
-                       TraceRecorder, configure_logging, get_logger)
+from repro.obs import (MetricsCollector, NULL_COLLECTOR, SpanTracer,
+                       Stopwatch, configure_logging, get_logger)
 from repro.obs.metrics import Histogram, NullCollector
 from repro.obs.report import ReportError, SCHEMA_ID, validate_report
-from repro.obs.trace import render_trace
 
 
 class TestHistogram:
@@ -65,7 +64,7 @@ class TestStopwatch:
 class TestNullCollector:
     def test_is_disabled_and_traceless(self):
         assert NULL_COLLECTOR.enabled is False
-        assert NULL_COLLECTOR.trace is None
+        assert NULL_COLLECTOR.tracer is None
 
     def test_all_hooks_are_noops(self):
         NULL_COLLECTOR.count("x")
@@ -109,12 +108,16 @@ class TestMetricsCollector:
     def test_events_need_tracing(self):
         silent = MetricsCollector()
         silent.event("step", value=1)
-        assert silent.trace is None
+        assert silent.tracer is None
 
-        tracing = MetricsCollector(trace=True)
-        tracing.event("step", value=1)
-        assert len(tracing.trace) == 1
-        assert tracing.trace.events[0].fields == {"value": 1}
+        tracer = SpanTracer(trace_id="t")
+        tracing = MetricsCollector(tracer=tracer)
+        with tracer.span("query"):
+            tracing.event("step", value=1)
+        step = tracer.finished[0]
+        assert (step.name, step.parent_id) == ("step", "s0")
+        assert step.attrs == {"value": 1}
+        assert step.duration_ms == 0.0
 
     def test_snapshot_is_sorted_and_json_safe(self):
         collector = MetricsCollector()
@@ -123,40 +126,6 @@ class TestMetricsCollector:
         snapshot = collector.snapshot()
         assert list(snapshot["counters"]) == ["a", "b"]
         json.dumps(snapshot)  # must not raise
-
-
-class TestTraceRecorder:
-    def test_sequencing_and_offsets(self):
-        recorder = TraceRecorder()
-        recorder.record("first", x=1)
-        recorder.record("second")
-        dicts = recorder.as_dicts()
-        assert [event["seq"] for event in dicts] == [0, 1]
-        assert dicts[0]["name"] == "first"
-        assert dicts[0]["x"] == 1
-        assert dicts[0]["offset_ms"] >= 0.0
-
-    def test_cap_drops_beyond_max(self):
-        recorder = TraceRecorder(max_events=2)
-        for _ in range(5):
-            recorder.record("e")
-        assert len(recorder) == 2
-        assert recorder.dropped == 3
-
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(max_events=0)
-
-    def test_render_handles_missing_trace(self):
-        assert render_trace(None) == ["  (no trace recorded)"]
-
-    def test_render_reports_truncation(self):
-        recorder = TraceRecorder(max_events=3)
-        for _ in range(5):
-            recorder.record("step", n=1)
-        lines = render_trace(recorder, limit=2)
-        assert any("1 more event(s) not shown" in line for line in lines)
-        assert any("2 event(s) dropped" in line for line in lines)
 
 
 class TestLogging:

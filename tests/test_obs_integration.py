@@ -1,22 +1,69 @@
 """Integration tests: observability threaded through the search stack.
 
-Covers the ISSUE acceptance criteria: instrumented PrStack and
-EagerTopK runs report consistent operation counts, the default no-op
-collector changes nothing about the results, ``SearchOutcome.stats``
-carries the per-property pruning breakdown, and an emitted metrics
-report validates against the documented schema.
+Instrumented PrStack and EagerTopK runs report consistent operation
+counts, the default no-op collector changes nothing about the results,
+``SearchOutcome.stats`` carries the per-property pruning breakdown,
+engine events land on the span tree in the order the engines emit
+them, and an emitted metrics report validates against the documented
+schema.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro import MetricsCollector, topk_search
+from repro import (Database, MetricsCollector, SpanTracer, build_index,
+                   encode_document, topk_search)
 from repro.core.explain import profile_lines
+from repro.datagen import generate_xmark, make_probabilistic
 from repro.exceptions import QueryError
-from repro.obs.report import build_report, validate_report
+from repro.obs.report import SCHEMA_ID_V2, build_report, validate_report
+from repro.resilience import Deadline
+from tests.conftest import build_figure1_doc
 
 KEYWORDS = ["k1", "k2"]
+
+#: The engine events of three EagerTopK queries — Figure 1, an XMark
+#: query that suspends and prunes, and one cut short by a step budget —
+#: as the per-query trace recorder logged them before events became
+#: spans: ``[name, fields]`` pairs in emission order.
+ENGINE_EVENTS = Path(__file__).parent / "fixtures" / "engine_events.json"
+
+
+def creation_order(record):
+    """Sort key putting exported spans in the order they were opened:
+    span ids number each parent's children in creation order, so a
+    preorder walk of the ids is the order events happened in."""
+    return tuple((0, int(part)) if part.isdigit() else (1, part)
+                 for part in record["span_id"].split("."))
+
+
+def event_spans(spans):
+    """The zero-duration (event) spans of an export as
+    ``[name, attrs]``, in emission order."""
+    return [[record["name"], record.get("attrs", {})]
+            for record in sorted(spans, key=creation_order)
+            if not record["duration_ms"]]
+
+
+def traced_search(source, keywords, k, **options):
+    """Run EagerTopK under a root span; returns (outcome, spans)."""
+    tracer = SpanTracer(trace_id="t")
+    with tracer.span("search"):
+        outcome = topk_search(source, keywords, k, "eager",
+                              collector=MetricsCollector(tracer=tracer),
+                              **options)
+    return outcome, tracer.export()
+
+
+@pytest.fixture(scope="module")
+def event_documents():
+    return {
+        "figure1": build_index(encode_document(build_figure1_doc())),
+        "xmark": build_index(encode_document(
+            make_probabilistic(generate_xmark(scale=1), seed=3))),
+    }
 
 
 def _codes_and_probs(outcome):
@@ -27,14 +74,14 @@ class TestNoOpDefault:
     def test_results_identical_with_and_without_collector(self, figure1_db):
         for algorithm in ("prstack", "eager"):
             plain = topk_search(figure1_db, KEYWORDS, 5, algorithm)
+            collector = MetricsCollector(tracer=SpanTracer())
             instrumented = topk_search(figure1_db, KEYWORDS, 5, algorithm,
-                                       collector=MetricsCollector(trace=True))
+                                       collector=collector)
             assert _codes_and_probs(plain) == _codes_and_probs(instrumented)
 
     def test_uninstrumented_outcome_has_no_metrics(self, figure1_db):
         outcome = topk_search(figure1_db, KEYWORDS, 5, "eager")
         assert outcome.metrics == {}
-        assert outcome.trace is None
 
 
 class TestInstrumentedStats:
@@ -95,22 +142,33 @@ class TestInstrumentedStats:
 
 
 class TestTracing:
-    def test_trace_records_query_narrative(self, figure1_db):
-        outcome = topk_search(figure1_db, KEYWORDS, 2, "eager",
-                              trace=True)
-        trace = outcome.trace
-        assert trace is not None and len(trace) > 0
-        names = {event.name for event in trace}
-        assert "eager.process" in names
+    @pytest.mark.parametrize("name", ["figure1", "xmark", "deadline"])
+    def test_event_spans_match_legacy_trace(self, event_documents, name):
+        query = next(query for query in
+                     json.loads(ENGINE_EVENTS.read_text())["queries"]
+                     if query["name"] == name)
+        deadline = Deadline(max_steps=query["max_steps"]) \
+            if query["max_steps"] is not None else None
+        outcome, spans = traced_search(
+            event_documents[query["document"]], query["keywords"],
+            query["k"], deadline=deadline)
+        assert outcome.partial == (deadline is not None)
+        assert event_spans(spans) == query["events"]
+        # Every event hangs under an engine phase of the query.
+        by_id = {span["span_id"]: span for span in spans}
+        for span in spans:
+            if not span["duration_ms"]:
+                assert by_id[span["parent_id"]]["duration_ms"] > 0
 
     def test_profile_lines_render_instrumented_outcome(self, figure1_db):
-        outcome = topk_search(figure1_db, KEYWORDS, 5, "prstack",
-                              trace=True)
-        lines = profile_lines(outcome)
+        outcome, spans = traced_search(figure1_db, KEYWORDS, 2)
+        lines = profile_lines(outcome, spans)
         text = "\n".join(lines)
         assert lines[0] == "profile"
         assert "counters" in text and "timers (ms)" in text
         assert "engine.frames_pushed" in text
+        assert f"  spans ({len(spans)})" in lines
+        assert any("eager.process  code=" in line for line in lines)
 
     def test_profile_lines_degrade_without_metrics(self, figure1_db):
         outcome = topk_search(figure1_db, KEYWORDS, 5, "prstack")
@@ -136,22 +194,21 @@ class TestAlgorithmCoercion:
 
 class TestMetricsReport:
     def test_report_roundtrips_through_json(self, figure1_db, tmp_path):
-        collector = MetricsCollector(trace=True)
-        outcome = topk_search(figure1_db, KEYWORDS, 5, "eager",
-                              collector=collector)
+        outcome, spans = traced_search(figure1_db, KEYWORDS, 5)
         report = build_report(KEYWORDS, 5, "eager", "slca", outcome,
-                              elapsed_ms=1.25)
+                              elapsed_ms=1.25, spans=spans)
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(report))
         parsed = json.loads(path.read_text())
         validate_report(parsed)
-        assert parsed["schema"] == "repro.metrics/v1"
+        assert parsed["schema"] == SCHEMA_ID_V2
         assert parsed["result_count"] == len(outcome)
         assert parsed["metrics"]["counters"]
-        assert parsed["trace"]
-        # the live recorder / snapshot never leak into the stats copy
+        assert "eager.process" in {span["name"]
+                                   for span in parsed["spans"]}
+        # the snapshot never leaks into the stats copy
         assert "metrics" not in parsed["stats"]
-        assert "trace" not in parsed["stats"]
+        assert "trace" not in parsed
 
     def test_report_valid_without_instrumentation(self, figure1_db):
         outcome = topk_search(figure1_db, KEYWORDS, 5, "prstack")
@@ -159,7 +216,7 @@ class TestMetricsReport:
                               elapsed_ms=0.5)
         validate_report(report)
         assert report["metrics"] == {}
-        assert "trace" not in report
+        assert "spans" not in report
 
 
 class TestBenchMetrics:

@@ -18,7 +18,7 @@ from repro.core.distribution import DistTable
 from repro.core.heap import TopKHeap
 from repro.encoding.dewey import DeweyCode
 from repro.exceptions import ReproError
-from repro.obs import MetricsCollector
+from repro.obs import MetricsCollector, SpanTracer
 
 
 def code(text: str) -> DeweyCode:
@@ -149,13 +149,15 @@ class TestNullSanitizerAndEnv:
 
 class TestTraceContext:
     def test_failure_quotes_trace_tail(self):
-        collector = MetricsCollector(trace=True)
-        collector.event("eager.process", code="1.2", entries=3)
+        collector = MetricsCollector(tracer=SpanTracer())
+        with collector.time("eager.climb"):
+            collector.event("eager.process", code="1.2", entries=3)
         sanitizer = Sanitizer(collector=collector)
         with pytest.raises(SanitizerError) as error:
             sanitizer.check_probability(2.0, "test")
         assert "trace tail" in str(error.value)
-        assert "eager.process" in str(error.value)
+        assert "eager.process(code=1.2, entries=3)" in str(error.value)
+        assert "eager.climb" not in str(error.value)  # a phase, no event
 
     def test_failure_without_trace_is_plain(self):
         with pytest.raises(SanitizerError) as error:

@@ -759,8 +759,8 @@ SPAN_SCENARIOS = (
      {"keywords": ["k1", "k2"], "k": 3}),
 )
 
-#: Spans a traced corpus search has beyond the pinned trees: the
-#: global merge of each answered visit, and each process submit.
+#: The global merge of each answered corpus visit, and each process
+#: submit.
 MERGE_PATH = "http.request/corpus.search/corpus.merge"
 SUBMIT_PATH = "http.request/corpus.search/corpus.shard/corpus.submit"
 
@@ -868,19 +868,16 @@ class TestOptInTracing:
         assert sorted(trees) == sorted(pinned)
         for name, kind, executor, _ in SPAN_SCENARIOS:
             paths = trees[name]
-            new = [path for path in paths
-                   if path in (MERGE_PATH, SUBMIT_PATH)]
-            kept = [path for path in paths if path not in new]
-            assert kept == pinned[name], name
+            assert paths == pinned[name], name
             visits = paths.count("http.request/corpus.search/"
                                  "corpus.shard")
             if kind == "document":
-                assert not new, name
+                assert MERGE_PATH not in paths, name
                 continue
             # One global merge per answered visit; one submit per
             # process visit (none failed, none hedged).
-            assert visits and new.count(MERGE_PATH) == visits, name
-            assert new.count(SUBMIT_PATH) == \
+            assert visits and paths.count(MERGE_PATH) == visits, name
+            assert paths.count(SUBMIT_PATH) == \
                 (visits if executor == "process" else 0), name
 
 

@@ -183,6 +183,58 @@ class TestBatch:
         with pytest.raises(QueryError, match="workers"):
             service.batch_search([["k1"]], workers=-1)
 
+    @pytest.mark.parametrize("entry", ["service", "corpus", "http",
+                                       "cli"])
+    def test_default_executor_is_serial(self, figure1_db, tmp_path,
+                                        capsys, entry):
+        """``workers=2`` with no executor named runs serially at every
+        entry point: on these CPU-bound queries a thread pool only
+        adds GIL contention."""
+        queries = [["k1"], ["k2"], ["k1", "k2"]]
+        if entry == "service":
+            batch = QueryService(figure1_db).batch_search(queries,
+                                                          workers=2)
+            executor = batch.stats["executor"]
+        elif entry == "corpus":
+            from repro.corpus import CorpusService, build_corpus
+            from tests.test_corpus import random_corpus
+            build_corpus(random_corpus(11), tmp_path / "corpus",
+                         shards=2)
+            batch = CorpusService(str(tmp_path / "corpus")) \
+                .batch_search(queries, workers=2)
+            executor = batch.stats["executor"]
+        elif entry == "http":
+            from repro.serve import ServeConfig, start_in_thread
+            from tests.test_serve import ServerClient
+            seen = []
+
+            class Recording(QueryService):
+                def batch_search(self, *args, **kwargs):
+                    batch = super().batch_search(*args, **kwargs)
+                    seen.append(batch.stats["executor"])
+                    return batch
+
+            handle = start_in_thread(Recording(figure1_db),
+                                     ServeConfig())
+            try:
+                status, _, _ = ServerClient(handle.port).post(
+                    "/batch", {"queries": queries, "workers": 2})
+            finally:
+                assert handle.stop() == 0
+            assert status == 200
+            executor, = seen
+        else:
+            from repro.cli import main
+            from repro.index.storage import save_database
+            save_database(figure1_db, tmp_path / "db")
+            (tmp_path / "q.txt").write_text(
+                "\n".join(" ".join(query) for query in queries))
+            assert main(["batch", str(tmp_path / "db"),
+                         str(tmp_path / "q.txt"), "--workers", "2"]) == 0
+            # "3 queries (...) in 1.2 ms (serial x1, eager, slca)"
+            executor = capsys.readouterr().out.split(" ms (")[1].split()[0]
+        assert executor == "serial"
+
     def test_collector_sees_cache_traffic(self, figure1_db):
         collector = MetricsCollector()
         service = QueryService(figure1_db, collector=collector)

@@ -9,6 +9,7 @@ from repro.obs.spans import SpanTracer, derive_trace_id, validate_spans
 from repro.resilience import (CircuitBreaker, Fault, FaultInjector,
                               parse_faults)
 from repro.service import QueryService
+from tests.test_obs_integration import creation_order
 
 # Distinct term sets so neither the result cache nor the match-entry
 # cache short-circuits real engine work in any executor.
@@ -162,6 +163,61 @@ class TestSpanPropagation:
         assert any(s["name"] == "search.total" for s in spans)
         assert {s["name"] for s in spans if "." in s["name"]} >= \
             {"search.total", "index.lookup"}
+
+    @staticmethod
+    def events_by_query(spans):
+        """Each query span's engine events (zero-duration spans below
+        it), as ``[name, attrs]`` in emission order, keyed by terms;
+        also checks every event sits under a query."""
+        by_id = {span["span_id"]: span for span in spans}
+
+        def ancestors(span):
+            while span["parent_id"] is not None:
+                span = by_id[span["parent_id"]]
+                yield span
+
+        events = {}
+        for span in sorted(spans, key=creation_order):
+            if span["duration_ms"]:
+                continue
+            query = next(up for up in ancestors(span)
+                         if up["name"] == "query")
+            events.setdefault(query["attrs"]["terms"], []).append(
+                [span["name"], span.get("attrs", {})])
+        return events, ancestors
+
+    def test_worker_event_spans_reach_the_coordinator(self, figure1_db):
+        def traced(**kwargs):
+            service = QueryService(figure1_db,
+                                   collector=MetricsCollector())
+            tracer = SpanTracer(trace_id=derive_trace_id("events"))
+            service.batch_search(QUERIES, k=3, tracer=tracer, **kwargs)
+            return validate_spans(tracer.export())
+
+        serial, _ = self.events_by_query(traced())
+        spans = traced(workers=2, executor="process")
+        process, ancestors = self.events_by_query(spans)
+        assert set(serial) == {"k1", "k2", "k1 k2"}
+        assert process == serial
+        for span in spans:
+            if not span["duration_ms"]:
+                names = [up["name"] for up in ancestors(span)]
+                assert names[names.index("worker") + 1] == "chunk"
+
+    def test_untraced_worker_ships_no_spans(self, figure1_db):
+        from dataclasses import replace
+        from repro.prxml.serializer import serialize_pxml
+        from repro.service.worker import DocumentSource, Job, run_job
+        job = Job(source=DocumentSource(
+                      serialize_pxml(figure1_db.document)),
+                  term_lists=QUERIES, k=3, algorithm="eager",
+                  semantics="slca", instrument=True)
+        _, meta = run_job(job)
+        assert meta["spans"] == []
+        assert meta["metrics"]["counters"]["eager.candidates_processed"]
+        _, meta = run_job(replace(job, trace_ctx=("t", "s0.0")))
+        assert "eager.process" in {span["name"]
+                                   for span in meta["spans"]}
 
     def test_spans_survive_worker_crash_and_degradation(self, figure1_db):
         # The crash targets 'zzz' and fires late, so the healthy

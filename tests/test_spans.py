@@ -111,6 +111,28 @@ class TestLifecycle:
         assert records[0]["name"] == "query"
         assert records[0]["span_id"] == "s0"
 
+    def test_instant_is_a_zero_duration_child(self):
+        tracer = SpanTracer(trace_id="t")
+        with tracer.span("query"):
+            first = tracer.instant("heap.threshold", value=0.5, size=2)
+            second = tracer.instant("eager.process", code="1.2")
+        assert (first.span_id, first.parent_id) == ("s0.0", "s0")
+        assert second.span_id == "s0.1"
+        assert first.duration_ms == 0.0
+        assert first.attrs == {"value": 0.5, "size": 2}
+        assert [span.name for span in tracer.finished] == [
+            "heap.threshold", "eager.process", "query"]
+
+    def test_instant_skips_recorder_and_obeys_cap(self):
+        recorder = FlightRecorder(capacity=8)
+        tracer = SpanTracer(trace_id="t", recorder=recorder,
+                            max_spans=2)
+        for _ in range(3):
+            tracer.instant("eager.suspend")
+        assert len(tracer.finished) == 2
+        assert tracer.dropped == 1
+        assert len(recorder) == 0
+
 
 class TestThreadSafety:
     def test_threads_nest_independently(self):
