@@ -32,7 +32,10 @@ With ``B(v) = prod over groups (1 - max r)`` (IND/ordinary) or
 ``B(v) = 1 - sum over groups (max r)`` (MUX):
 
 * **node bound** (sound Properties 4/5):
-  ``Pr_slca(v) <= Pr(path root->v) * B(v)``;
+  ``Pr_slca(v) <= Pr(path root->v) * B(v)`` for an ordinary ``v``, and
+  exactly 0 for a distributional (IND/MUX/EXP) ``v``: only ordinary
+  nodes are SLCA answers, so EagerTopK suspends such a candidate
+  instead of sweeping it;
 * **path bound** (sound Properties 1-3): SLCA events of distinct nodes
   on one root path are disjoint, and any of them excludes every region
   covering all keywords, so::
@@ -107,9 +110,12 @@ def candidate_bounds(node_type: NodeType, path_probability: float,
     ``path_bound`` caps the summed SLCA probability of every node on the
     candidate's root path (prune the whole path below the k-th result);
     ``node_bound`` caps the candidate's own SLCA probability (suspend
-    the candidate without sweeping its subtree).
+    the candidate without sweeping its subtree); it is 0 for a
+    distributional node, which is never an answer.  The path bound
+    uses the coverage complement whatever the node type.
     """
     complement = coverage_complement(node_type, regions)
-    node_bound = path_probability * complement
-    path_bound = (1.0 - path_probability) + node_bound
+    covered = path_probability * complement
+    path_bound = (1.0 - path_probability) + covered
+    node_bound = covered if node_type is NodeType.ORDINARY else 0.0
     return path_bound, node_bound

@@ -117,17 +117,11 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
     full_mask = (1 << len(terms)) - 1
     engine = StackEngine(full_mask, sink, index.encoded, elca=elca,
                          collector=collector, sanitizer=sanitizer)
-    feed = engine.feed
-    scanned = 0
     with collector.time("prstack.scan"):
-        for node_id, mask in zip(ids, masks):
-            if deadline.enabled and deadline.expired():
-                outcome.partial = True
-                outcome.termination_reason = deadline.reason
-                engine.cut()
-                break
-            feed(node_id, mask)
-            scanned += 1
+        scanned = engine.scan(ids, masks, deadline=deadline)
+        if scanned < len(ids):
+            outcome.partial = True
+            outcome.termination_reason = deadline.reason
         else:
             engine.finish()
     outcome.stats["entries_scanned"] = scanned

@@ -619,6 +619,8 @@ class ServeServer:
                        "errors": sum(
                            1 for outcome in batch.outcomes
                            if outcome.termination_reason == "error"),
+                       "executor": batch.stats["executor"],
+                       "workers": batch.stats["workers"],
                    }}
         clock.finished = clock.stamp()
         return payload

@@ -97,14 +97,14 @@ def _twig_engine(index: InvertedIndex, pattern: TwigPattern,
     state_bits = (1 << (2 * len(pattern))) - 1
     engine = StackEngine(state_bits, sink, index.encoded,
                          ordinary_step=_TwigStep(pattern))
-    for node_id, test_mask in _candidate_entries(index, pattern):
-        engine.feed(node_id, test_mask)
+    engine.scan(*_candidate_entries(index, pattern))
     return engine
 
 
 def _candidate_entries(index: InvertedIndex, pattern: TwigPattern
-                       ) -> List[Tuple[int, int]]:
-    """(node_id, test mask) for every node matching some step test."""
+                       ) -> Tuple[List[int], List[int]]:
+    """The node ids matching some step test, in document order, and
+    their test masks."""
     masks: Dict[int, int] = {}
     document = index.encoded.document
     for step in pattern.nodes:
@@ -120,7 +120,8 @@ def _candidate_entries(index: InvertedIndex, pattern: TwigPattern
             node = document.node_by_id(node_id)
             if node.is_ordinary and step.matches(node):
                 masks[node_id] = masks.get(node_id, 0) | bit
-    return sorted(masks.items())
+    ids = sorted(masks)
+    return ids, [masks[node_id] for node_id in ids]
 
 
 def topk_twig_search(index: InvertedIndex, pattern, k: int = 10

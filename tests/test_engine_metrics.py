@@ -1,18 +1,25 @@
-"""Batched engine metrics: ``observe_many`` and per-run folding.
+"""Batched metrics: ``observe_many``, per-run and per-query folding.
 
 The stack engine keeps its ``engine.*`` counters and histogram samples
 in local variables and folds them into the collector once per run
-through :meth:`MetricsCollector.observe_many`.  These tests pin that
-the batched path leaves exactly the state per-value observation would,
-that every exit path folds (including a deadline cut), and that the
-sample buffers stay bounded on long runs.
+through :meth:`MetricsCollector.observe_many`; an EagerTopK query
+stages its ``eager.*``, ``engine.*`` and ``heap.*`` metrics in a
+:class:`~repro.obs.metrics.MetricsBuffer` and folds them once per
+query.  These tests pin that the batched path leaves exactly the state
+per-value observation would, that every exit path folds (including a
+deadline cut and a raising query), that the sample buffers stay
+bounded on long runs, and the identities between folded counters,
+histograms and ``outcome.stats``.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.eager as eager_module
 import repro.core.engine as engine_module
-from repro import (MetricsCollector, build_index, encode_document,
-                   prstack_search)
+import repro.obs.metrics as metrics_module
+from repro import (MetricsCollector, build_index, eager_topk_search,
+                   encode_document, prstack_search)
 from repro.obs.metrics import Histogram
 from repro.resilience import Deadline
 from tests.test_golden_answers import ind_mux_index
@@ -160,3 +167,118 @@ class TestEngineFolding:
         prstack_search(index, ["k1", "k2"], k=3,
                        collector=MetricsCollector())
         assert len(folds) == 1
+
+
+#: ``eager.*`` and ``engine.*`` counters and the ``outcome.stats`` value
+#: each must equal, summed over queries.
+STAT_COUNTERS = {
+    "eager.seeds": lambda stats: stats["seeds"],
+    "eager.candidates_processed":
+        lambda stats: stats["candidates_processed"],
+    "eager.suspended_node_bound":
+        lambda stats: stats["candidates_suspended"],
+    "eager.pruned_path_bound": lambda stats: stats["candidates_pruned"],
+    "eager.entries_consumed": lambda stats: stats["entries_consumed"],
+    "eager.entries_unconsumed": lambda stats: stats["entries_unconsumed"],
+    "eager.bound_evaluations":
+        lambda stats: stats["pruning"]["bound_evaluations"],
+    "eager.dead_path_skips":
+        lambda stats: stats["pruning"]["dead_path_skips"],
+    "engine.results_emitted": lambda stats: stats["results_emitted"],
+    "heap.offers": lambda stats: stats["results_emitted"],
+}
+
+#: Each histogram that shadows a counter: one sample per count.
+SHADOWS = {"eager.node_bound": "eager.bound_evaluations",
+           "eager.sweep_items": "eager.candidates_processed",
+           "engine.stack_depth": "engine.items_fed"}
+
+EAGER_QUERIES = (["author", "title"], ["query", "data"],
+                 ["db", "year", "query"], ["conf", "icde"])
+
+
+class FoldRecorder(MetricsCollector):
+    """Records the histogram names of every ``observe_many`` fold."""
+
+    def __init__(self):
+        super().__init__()
+        self.folds = []
+
+    def observe_many(self, samples, counts=None):
+        self.folds.append(sorted(samples))
+        super().observe_many(samples, counts)
+
+
+def assert_fold_identities(snapshot):
+    """The identities a folded EagerTopK snapshot satisfies."""
+    counters, histograms = snapshot["counters"], snapshot["histograms"]
+    assert counters["engine.items_fed"] == \
+        counters["eager.entries_consumed"] \
+        + counters["eager.regions_collapsed"]
+    assert counters.get("engine.preset_tables_fed", 0) == \
+        counters["eager.regions_collapsed"]
+    for histogram, counter in SHADOWS.items():
+        assert histograms[histogram]["count"] == counters[counter], \
+            histogram
+
+
+class TestQueryFold:
+    def test_counters_equal_summed_stats(self):
+        index = ind_mux_index()
+        collector = MetricsCollector()
+        totals = dict.fromkeys(STAT_COUNTERS, 0)
+        for keywords in EAGER_QUERIES:
+            stats = eager_topk_search(index, keywords, 5,
+                                      collector=collector).stats
+            for name, value in STAT_COUNTERS.items():
+                totals[name] += value(stats)
+        snapshot = collector.snapshot()
+        assert {name: snapshot["counters"].get(name, 0)
+                for name in STAT_COUNTERS} == totals
+        assert totals["eager.suspended_node_bound"] > 0
+        assert_fold_identities(snapshot)
+
+    def test_one_fold_per_query(self):
+        collector = FoldRecorder()
+        eager_topk_search(ind_mux_index(), ["author", "title"], 5,
+                          collector=collector)
+        assert len(collector.folds) == 1
+        assert {"eager.node_bound", "engine.stack_depth",
+                "heap.threshold"} <= set(collector.folds[0])
+
+    def test_small_buffers_fold_early_to_the_same_snapshot(
+            self, monkeypatch):
+        index = ind_mux_index()
+        whole = MetricsCollector()
+        for keywords in EAGER_QUERIES:
+            eager_topk_search(index, keywords, 5, collector=whole)
+        monkeypatch.setattr(engine_module, "SAMPLE_BUFFER", 16)
+        monkeypatch.setattr(metrics_module, "SAMPLE_BUFFER", 16)
+        chunked = FoldRecorder()
+        for keywords in EAGER_QUERIES:
+            eager_topk_search(index, keywords, 5, collector=chunked)
+        assert len(chunked.folds) > 2 * len(EAGER_QUERIES)
+        assert _without_timers(chunked) == _without_timers(whole)
+        assert chunked.quantile_snapshot()["histograms"] == \
+            whole.quantile_snapshot()["histograms"]
+
+    def test_a_raising_query_still_reports(self, monkeypatch):
+        def broken(self, node):
+            raise RuntimeError("climb failed")
+
+        monkeypatch.setattr(eager_module._EagerSearch,
+                            "_add_parent_candidate", broken)
+        collector = MetricsCollector()
+        with pytest.raises(RuntimeError, match="climb failed"):
+            eager_topk_search(ind_mux_index(), ["author", "title"], 5,
+                              collector=collector)
+        counters = collector.snapshot()["counters"]
+        assert counters["eager.candidates_processed"] == 1
+        assert counters["engine.items_fed"] > 0
+        assert counters["heap.offers"] > 0
+
+
+def _without_timers(collector):
+    snapshot = collector.snapshot()
+    return {block: snapshot[block] for block in ("counters",
+                                                 "histograms")}

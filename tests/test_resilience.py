@@ -223,7 +223,7 @@ class TestAnytimeResults:
 
     def test_partial_sets_grow_monotonically(self, figure1_db):
         sizes = []
-        for steps in range(0, 9):
+        for steps in range(0, 10):
             outcome = topk_search(figure1_db, self.KEYWORDS, k=10,
                                   algorithm="eager",
                                   deadline=Deadline(max_steps=steps))

@@ -375,12 +375,37 @@ class TestServerEndpoints:
                        "executor": "serial"})
         assert status == 200
         assert body["stats"] == {"queries": 3, "partial": 0,
-                                 "errors": 0}
+                                 "errors": 0, "executor": "serial",
+                                 "workers": 1}
         for query, outcome in zip(queries, body["outcomes"]):
             local = topk_search(server["db"], query, 4)
             assert [(r["code"], r["probability"])
                     for r in outcome["results"]] == \
                 [(str(r.code), r.probability) for r in local.results]
+
+    def test_serial_batches_report_one_worker(self, figure1_db,
+                                              tmp_path):
+        """A serial batch asked for two workers runs one at a time;
+        the document service, the corpus service and /batch over
+        either all say so."""
+        from repro.corpus import CorpusService, build_corpus
+        from tests.test_corpus import random_corpus
+        build_corpus(random_corpus(11), tmp_path / "corpus", shards=2)
+        queries = [["k1"], ["k1", "k2"]]
+        for service in (QueryService(figure1_db),
+                        CorpusService(str(tmp_path / "corpus"))):
+            stats = service.batch_search(queries, workers=2).stats
+            assert (stats["executor"], stats["workers"]) == \
+                ("serial", 1), type(service).__name__
+            handle = start_in_thread(service, ServeConfig())
+            try:
+                status, body, _ = ServerClient(handle.port).post(
+                    "/batch", {"queries": queries, "workers": 2})
+            finally:
+                handle.stop()
+            assert status == 200
+            assert (body["stats"]["executor"],
+                    body["stats"]["workers"]) == ("serial", 1)
 
     def test_metrics_prometheus_scrape(self, server):
         # Prime at least one request so timer quantiles exist.
