@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Tuple
 from repro.analysis.sanitizer import NULL_SANITIZER, SanitizerLike
 from repro.core.order import result_order_key
 from repro.exceptions import QueryError
-from repro.obs.metrics import Collector, NULL_COLLECTOR
+from repro.obs.metrics import EngineMetrics, NULL_COLLECTOR
 
 
 class _Entry:
@@ -50,7 +50,7 @@ class _Entry:
 class TopKHeap:
     """Min-heap of the k highest-probability (key, probability) pairs."""
 
-    def __init__(self, k: int, collector: Collector = NULL_COLLECTOR,
+    def __init__(self, k: int, collector: EngineMetrics = NULL_COLLECTOR,
                  sanitizer: SanitizerLike = NULL_SANITIZER):
         """``collector`` receives the ``heap.*`` counters and, when
         tracing, one ``heap.threshold`` event per threshold raise — the

@@ -11,7 +11,7 @@ from repro.obs.export import ExportError
 from repro.obs.metrics import Histogram
 from repro.obs.report import (REQUIRED_KEYS, ReportError, SCHEMA_ID,
                                SCHEMA_ID_V2)
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import SpanTracer
 
 
 def outcome_with_metrics():
