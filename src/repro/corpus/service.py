@@ -372,7 +372,8 @@ class CorpusService:
                workers: Optional[int] = None,
                deadline: Optional[Union[Deadline, DeadlineLike,
                                         float, int]] = None,
-               tracer: Optional[Any] = None) -> SearchOutcome:
+               tracer: Optional[Any] = None,
+               lookup: None = None) -> SearchOutcome:
         """Global top-k over every shard, merged under the shared
         result order (:mod:`repro.core.order`).
 
@@ -382,7 +383,9 @@ class CorpusService:
         (``serial`` visits one at a time).  Answers are bit-identical
         across executors, worker counts, and shard completion orders;
         only ``stats["corpus"]`` (which shards were searched vs
-        pruned) varies with timing.
+        pruned) varies with timing.  ``lookup`` mirrors
+        :meth:`QueryService.search`'s and is always ``None`` here:
+        :meth:`lookup` never has a verdict to pass on.
         """
         # Caller errors surface here, once, before any shard visit:
         # a QueryError raised inside a visit would otherwise read as a
@@ -450,6 +453,18 @@ class CorpusService:
         return outcome
 
     # -- service-shaped surface ------------------------------------------------
+
+    def lookup(self, keywords: Iterable[str], k: int = 10,
+               algorithm: Union[Algorithm, str] = Algorithm.EAGER,
+               semantics: str = "slca",
+               deadline: object = None) -> None:
+        """:meth:`QueryService.lookup`'s counterpart: always ``None``.
+
+        A corpus keeps no whole-answer cache (each shard's own result
+        cache answers inside its visit), so the HTTP layer sends every
+        corpus search to a worker thread.
+        """
+        return None
 
     def batch_search(self, queries: Sequence[Sequence[str]],
                      k: int = 10,

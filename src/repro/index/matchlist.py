@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.encoding.encoder import EncodedDocument
 from repro.index.cache import NULL_CACHES
@@ -124,16 +124,6 @@ class MatchList:
         lo = bisect_left(ids, node)
         return lo, bisect_left(ids, self.encoded.ends[node], lo)
 
-    def iter_subtree(self, node: int,
-                     unconsumed_only: bool = True) -> Iterator[int]:
-        """Column positions of the entries within ``node``'s subtree,
-        in document order."""
-        lo, hi = self.subtree_slice(node)
-        consumed = self._consumed
-        for position in range(lo, hi):
-            if not (unconsumed_only and consumed[position]):
-                yield position
-
     def consume_subtree(self, node: int) -> List[int]:
         """Mark consumed and return (as column positions, in document
         order) the unconsumed entries under ``node``."""
@@ -144,10 +134,3 @@ class MatchList:
         consumed[lo:hi] = b"\x01" * (hi - lo)
         self._remaining -= len(taken)
         return taken
-
-    def unconsumed_mask_union(self, node: int) -> int:
-        """OR of the masks of unconsumed entries under ``node``."""
-        union = 0
-        for position in self.iter_subtree(node):
-            union |= self.masks[position]
-        return union

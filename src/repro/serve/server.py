@@ -3,17 +3,25 @@
 Stdlib only: ``asyncio.start_server`` accepts connections, request
 heads are framed with ``readuntil(b"\\r\\n\\r\\n")``, bodies by
 ``Content-Length``, and connections are keep-alive until the client
-opts out.  The event loop never runs a query: every admitted request
-is handed to a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-(as many workers as admission slots, so an admitted request never
-queues behind another), keeping ``/health`` and ``/metrics``
-responsive while searches run.
+opts out.  The event loop never runs a search algorithm: every
+admitted request that must compute is handed to a bounded
+:class:`~concurrent.futures.ThreadPoolExecutor` (as many workers as
+admission slots, so an admitted request never queues behind another),
+keeping ``/health`` and ``/metrics`` responsive while searches run.
+The one thing the loop answers itself is a ``/search`` whose answer
+the result cache already holds: :meth:`QueryService.lookup` runs on the
+loop, and a hit is replayed and encoded there (about 0.1 ms, the same
+order as parsing and encoding a request), skipping the hop to a worker
+thread and back.  A miss — and every search while the fault injector
+is armed, and every corpus search — takes the executor path.
 
 Request lifecycle (the admission order is deliberate)::
 
     rate limit (429 per client) -> admission slot (429 overloaded /
         503 draining) -> parse/validate (400, structured)
-        -> executor thread: fault hook, span, QueryService -> 200
+        -> result-cache lookup on the loop
+        -> hit: replay on the loop -> 200
+        -> miss: executor thread: fault hook, span, QueryService -> 200
 
 Draining (SIGTERM or :meth:`ServeServer.request_stop`) closes the
 listener, flips the admission latch, and proactively closes idle
@@ -130,7 +138,10 @@ class _LayerClock:
     body, ``encoding`` when the loop thread begins the JSON encode.
     The executor thread writes its two stamps before its future
     resolves and the loop thread reads them after awaiting it, so the
-    future orders every access.
+    future orders every access.  A ``/search`` replayed on the loop
+    stamps ``submitted`` and ``started`` together before its lookup:
+    its queue layer is 0 and its service layer is the lookup plus the
+    payload.
     """
 
     __slots__ = ("watch", "submitted", "started", "finished",
@@ -529,11 +540,28 @@ class ServeServer:
             deadline = Deadline.after_ms(params.deadline_ms) \
                 if params.deadline_ms is not None else None
             self._sequence += 1
-            loop = asyncio.get_running_loop()
-            clock.submitted = clock.stamp()
-            payload = await loop.run_in_executor(
-                self._executor, self._run_search, params, deadline,
-                self._sequence, request.client, clock)
+            before_lookup = clock.stamp()
+            found = None if self._faults.enabled else \
+                self._service.lookup(params.keywords, k=params.k,
+                                     algorithm=params.algorithm,
+                                     semantics=params.semantics,
+                                     deadline=deadline)
+            if found is not None and found.outcome is not None:
+                # A result-cache replay is answered here, on the loop:
+                # its Python work is smaller than the hop to a worker
+                # thread and back.
+                clock.submitted = clock.started = before_lookup
+                payload = self._answer_search(
+                    params, deadline, self._sequence, request.client,
+                    clock, found)
+                if self._collector.enabled:
+                    self._collector.count("serve.replays_on_loop")
+            else:
+                loop = asyncio.get_running_loop()
+                clock.submitted = clock.stamp()
+                payload = await loop.run_in_executor(
+                    self._executor, self._run_search, params, deadline,
+                    self._sequence, request.client, clock, found)
         finally:
             self._admission.release()
         clock.encoding = clock.stamp()
@@ -542,15 +570,26 @@ class ServeServer:
 
     def _run_search(self, params: SearchRequest,
                     deadline: Optional[Deadline], sequence: int,
-                    client: str, clock: _LayerClock) -> Dict[str, Any]:
-        """Executor-thread body of one /search request.
+                    client: str, clock: _LayerClock,
+                    found: Optional[Any]) -> Dict[str, Any]:
+        """Executor-thread body of one /search request: the query's
+        compute half, on the loop's lookup verdict ``found`` (``None``
+        for a corpus, or while faults are armed)."""
+        clock.started = clock.stamp()
+        return self._answer_search(params, deadline, sequence, client,
+                                   clock, found)
+
+    def _answer_search(self, params: SearchRequest,
+                       deadline: Optional[Deadline], sequence: int,
+                       client: str, clock: _LayerClock,
+                       found: Optional[Any]) -> Dict[str, Any]:
+        """The /search response builder, on whichever thread answers.
 
         The span tree is built only when the request sets ``spans``;
         otherwise a :class:`NullTracer` carries just the trace id, so
         the payload and every boundary reading ``tracer.trace_id``
         still see it.
         """
-        clock.started = clock.stamp()
         trace_id = derive_trace_id(
             "serve", sequence, " ".join(params.keywords), params.k,
             params.algorithm, params.semantics)
@@ -564,7 +603,7 @@ class ServeServer:
                     params.keywords, k=params.k,
                     algorithm=params.algorithm,
                     semantics=params.semantics,
-                    deadline=deadline, tracer=tracer)
+                    deadline=deadline, tracer=tracer, lookup=found)
         spans = tracer.export() if params.spans else None
         payload = outcome_payload(outcome, clock.stamp() - clock.started,
                                   spans=spans)

@@ -11,9 +11,9 @@ newer snapshot generation without dropping in-flight queries
 cache keys, and the worker model.
 """
 
-from repro.service.service import (BatchOutcome, QueryService,
+from repro.service.service import (BatchOutcome, Lookup, QueryService,
                                    ServiceSource, load_query_file)
 from repro.service.signals import on_main_thread, safe_signal
 
-__all__ = ["QueryService", "BatchOutcome", "ServiceSource",
+__all__ = ["QueryService", "BatchOutcome", "Lookup", "ServiceSource",
            "load_query_file", "on_main_thread", "safe_signal"]

@@ -58,7 +58,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, Future
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -244,6 +244,34 @@ class _ServiceState:
     generation: Optional[str]
     directory: Optional[str]
     epoch: int
+
+
+@dataclass(frozen=True)
+class Lookup:
+    """The lookup half's verdict on one query (:meth:`QueryService.lookup`).
+
+    Attributes:
+        terms: the validated query terms, canonicalised (sorted).
+        k/algorithm/semantics: the rest of the query's shape.
+        replayable: whether the result cache may answer the query and
+            keep its answer (no caller collector, sanitize or
+            deadline).
+        outcome: on a result-cache hit, the replayed answer, stamped
+            with the generation it was read from; ``None`` otherwise.
+    """
+
+    terms: List[str]
+    k: int
+    algorithm: Algorithm
+    semantics: str
+    replayable: bool
+    outcome: Optional[SearchOutcome] = None
+
+    @property
+    def key(self) -> Tuple[Tuple[str, ...], int, str, str]:
+        """The result-cache key."""
+        return (tuple(self.terms), self.k, self.algorithm.value,
+                self.semantics)
 
 
 #: What :class:`QueryService` and :meth:`QueryService.reload` accept as
@@ -490,7 +518,8 @@ class QueryService:
                collector: Optional[MetricsCollector] = None,
                sanitize: Optional[bool] = None,
                deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None,
-               tracer: Optional[TracerLike] = None) -> SearchOutcome:
+               tracer: Optional[TracerLike] = None,
+               lookup: Optional[Lookup] = None) -> SearchOutcome:
         """One query through the shared caches.
 
         Same contract as :func:`repro.core.api.topk_search` (which
@@ -505,6 +534,16 @@ class QueryService:
         budget) really applies; a partial outcome is never cached — a
         replay must not masquerade as complete.
 
+        A search is its two halves: :meth:`lookup` (validate,
+        canonicalise, consult the result cache) and the compute half
+        (:meth:`_compute`), which replays a hit or runs the algorithm.
+        ``lookup`` is this query's verdict when the caller already took
+        it (the HTTP layer looks up on its event loop and sends only
+        misses to a worker thread); the compute half then uses it
+        instead of looking the key up a second time, so every query
+        counts one ``service.queries`` and at most one result-cache
+        hit or miss.
+
         ``tracer`` hangs the query's span tree under the caller's
         tracer (the HTTP serving layer passes a per-request
         :class:`~repro.obs.spans.SpanTracer` here when the request
@@ -512,28 +551,73 @@ class QueryService:
         CLI query); a cache replay shows up as a zero-work ``query``
         span marked ``cache=result_cache``.  A disabled tracer records
         nothing.  Which collector the engines run on is
-        :meth:`_search_terms`' rule.
+        :meth:`_compute`'s rule.
         Every outcome's ``stats["service_state"]`` records the
         generation/epoch it ran against.
         """
+        if lookup is None:
+            lookup = self.lookup(keywords, k, algorithm, semantics,
+                                 collector, sanitize, deadline)
+        return self._compute(lookup, collector, sanitize, deadline,
+                             tracer)
+
+    def lookup(self, keywords: Iterable[str], k: int = 10,
+               algorithm: Union[Algorithm, str] = Algorithm.EAGER,
+               semantics: str = "slca",
+               collector: Optional[MetricsCollector] = None,
+               sanitize: Optional[bool] = None,
+               deadline: object = None) -> Lookup:
+        """The lookup half of :meth:`search`: validate and canonicalise
+        the query, then, when the result cache may answer it (no
+        caller ``collector``, no sanitize, no ``deadline``), read the
+        live state once and look its key up once.
+
+        It never runs an algorithm, touches disk or takes the reload
+        lock, so the HTTP layer calls it on its event-loop thread.
+        Counts the query into ``service.queries``.  A bad query raises
+        :class:`~repro.exceptions.QueryError`, as :meth:`search` does.
+        """
         keywords = validate_query(keywords, k)
-        terms = sorted(normalize_query(keywords))
-        return self._search_terms(terms, k, algorithm, semantics,
-                                  collector, sanitize, deadline,
-                                  tracer=tracer)
+        return self._lookup(sorted(normalize_query(keywords)), k,
+                            algorithm, semantics, collector, sanitize,
+                            deadline)
 
-    def _search_terms(self, terms: List[str], k: int,
-                      algorithm: Union[Algorithm, str], semantics: str,
-                      collector: Optional[MetricsCollector],
-                      sanitize: Optional[bool],
-                      deadline: object = None,
-                      tracer: Optional[TracerLike] = None
-                      ) -> SearchOutcome:
-        """Run one canonicalised query (terms already sorted/validated).
+    def _lookup(self, terms: List[str], k: int,
+                algorithm: Union[Algorithm, str], semantics: str,
+                collector: Optional[MetricsCollector],
+                sanitize: Optional[bool], deadline: object) -> Lookup:
+        """:meth:`lookup` on canonical terms (sorted and validated)."""
+        algorithm = _coerce_algorithm(algorithm)
+        if self.collector.enabled:
+            self.collector.count("service.queries")
+        effective_sanitize = sanitize if sanitize is not None \
+            else sanitize_from_env()
+        found = Lookup(terms, k, algorithm, semantics,
+                       replayable=(collector is None
+                                   and not effective_sanitize
+                                   and deadline is None))
+        if not found.replayable:
+            return found
+        state = self._state
+        cached = state.results.get(found.key)
+        if cached is None:
+            return found
+        replayed = _replay(cached)
+        _annotate_state(replayed, state)
+        return replace(found, outcome=replayed)
 
-        The service state is dereferenced exactly once, so the whole
-        query — index, caches and result LRU — runs against a single
-        generation even if a reload swaps the state mid-flight.
+    def _compute(self, found: Lookup,
+                 collector: Optional[MetricsCollector],
+                 sanitize: Optional[bool],
+                 deadline: object = None,
+                 tracer: Optional[TracerLike] = None) -> SearchOutcome:
+        """The compute half: return ``found``'s replay, or run the
+        query it missed (or could not replay) and cache the answer.
+
+        The service state is dereferenced exactly once here, so a
+        computed answer — index, caches and result LRU — comes from a
+        single generation even if a reload swaps the state mid-flight
+        (a replay carries the generation its lookup read).
 
         One rule picks the collector the engines run on:
 
@@ -546,31 +630,20 @@ class QueryService:
           per-query collector, merge or snapshot — how every untraced
           served or batched query reaches ``/metrics``.
 
-        Result-cache replayability is unchanged (it keys off the
+        Result-cache replayability is the lookup's (it keys off the
         *caller's* instrumentation): a replayed query shows up as a
         zero-work ``query`` span marked ``cache=result_cache``.
         """
-        state = self._state
-        algorithm = _coerce_algorithm(algorithm)
-        if self.collector.enabled:
-            self.collector.count("service.queries")
-        effective_sanitize = sanitize if sanitize is not None \
-            else sanitize_from_env()
-        replayable = (collector is None and not effective_sanitize
-                      and deadline is None)
-        key = (tuple(terms), k, algorithm.value, semantics)
+        terms = found.terms
         if tracer is not None and not tracer.enabled:
             tracer = None
-        if replayable:
-            cached = state.results.get(key)
-            if cached is not None:
-                if tracer is not None:
-                    tracer.finish(tracer.begin(
-                        "query", terms=" ".join(terms),
-                        cache="result_cache"))
-                replayed = _replay(cached)
-                _annotate_state(replayed, state)
-                return replayed
+        if found.outcome is not None:
+            if tracer is not None:
+                tracer.finish(tracer.begin(
+                    "query", terms=" ".join(terms),
+                    cache="result_cache"))
+            return found.outcome
+        state = self._state
         attach = collector is not None
         run_collector = collector
         if not attach:
@@ -579,12 +652,14 @@ class QueryService:
             elif self.collector.enabled:
                 run_collector = self.collector
         query_ctx = tracer.span("query", terms=" ".join(terms),
-                                algorithm=algorithm.value, k=k) \
+                                algorithm=found.algorithm.value,
+                                k=found.k) \
             if tracer is not None else nullcontext()
         with query_ctx as query_span:
             with self.collector.time("service.search"):
-                outcome = topk_search(state.index, terms, k, algorithm,
-                                      semantics=semantics,
+                outcome = topk_search(state.index, terms, found.k,
+                                      found.algorithm,
+                                      semantics=found.semantics,
                                       collector=run_collector,
                                       sanitize=sanitize,
                                       caches=state.caches,
@@ -598,8 +673,8 @@ class QueryService:
                 query_span.annotate(results=len(outcome.results))
         if tracer is not None and not attach and self.collector.enabled:
             self.collector.merge(run_collector)
-        if replayable and not outcome.partial:
-            state.results.put(key, outcome)
+        if found.replayable and not outcome.partial:
+            state.results.put(found.key, outcome)
         _annotate_state(outcome, state)
         return outcome
 
@@ -772,7 +847,7 @@ class QueryService:
         starts here, *before* the fault hook, so an injected stall eats
         its own query's budget and nobody else's.
 
-        Batch queries take :meth:`_search_terms`' collector rule, so
+        Batch queries take :meth:`_compute`'s collector rule, so
         their engine counters reach the service collector — that is
         what makes a batch report's engine totals executor-independent
         instead of coordinator-only.
@@ -782,9 +857,11 @@ class QueryService:
         try:
             if run.injector.enabled:
                 run.injector.before_query(terms)
-            outcome = self._search_terms(
-                terms, run.k, run.algorithm, run.semantics, None,
-                run.sanitize, deadline, tracer=run.tracer)
+            found = self._lookup(terms, run.k, run.algorithm,
+                                 run.semantics, None, run.sanitize,
+                                 deadline)
+            outcome = self._compute(found, None, run.sanitize, deadline,
+                                    tracer=run.tracer)
             if outcome.partial:
                 run.tracker.note_partial(outcome.termination_reason)
             return outcome, None

@@ -63,17 +63,21 @@ class TestMatchList:
     def test_subtree_slice(self, fragment_index):
         matches = self.build(fragment_index)
         c1 = self.node(fragment_index, "1.M1.I1.1")
-        inside = list(matches.iter_subtree(c1))
-        assert len(inside) == 4  # D1, D2, E1, E2
+        lo, hi = matches.subtree_slice(c1)
+        assert hi - lo == 4  # D1, D2, E1, E2
+        assert all(c1 <= matches.ids[position]
+                   < fragment_index.encoded.ends[c1]
+                   for position in range(lo, hi))
 
     def test_consume_marks_and_removes(self, fragment_index):
         matches = self.build(fragment_index)
         c1 = self.node(fragment_index, "1.M1.I1.1")
         taken = matches.consume_subtree(c1)
-        assert len(taken) == 4
+        assert taken == list(range(*matches.subtree_slice(c1)))
         assert matches.remaining == len(matches) - 4
-        assert list(matches.iter_subtree(c1)) == []
+        # Nothing under C1 is left to take a second time.
         assert matches.consume_subtree(c1) == []
+        assert matches.remaining == len(matches) - 4
 
     def test_consumption_outside_subtree_untouched(self, fragment_index):
         matches = self.build(fragment_index)
@@ -81,12 +85,18 @@ class TestMatchList:
         taken = matches.consume_subtree(ind3)
         assert len(taken) == 2  # D2, E1
         root = self.node(fragment_index, "1")
-        rest = list(matches.iter_subtree(root))
+        rest = matches.consume_subtree(root)
         assert len(rest) == 2  # D1, E2 remain
+        lo, hi = matches.subtree_slice(ind3)
+        assert not any(lo <= position < hi for position in rest)
+        assert matches.remaining == len(matches) - 4
 
     def test_unconsumed_mask_union(self, fragment_index):
         matches = self.build(fragment_index)
         root = self.node(fragment_index, "1")
-        assert matches.unconsumed_mask_union(root) == 0b11
-        matches.consume_subtree(root)
-        assert matches.unconsumed_mask_union(root) == 0
+        union = 0
+        for position in matches.consume_subtree(root):
+            union |= matches.masks[position]
+        assert union == 0b11
+        assert matches.consume_subtree(root) == []
+        assert matches.remaining == 0

@@ -952,6 +952,169 @@ class TestLayerTimers:
                    for name in samples)
 
 
+
+# -- result-cache replays answered on the event loop -------------------------
+
+
+def on_executor(name):
+    """Whether a thread name is one of the server's worker threads
+    (``ThreadPoolExecutor`` names them ``<prefix>_<n>``; the loop
+    thread :func:`start_in_thread` runs is ``repro-serve`` itself)."""
+    return name.startswith("repro-serve_")
+
+
+def recording(service_class):
+    """``service_class`` with every ``search`` noting its thread."""
+
+    class Recording(service_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.threads = []
+
+        def search(self, *args, **kwargs):
+            self.threads.append(threading.current_thread().name)
+            return super().search(*args, **kwargs)
+
+    return Recording
+
+
+#: A fault injector that is armed (so the server takes its executor
+#: path for every search) but never strikes the queries used here.
+INERT_FAULTS = "slow_query:terms=zzz,delay_ms=1"
+
+
+def serve_requests(service, bodies, faults=None, collector=None):
+    """POST every body to /search on a fresh server over ``service``;
+    returns the responses and the server's collector."""
+    collector = collector if collector is not None else MetricsCollector()
+    handle = start_in_thread(
+        service, ServeConfig(max_inflight=4), collector=collector,
+        faults=parse_faults(faults) if faults else None)
+    try:
+        client = ServerClient(handle.port)
+        responses = [client.post("/search", body) for body in bodies]
+    finally:
+        assert handle.stop() == 0
+    for status, body, _ in responses:
+        assert status == 200, body
+    return [body for _, body, _ in responses], collector
+
+
+def without(body, *fields):
+    return {key: value for key, value in body.items()
+            if key not in fields}
+
+
+class TestLoopReplays:
+    QUERY = {"keywords": ["k1", "k2"], "k": 3}
+
+    def test_repeat_is_answered_without_an_executor_thread(
+            self, figure1_db):
+        service = recording(QueryService)(figure1_db)
+        (first, repeat), collector = serve_requests(
+            service, [self.QUERY, self.QUERY])
+        computed, replayed = service.threads
+        assert on_executor(computed)
+        assert not on_executor(replayed)
+        assert collector.counter("serve.replays_on_loop") == 1
+        # Same answer; only the timing and the per-request id differ.
+        assert without(repeat, "elapsed_ms", "trace_id") == \
+            without(first, "elapsed_ms", "trace_id")
+
+    def test_loop_replay_bytes_match_the_executor_path(self, figure1_db):
+        on_loop, _ = serve_requests(QueryService(figure1_db),
+                                    [self.QUERY, self.QUERY])
+        hopped, collector = serve_requests(
+            QueryService(figure1_db), [self.QUERY, self.QUERY],
+            faults=INERT_FAULTS)
+        assert collector.counter("serve.replays_on_loop") == 0
+        assert without(on_loop[1], "elapsed_ms") == \
+            without(hopped[1], "elapsed_ms")
+
+    def test_armed_slow_query_still_delays_a_repeat(self, figure1_db):
+        service = recording(QueryService)(figure1_db)
+        collector = MetricsCollector()
+        handle = start_in_thread(
+            service, ServeConfig(max_inflight=2), collector=collector,
+            faults=parse_faults("slow_query:delay_ms=300"))
+        try:
+            client = ServerClient(handle.port)
+            assert client.post("/search", self.QUERY)[0] == 200
+            started = time.perf_counter()
+            assert client.post("/search", self.QUERY)[0] == 200
+            assert time.perf_counter() - started >= 0.3
+        finally:
+            assert handle.stop() == 0
+        assert all(on_executor(name) for name in service.threads)
+        assert collector.counter("serve.replays_on_loop") == 0
+        # The repeat was still a result-cache replay, on a worker.
+        assert service.cache_stats()["results"]["hits"] == 1
+
+    def test_deadline_requests_never_replay(self, figure1_db):
+        service = recording(QueryService)(figure1_db)
+        body = dict(self.QUERY, deadline_ms=60000)
+        _, collector = serve_requests(service, [body, body])
+        assert len(service.threads) == 2
+        assert all(on_executor(name) for name in service.threads)
+        assert collector.counter("serve.replays_on_loop") == 0
+        results = service.cache_stats()["results"]
+        assert results["hits"] == results["misses"] == 0
+
+    def test_sanitized_server_never_replays(self, figure1_db,
+                                            monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        service = recording(QueryService)(figure1_db)
+        _, collector = serve_requests(service, [self.QUERY, self.QUERY])
+        assert all(on_executor(name) for name in service.threads)
+        assert collector.counter("serve.replays_on_loop") == 0
+        assert service.cache_stats()["results"]["hits"] == 0
+
+    def test_hits_misses_and_queries_count_once(self, figure1_db):
+        collector = MetricsCollector()
+        service = QueryService(figure1_db, collector=collector)
+        distinct = [{"keywords": ["k1", "k2"], "k": k} for k in (1, 2, 3)]
+        repeats = [distinct[0], distinct[2], distinct[0]]
+        bodies = distinct + repeats
+        serve_requests(service, bodies, collector=collector)
+        requests, replays = len(bodies), len(repeats)
+        assert collector.counter("service.cache.results.hits") == replays
+        assert collector.counter("service.cache.results.misses") == \
+            requests - replays
+        assert collector.counter("service.queries") == requests
+        assert collector.counter("serve.replays_on_loop") == replays
+        results = service.cache_stats()["results"]
+        assert (results["hits"], results["misses"]) == \
+            (replays, requests - replays)
+
+    def test_traced_replay_has_the_same_span_tree_on_either_thread(
+            self, figure1_db):
+        traced = dict(self.QUERY, spans=True)
+        on_loop, _ = serve_requests(QueryService(figure1_db),
+                                    [self.QUERY, traced])
+        hopped, _ = serve_requests(QueryService(figure1_db),
+                                   [self.QUERY, traced],
+                                   faults=INERT_FAULTS)
+        loop_spans = validate_spans(on_loop[1]["spans"])
+        assert span_paths(loop_spans) == \
+            span_paths(validate_spans(hopped[1]["spans"]))
+        assert span_paths(loop_spans) == ["http.request",
+                                          "http.request/query"]
+        query, = [span for span in loop_spans if span["name"] == "query"]
+        assert query["attrs"]["cache"] == "result_cache"
+
+    def test_corpus_server_never_answers_on_the_loop(self, tmp_path):
+        from repro.corpus import CorpusService, build_corpus
+        from tests.test_corpus import random_corpus
+        build_corpus(random_corpus(11), tmp_path / "corpus", shards=2)
+        service = recording(CorpusService)(str(tmp_path / "corpus"),
+                                           executor="serial")
+        first, collector = serve_requests(service,
+                                          [self.QUERY, self.QUERY])
+        assert len(service.threads) == 2
+        assert all(on_executor(name) for name in service.threads)
+        assert collector.counter("serve.replays_on_loop") == 0
+        assert first[0]["results"] == first[1]["results"]
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python -m tests.test_serve --write")
