@@ -2,8 +2,8 @@
 
 Not a paper figure — these isolate the building blocks (encoding,
 snapshot loading, index construction, the three deterministic SLCA
-algorithms) so that a regression in any layer is visible independently
-of the end-to-end numbers.
+algorithms, a served result-cache replay) so that a regression in any
+layer is visible independently of the end-to-end numbers.
 """
 
 import pytest
@@ -12,6 +12,8 @@ from repro import Database, build_index, encode_document
 from repro.datagen import generate_mondial, make_probabilistic
 from repro.index.matchlist import build_match_entries, keyword_code_lists
 from repro.index.storage import load_database, save_database
+from repro.serve.protocol import json_response, outcome_payload
+from repro.service import QueryService
 from repro.slca import indexed_lookup_eager, scan_eager, stack_based_slca
 
 _STATE = {}
@@ -82,3 +84,24 @@ def test_stack_based_slca(benchmark, report):
     report.add_row("Micro - substrate components",
                    ["component", "size"],
                    ["stack_based_slca", len(answers)])
+
+
+def test_result_cache_replay(benchmark, report):
+    """What the HTTP server does for a repeated /search on its event
+    loop: a result-cache hit, its payload and the encoded response."""
+    state = prepared()
+    service = QueryService(Database(state["encoded"], state["index"]))
+    keywords = ["united states", "organization"]
+    computed = service.search(keywords, k=10)
+
+    def replay():
+        found = service.lookup(keywords, k=10)
+        outcome = service.search(keywords, k=10, lookup=found)
+        return outcome, json_response(200, outcome_payload(outcome))
+
+    outcome, response = benchmark(replay)
+    assert outcome.stats["service"] == "result_cache"
+    assert response == json_response(200, outcome_payload(computed))
+    report.add_row("Micro - substrate components",
+                   ["component", "size"],
+                   ["result_cache_replay", len(outcome.results)])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.encoding.dewey import DeweyCode
 from repro.encoding.encoder import EncodedDocument
@@ -21,21 +21,43 @@ class SLCAResult:
     up on first access from ``origin`` — the encoded document the
     answer came from and the node's code in it — so answers that are
     only labelled and serialised never build the tree.
+
+    An answer is read-only (``code``, ``probability`` and ``label``
+    are properties without setters): the service's result cache hands
+    the same answers to every replay of a query, so no caller may
+    change one.  It pickles as its code, probability and label; the
+    node link is local to the process that computed it.
     """
 
-    __slots__ = ("code", "probability", "label", "_node", "_origin")
+    __slots__ = ("_code", "_probability", "_label", "_node", "_origin")
 
     def __init__(self, code: DeweyCode, probability: float,
                  node: Optional[PNode] = None, label: Optional[str] = None,
                  origin: "Optional[Tuple[EncodedDocument, DeweyCode]]"
                  = None):
-        self.code = code
-        self.probability = probability
+        self._code = code
+        self._probability = probability
         if label is None:
             label = node.label if node is not None else str(code)
-        self.label = label
+        self._label = label
         self._node = node
         self._origin = origin
+
+    @property
+    def code(self) -> DeweyCode:
+        return self._code
+
+    @property
+    def probability(self) -> float:
+        return self._probability
+
+    @property
+    def label(self) -> str:
+        return self._label
+
+    def __reduce__(self) -> Tuple[type, Tuple[DeweyCode, float, None, str]]:
+        return (SLCAResult, (self._code, self._probability, None,
+                             self._label))
 
     @property
     def node(self) -> Optional[PNode]:
@@ -48,17 +70,17 @@ class SLCAResult:
     def relocated(self, code: DeweyCode) -> "SLCAResult":
         """The same answer under another code (a corpus shard's answer
         in global document positions); its node stays reachable."""
-        return SLCAResult(code, self.probability, self._node, self.label,
-                          self._origin)
+        return SLCAResult(code, self._probability, self._node,
+                          self._label, self._origin)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SLCAResult):
             return NotImplemented
-        return (self.code, self.probability, self.label) \
-            == (other.code, other.probability, other.label)
+        return (self._code, self._probability, self._label) \
+            == (other._code, other._probability, other._label)
 
     def __hash__(self) -> int:
-        return hash((self.code, self.probability))
+        return hash((self._code, self._probability))
 
     def __repr__(self) -> str:
         return (f"SLCAResult(code={self.code!r}, "
@@ -91,6 +113,8 @@ class SearchOutcome:
         results: answers sorted by descending probability (ties broken
             by document order); at most ``k``, fewer when fewer nodes
             have non-zero probability (the paper returns only those).
+            A result-cache replay holds them as a tuple that every
+            replay of the query shares.
         stats: free-form instrumentation counters (entries scanned,
             candidates pruned, tables merged, ...), filled in by each
             algorithm and consumed by the benchmark harness.  When the
@@ -110,7 +134,7 @@ class SearchOutcome:
             message is in ``stats["error"]``).
     """
 
-    results: List[SLCAResult] = field(default_factory=list)
+    results: Sequence[SLCAResult] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
     partial: bool = False
     termination_reason: str = "complete"

@@ -14,7 +14,7 @@ most one child per position regardless of kind).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.exceptions import EncodingError
 from repro.prxml.model import NodeType
@@ -29,9 +29,13 @@ class DeweyCode:
 
     Instances are hashable, totally ordered by document order, and cheap
     to extend (:meth:`child`) or truncate (:meth:`prefix`, :meth:`parent`).
+    The ``"1.M1.I2.1"`` text is rendered on the first :func:`str` and
+    kept, so an answer served again (a result-cache replay shares its
+    codes) costs no rendering; every construction path starts the memo
+    empty.
     """
 
-    __slots__ = ("positions", "kinds", "_hash")
+    __slots__ = ("positions", "kinds", "_hash", "_text")
 
     def __init__(self, positions: Tuple[int, ...],
                  kinds: Tuple[NodeType, ...]):
@@ -46,6 +50,7 @@ class DeweyCode:
         self.positions = positions
         self.kinds = kinds
         self._hash = hash(positions)
+        self._text: Optional[str] = None
 
     # -- construction -------------------------------------------------------
 
@@ -84,6 +89,7 @@ class DeweyCode:
         code.positions = positions
         code.kinds = self.kinds + (kind,)
         code._hash = hash(positions)
+        code._text = None
         return code
 
     # -- structure ----------------------------------------------------------
@@ -109,6 +115,7 @@ class DeweyCode:
         code.positions = positions
         code.kinds = self.kinds[:length]
         code._hash = hash(positions)
+        code._text = None
         return code
 
     def parent(self) -> "DeweyCode":
@@ -163,9 +170,12 @@ class DeweyCode:
         return self.positions >= other.positions
 
     def __str__(self) -> str:
-        return ".".join(
-            f"{_KIND_PREFIX[kind]}{position}"
-            for position, kind in zip(self.positions, self.kinds))
+        text = self._text
+        if text is None:
+            text = self._text = ".".join(
+                f"{_KIND_PREFIX[kind]}{position}"
+                for position, kind in zip(self.positions, self.kinds))
+        return text
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeweyCode({self})"

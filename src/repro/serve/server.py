@@ -10,10 +10,11 @@ admission slots, so an admitted request never queues behind another),
 keeping ``/health`` and ``/metrics`` responsive while searches run.
 The one thing the loop answers itself is a ``/search`` whose answer
 the result cache already holds: :meth:`QueryService.lookup` runs on the
-loop, and a hit is replayed and encoded there (about 0.1 ms, the same
-order as parsing and encoding a request), skipping the hop to a worker
-thread and back.  A miss — and every search while the fault injector
-is armed, and every corpus search — takes the executor path.
+loop, and a hit is replayed and encoded there (about 50 µs of Python
+for a ten-answer hit on a 2-CPU Xeon container: a lookup sharing the
+cached answer, then its payload and JSON), skipping the hop to a
+worker thread and back.  A miss — and every search while the fault
+injector is armed, and every corpus search — takes the executor path.
 
 Request lifecycle (the admission order is deliberate)::
 
@@ -669,9 +670,10 @@ class ServeServer:
     def _service_snapshot(self) -> Dict[str, Any]:
         """One coherent service view for ``/health`` and JSON
         ``/metrics``: generation, epoch, reload counters and breaker
-        taken together under the service's locks
+        taken together under the service's stats lock
         (:meth:`QueryService.health_snapshot`), so a concurrent reload
-        can never yield a payload mixing old and new generations.
+        can never yield a payload mixing old and new generations, and
+        the loop never waits for a reload's load.
         Falls back to the field-by-field reads for service objects
         that predate ``health_snapshot``."""
         snapshot = getattr(self._service, "health_snapshot", None)

@@ -52,15 +52,14 @@ depend on term order.  See docs/SERVICE.md for the full architecture.
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from dataclasses import dataclass, field
+from typing import (Any, Dict, Iterable, Iterator, List, NoReturn,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.analysis.concurrency.witness import (InstrumentedLock,
                                                 NULL_WITNESS,
@@ -270,8 +269,13 @@ class Lookup:
     @property
     def key(self) -> Tuple[Tuple[str, ...], int, str, str]:
         """The result-cache key."""
-        return (tuple(self.terms), self.k, self.algorithm.value,
-                self.semantics)
+        return _result_key(self.terms, self.k, self.algorithm,
+                           self.semantics)
+
+
+def _result_key(terms: List[str], k: int, algorithm: Algorithm,
+                semantics: str) -> Tuple[Tuple[str, ...], int, str, str]:
+    return (tuple(terms), k, algorithm.value, semantics)
 
 
 #: What :class:`QueryService` and :meth:`QueryService.reload` accept as
@@ -346,8 +350,9 @@ class QueryService:
             "attempts": 0, "successes": 0, "rejected": 0}
         self._reload_last_error: Optional[str] = None  # repro: guarded-by[_stats_lock]
         # Single-writer atomic-reference swap: writes happen under
-        # _reload_lock, reads are deliberately lock-free (a query
-        # captures one immutable generation and drains on it).
+        # _reload_lock (and _stats_lock, beside the success count),
+        # reads are deliberately lock-free (a query captures one
+        # immutable generation and drains on it).
         self._state = self._build_state(  # repro: guarded-by[_reload_lock, writes]
             source, epoch=1, verify=verify)
 
@@ -437,8 +442,11 @@ class QueryService:
                 raise StorageError(
                     f"reload rejected ({message}); the previous "
                     f"generation keeps serving") from error
-            self._state = state
+            # The swap and its success count land together, so a
+            # health snapshot (which takes only _stats_lock) never
+            # sees one without the other.
             with self._stats_lock:
+                self._state = state
                 self._reload_counts["successes"] += 1
             if self.collector.enabled:
                 self.collector.count("service.reload.successes")
@@ -467,9 +475,17 @@ class QueryService:
     def storage_stats(self) -> Dict[str, object]:
         """Where answers come from right now, and how they got here:
         the served generation/directory, the state epoch, and the
-        cumulative reload counters (docs/STORAGE.md)."""
-        state = self._state
+        cumulative reload counters (docs/STORAGE.md).
+
+        :meth:`reload` installs a new state and counts its success
+        together under ``_stats_lock``, and this reads both under that
+        lock, so the view is coherent: ``epoch == 1 +
+        reloads["successes"]`` always holds.  It never takes
+        ``_reload_lock``, so it answers at once while a reload is
+        loading, with the generation still being served.
+        """
         with self._stats_lock:
+            state = self._state
             reloads: Dict[str, object] = dict(self._reload_counts)
             reloads["last_error"] = self._reload_last_error
         return {"generation": state.generation,
@@ -486,22 +502,11 @@ class QueryService:
         return summary
 
     def health_snapshot(self) -> Dict[str, object]:
-        """One *coherent* health view: generation, epoch, reload
-        counters and breaker state captured together.
-
-        :meth:`storage_stats` reads the state reference and the reload
-        counters in two steps, which is fine for informational output
-        but lets a concurrent :meth:`reload` interleave — a ``/health``
-        probe could report the old generation with the new success
-        count.  This method holds ``_reload_lock`` (then
-        ``_stats_lock``, per the declared lock order) across both
-        reads, so the pair always satisfies
-        ``epoch == 1 + reloads["successes"]``.  The serving layer's
-        ``/health`` and JSON ``/metrics`` use this; a snapshot taken
-        while a reload is building simply waits for the swap.
-        """
-        with self._reload_lock:
-            snapshot = self.storage_stats()
+        """One health view: :meth:`storage_stats` (coherent, and never
+        waiting for a reload) plus the breaker state.  The serving
+        layer's ``/health`` and JSON ``/metrics`` call it on the event
+        loop."""
+        snapshot = self.storage_stats()
         snapshot["breaker"] = self.breaker_stats()
         return snapshot
 
@@ -592,19 +597,17 @@ class QueryService:
             self.collector.count("service.queries")
         effective_sanitize = sanitize if sanitize is not None \
             else sanitize_from_env()
-        found = Lookup(terms, k, algorithm, semantics,
-                       replayable=(collector is None
-                                   and not effective_sanitize
-                                   and deadline is None))
-        if not found.replayable:
-            return found
-        state = self._state
-        cached = state.results.get(found.key)
-        if cached is None:
-            return found
-        replayed = _replay(cached)
-        _annotate_state(replayed, state)
-        return replace(found, outcome=replayed)
+        replayable = (collector is None and not effective_sanitize
+                      and deadline is None)
+        replayed = None
+        if replayable:
+            state = self._state
+            cached = state.results.get(
+                _result_key(terms, k, algorithm, semantics))
+            if cached is not None:
+                replayed = _replay(cached)
+                _annotate_state(replayed, state)
+        return Lookup(terms, k, algorithm, semantics, replayable, replayed)
 
     def _compute(self, found: Lookup,
                  collector: Optional[MetricsCollector],
@@ -674,7 +677,7 @@ class QueryService:
         if tracer is not None and not attach and self.collector.enabled:
             self.collector.merge(run_collector)
         if found.replayable and not outcome.partial:
-            state.results.put(found.key, outcome)
+            state.results.put(found.key, _cache_entry(outcome))
         _annotate_state(outcome, state)
         return outcome
 
@@ -1168,17 +1171,60 @@ def _annotate_state(outcome: SearchOutcome, state: _ServiceState) -> None:
                                       "epoch": state.epoch}
 
 
-def _replay(outcome: SearchOutcome) -> SearchOutcome:
-    """A fresh outcome sharing the cached (frozen) results.
+class _FrozenDict(Dict[str, Any]):
+    """A read-only dict: a cached answer's nested stats, shared by
+    every replay.  It pickles (and copies) as a plain dict, so a
+    shipped or copied replay is an ordinary mutable outcome."""
 
-    The stats dict is deep-copied so callers can annotate their copy
-    without corrupting the cached one; ``stats["service"]`` marks the
-    replay.  Only complete outcomes are ever cached, so the replay is
-    complete by construction.
-    """
-    stats = copy.deepcopy(outcome.stats)
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("a cached answer's stats are read-only; "
+                        "replace the top-level entry instead")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[str, Any]]]:
+        return (dict, (dict(self),))
+
+
+#: Stats values that are immutable already (most of a stats dict), so
+#: freezing passes them through without a call.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
+def _freeze(value: Any) -> Any:
+    """A read-only copy of a stats value: dicts become
+    :class:`_FrozenDict`, lists tuples, recursively."""
+    if isinstance(value, dict):
+        return _FrozenDict({
+            key: item if type(item) in _SCALARS else _freeze(item)
+            for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(item if type(item) in _SCALARS else _freeze(item)
+                     for item in value)
+    return value
+
+
+def _cache_entry(outcome: SearchOutcome) -> SearchOutcome:
+    """The result cache's private copy of a computed answer, made once
+    at insert: the answers as a tuple (each :class:`SLCAResult` is
+    read-only) and the stats frozen, so nothing a caller does to the
+    computed outcome or to any replay reaches the entry."""
+    return SearchOutcome(results=tuple(outcome.results),
+                         stats=_freeze(outcome.stats))
+
+
+def _replay(entry: SearchOutcome) -> SearchOutcome:
+    """A replay of a cache entry: it shares the entry's answers and
+    nested stats, under a fresh top-level stats dict that the caller
+    may annotate, marked ``stats["service"] == "result_cache"``.  Only
+    complete outcomes are ever cached, so the replay is complete by
+    construction."""
+    stats = dict(entry.stats)
     stats["service"] = "result_cache"
-    return SearchOutcome(results=list(outcome.results), stats=stats)
+    return SearchOutcome(results=entry.results, stats=stats)
 
 
 def _chunked(order: List[int], width: int) -> List[List[int]]:

@@ -1,8 +1,11 @@
 """Unit tests for extended Dewey codes."""
 
+import pickle
+
 import pytest
 
 from repro import DeweyCode, NodeType
+from repro.core.result import ranked_results
 from repro.encoding.dewey import (common_prefix_length,
                                   lowest_common_ancestor)
 from repro.exceptions import EncodingError
@@ -121,3 +124,76 @@ class TestRelations:
         # Order (and identity) is position-based; kinds are metadata.
         assert code("1.I1") == code("1.M1") or True
         assert len({code("1.2"), code("1.2"), code("1.3")}) == 2
+
+
+#: The reference rendering, written out here so the memo is checked
+#: against text the code under test did not produce.
+_MARKER = {NodeType.ORDINARY: "", NodeType.MUX: "M", NodeType.IND: "I",
+           NodeType.EXP: "E"}
+
+
+def rendered(dewey: DeweyCode) -> str:
+    return ".".join(f"{_MARKER[kind]}{position}"
+                    for position, kind in zip(dewey.positions, dewey.kinds))
+
+
+class TestTextMemo:
+    """``str()`` renders a code once and keeps the text: it must equal
+    the plain rendering on every construction path, and must not touch
+    equality, hashing or order."""
+
+    TEXTS = ("1", "1.M1.I2.1", "1.M1.4.3.M1.2", "1.E3.I12.7")
+
+    def assert_memo(self, dewey):
+        text = str(dewey)
+        assert text == rendered(dewey)
+        assert str(dewey) is text  # rendered once, then kept
+
+    def test_parse_and_root(self):
+        for text in self.TEXTS:
+            self.assert_memo(code(text))
+        self.assert_memo(DeweyCode.root())
+
+    def test_child_prefix_and_parent(self):
+        built = DeweyCode.root().child(2, NodeType.MUX) \
+            .child(1, NodeType.IND).child(3, NodeType.ORDINARY)
+        self.assert_memo(built)
+        for length in range(1, len(built) + 1):
+            self.assert_memo(built.prefix(length))
+        self.assert_memo(built.parent())
+        assert [str(prefix) for prefix in built.iter_prefixes()] == \
+            ["1", "1.M2", "1.M2.I1", "1.M2.I1.3"]
+
+    def test_ranked_results(self, figure1_db):
+        encoded = figure1_db.encoded
+        answers = ranked_results(
+            encoded, [(node, 0.5) for node in range(len(encoded))])
+        for node, answer in enumerate(answers):
+            self.assert_memo(answer.code)
+            assert answer.code == encoded.code(node)
+
+    @pytest.mark.parametrize("render_first", [False, True])
+    def test_unpickled(self, render_first):
+        for text in self.TEXTS:
+            original = code(text)
+            if render_first:
+                str(original)
+            clone = pickle.loads(pickle.dumps(original))
+            self.assert_memo(clone)
+            assert clone == original and hash(clone) == hash(original)
+
+    def test_equality_hash_and_order_ignore_the_memo(self):
+        texts = sorted(self.TEXTS + ("1.2", "1.M1.3", "1.I1"))
+        fresh = [code(text) for text in texts]
+        shown = [code(text) for text in texts]
+        for dewey in shown:
+            str(dewey)
+        for left, right in zip(fresh, shown):
+            assert left == right and right == left
+            assert hash(left) == hash(right) == hash(left.positions)
+            assert not left < right and not left > right
+            assert left <= right and left >= right
+        assert sorted(fresh) == sorted(shown)
+        assert [str(dewey) for dewey in sorted(shown)] == \
+            [str(dewey) for dewey in sorted(fresh)]
+        assert len(set(fresh) | set(shown)) == len(set(texts))

@@ -1,5 +1,7 @@
 """Tests for the query service: caching, batching, executors."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro import topk_search
 from repro.exceptions import QueryError
 from repro.obs import MetricsCollector
+from repro.serve.protocol import json_response, outcome_payload
 from repro.service import QueryService, load_query_file
 from repro.service.service import _chunked
 
@@ -77,6 +80,92 @@ class TestSearchEquivalence:
             service.search(["k1", "K1"], 3)
         with pytest.raises(QueryError, match="no indexable terms"):
             service.search(["..."], 3)
+
+
+def exact_answer(outcome):
+    """Codes, probabilities (bit for bit) and labels, best first."""
+    return [(str(result.code), result.probability.hex(), result.label)
+            for result in outcome.results]
+
+
+def without_marker(stats):
+    return {key: value for key, value in stats.items()
+            if key != "service"}
+
+
+class TestCacheOwnership:
+    """The result cache keeps a private copy of each answer, made when
+    it is inserted; every replay shares that copy under a fresh
+    top-level stats dict, and nothing a caller does to the computed
+    outcome or to a replay reaches it."""
+
+    QUERY = (["k1", "k2"], 3)
+
+    def computed(self, figure1_db):
+        service = QueryService(figure1_db)
+        first = service.search(*self.QUERY)
+        assert first.stats["pruning"] and len(first.results) == 3
+        return service, first, exact_answer(first), \
+            copy.deepcopy(first.stats)
+
+    def assert_cache_intact(self, service, answer, stats):
+        replay = service.search(*self.QUERY)
+        assert replay.stats["service"] == "result_cache"
+        assert exact_answer(replay) == answer
+        assert without_marker(replay.stats) == stats
+
+    def test_mutating_the_computed_outcome_leaves_the_cache(
+            self, figure1_db):
+        service, first, answer, stats = self.computed(figure1_db)
+        first.results.clear()
+        first.stats["pruning"]["bound_evaluations"] = -1
+        first.stats["pruning"]["scribble"] = True
+        first.stats["scribble"] = True
+        self.assert_cache_intact(service, answer, stats)
+
+    def test_mutating_a_replay_leaves_the_cache(self, figure1_db):
+        service, _, answer, stats = self.computed(figure1_db)
+        replay = service.search(*self.QUERY)
+        # The shared parts are read-only ...
+        with pytest.raises(AttributeError):
+            replay.results.clear()
+        with pytest.raises(AttributeError):
+            replay.results[0].probability = 0.0
+        pruning = replay.stats["pruning"]
+        for mutate in (lambda d: d.__setitem__("bound_evaluations", -1),
+                       lambda d: d.__delitem__("bound_evaluations"),
+                       lambda d: d.update(scribble=True),
+                       lambda d: d.setdefault("scribble", True),
+                       lambda d: d.pop("bound_evaluations"),
+                       lambda d: d.popitem(),
+                       lambda d: d.clear(),
+                       lambda d: d.__ior__({"scribble": True})):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(pruning)
+        # ... and what a replay owns is its own.
+        replay.results = []
+        replay.stats["pruning"] = {"scribble": True}
+        del replay.stats["algorithm"]
+        replay.stats["scribble"] = True
+        self.assert_cache_intact(service, answer, stats)
+
+    def test_replay_pickles_to_an_equal_outcome(self, figure1_db):
+        service, _, answer, _ = self.computed(figure1_db)
+        replay = service.search(*self.QUERY)
+        clone = pickle.loads(pickle.dumps(replay))
+        assert clone == replay
+        assert exact_answer(clone) == answer
+        assert clone.stats == replay.stats
+        # A shipped replay is an ordinary outcome on the other side.
+        clone.stats["pruning"]["scribble"] = True
+        self.assert_cache_intact(service, answer,
+                                 without_marker(replay.stats))
+
+    def test_replay_payload_is_byte_identical(self, figure1_db):
+        service, first, _, _ = self.computed(figure1_db)
+        replay = service.search(*self.QUERY)
+        assert json_response(200, outcome_payload(replay)) == \
+            json_response(200, outcome_payload(first))
 
 
 class TestEviction:

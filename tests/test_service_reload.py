@@ -7,7 +7,10 @@ failed reloads are rejected while the old generation keeps serving,
 and the ``storage`` stats block reports what is being served.
 """
 
+import http.client
+import json
 import threading
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro import (Database, DocumentBuilder, QueryService,
 from repro.exceptions import StorageError
 from repro.obs import MetricsCollector
 from repro.resilience import parse_faults
+from repro.serve import ServeConfig, start_in_thread
 
 
 def build_doc(texts):
@@ -284,3 +288,79 @@ class TestHealthSnapshotCoherence:
         assert snap["generation"] == stats["generation"]
         assert snap["epoch"] == stats["epoch"] == 2
         assert snap["reloads"] == stats["reloads"]
+
+
+class GatedReload:
+    """A faults object whose ``before_reload`` holds a reload mid-load
+    until the test releases it."""
+
+    enabled = True
+
+    def __init__(self):
+        self.loading = threading.Event()
+        self.release = threading.Event()
+
+    def before_reload(self):
+        self.loading.set()
+        assert self.release.wait(30.0)
+
+
+def get_json(port, path):
+    connection = http.client.HTTPConnection("127.0.0.1", port,
+                                            timeout=30)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        assert response.status == 200
+        return json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHealthDuringReload:
+    @staticmethod
+    def views(service, port):
+        """(generation, epoch, successful reloads) from
+        ``health_snapshot()``, ``/health`` and JSON ``/metrics``, each
+        answered within 100 ms."""
+        views = []
+        for read, block in (
+                (service.health_snapshot, lambda body: body),
+                (lambda: get_json(port, "/health"), lambda body: body),
+                (lambda: get_json(port, "/metrics?format=json"),
+                 lambda body: body["stats"]["serve"]["service"])):
+            started = time.perf_counter()
+            body = block(read())
+            assert time.perf_counter() - started < 0.1
+            views.append((body["generation"], body["epoch"],
+                          body["reloads"]["successes"]))
+        return views
+
+    def test_health_answers_while_a_reload_loads(self, doc_a, doc_b,
+                                                 tmp_path):
+        """``health_snapshot`` and the served ``/health`` (and JSON
+        ``/metrics``) must not wait out a reload's load: they answer
+        at once with the generation being served, then show the new
+        one once the reload lands."""
+        directory = tmp_path / "db"
+        save_database(Database.from_document(doc_a), directory)
+        service = QueryService(str(directory))
+        save_database(Database.from_document(doc_b), directory)
+        gate = GatedReload()
+        reloader = threading.Thread(
+            target=lambda: service.reload(faults=gate))
+        handle = start_in_thread(service, ServeConfig(max_inflight=2))
+        try:
+            reloader.start()
+            assert gate.loading.wait(30.0)
+            assert self.views(service, handle.port) == \
+                [("g00000001", 1, 0)] * 3
+            gate.release.set()
+            reloader.join(30.0)
+            assert not reloader.is_alive()
+            assert self.views(service, handle.port) == \
+                [("g00000002", 2, 1)] * 3
+        finally:
+            gate.release.set()
+            reloader.join(30.0)
+            assert handle.stop() == 0
