@@ -2,14 +2,17 @@
 
 Not a paper figure — these isolate the building blocks (encoding,
 snapshot loading, index construction, the three deterministic SLCA
-algorithms, a served result-cache replay) so that a regression in any
-layer is visible independently of the end-to-end numbers.
+algorithms, a served result-cache replay, a sharded corpus search) so
+that a regression in any layer is visible independently of the
+end-to-end numbers.
 """
 
 import pytest
 
-from repro import Database, build_index, encode_document
-from repro.datagen import generate_mondial, make_probabilistic
+from repro import Database, build_index, encode_document, topk_search
+from repro.corpus import CorpusService, build_corpus, concat_documents
+from repro.datagen import (generate_dblp, generate_mondial,
+                           make_probabilistic)
 from repro.index.matchlist import build_match_entries, keyword_code_lists
 from repro.index.storage import load_database, save_database
 from repro.serve.protocol import json_response, outcome_payload
@@ -105,3 +108,34 @@ def test_result_cache_replay(benchmark, report):
     report.add_row("Micro - substrate components",
                    ["component", "size"],
                    ["result_cache_replay", len(outcome.results)])
+
+
+def test_corpus_search(benchmark, report, tmp_path):
+    """A serial corpus query with a collector on, as ``repro serve``
+    runs it: shard bounds, one engine call per searched shard, the
+    global merge and one metrics fold.  Its answers must equal the
+    engine over the concatenated documents (synthetic root dropped)."""
+    from repro.obs.metrics import MetricsCollector
+    documents = [(f"dblp{position}",
+                  make_probabilistic(generate_dblp(60, seed=40 + position),
+                                     seed=70 + position))
+                 for position in range(6)]
+    directory = str(tmp_path / "corpus")
+    build_corpus(documents, directory, shards=3)
+    service = CorpusService(directory, collector=MetricsCollector())
+    keywords, k = ["xml", "keyword"], 5
+    outcome = benchmark(service.search, keywords, k)
+    concat = topk_search(
+        Database.from_document(concat_documents(documents)), keywords,
+        k + 1)
+    expected = [(str(result.code), result.probability)
+                for result in concat.results
+                if len(result.code.positions) >= 2][:k]
+    assert len(expected) == k
+    assert [(str(result.code), result.probability)
+            for result in outcome.results] == expected
+    assert outcome.termination_reason == "complete"
+    assert outcome.stats["corpus"]["searched"] >= 1
+    report.add_row("Micro - substrate components",
+                   ["component", "size"],
+                   ["corpus_search", len(outcome.results)])

@@ -53,6 +53,20 @@ from repro.obs import (FlightRecorder, MetricsCollector, NULL_TRACER,
 # linter), so a long-running `repro serve` never loads them.
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1, so a zero or
+    negative value is a usage error, not a failure at start-up."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -135,9 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default serial): threads share the hot "
                             "caches, processes each index their own "
                             "document copy (docs/SERVICE.md)")
-    batch.add_argument("--cache-size", type=int, default=256,
+    batch.add_argument("--cache-size", type=_positive_int, default=256,
                        metavar="M", dest="cache_size",
-                       help="entries per service cache (default 256)")
+                       help="entries per service cache, at least 1 "
+                            "(default 256)")
     batch.add_argument("--metrics-json", metavar="PATH",
                        help="write the batch's repro.metrics/v2 JSON "
                             "report to PATH, with process-worker "
@@ -299,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "client-supplied header; only safe "
                             "behind an authenticating proxy "
                             "(default: key on the peer address)")
-    serve.add_argument("--cache-size", type=int, default=256,
+    serve.add_argument("--cache-size", type=_positive_int, default=256,
                        metavar="M", dest="cache_size",
-                       help="entries per service cache (default 256)")
+                       help="entries per service cache, at least 1 "
+                            "(default 256)")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        metavar="S", dest="drain_timeout",
                        help="seconds shutdown waits for in-flight "

@@ -11,7 +11,7 @@ is looked up when first accessed.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.sanitizer import (EXACT_CHECK_MAX_ENTRIES,
                                       NULL_SANITIZER, Sanitizer,
@@ -26,7 +26,8 @@ from repro.index.inverted import InvertedIndex
 from repro.index.storage import Database
 from repro.index.tokenizer import tokenize
 from repro.obs.logging import get_logger
-from repro.obs.metrics import MetricsCollector, NULL_COLLECTOR
+from repro.obs.metrics import (MetricsBuffer, MetricsCollector,
+                               NULL_COLLECTOR)
 from repro.prxml.model import PDocument
 from repro.resilience.deadline import (Deadline, DeadlineLike,
                                        as_deadline)
@@ -45,34 +46,47 @@ class Algorithm(Enum):
 Source = Union[PDocument, Database, InvertedIndex]
 
 
-def validate_query(keywords: Iterable[str], k: int,
-                   algorithm: Union[Algorithm, str] = Algorithm.EAGER,
-                   semantics: str = "slca") -> list:
-    """Boundary validation shared by :func:`topk_search` and the
-    service and corpus layers: materialise the keywords, reject
-    non-positive ``k``, duplicate keywords, an unknown algorithm or
-    semantics, and ELCA under EagerTopK with a :class:`QueryError`
-    naming the offence (instead of whatever a deeper layer — the heap,
-    the tokenizer, a shard visit — would eventually do with them).
+def validated_terms(keywords: Iterable[str], k: int,
+                    algorithm: Union[Algorithm, str] = Algorithm.EAGER,
+                    semantics: str = "slca") -> List[str]:
+    """Boundary validation and normalisation in one pass, shared by
+    :func:`topk_search` and the service and corpus layers: each keyword
+    is tokenised once, and the query's unique terms come back in
+    keyword order (the :func:`~repro.index.tokenizer.normalize_query`
+    flattening).
+
+    Raises a :class:`QueryError` naming the offence (instead of
+    whatever a deeper layer — the heap, an engine, a shard visit —
+    would eventually do) for, in this order: a non-positive ``k``;
+    duplicate keywords; an unknown algorithm or semantics, or ELCA
+    under EagerTopK; a keyword with no indexable terms.
 
     Two keywords are duplicates when they tokenise identically
     (``"K1"`` duplicates ``"k1"``): the duplicate would silently
     collapse into one required term and turn a 3-keyword query into a
-    different — still answerable — 2-term query.  Keywords that
-    tokenise to nothing are left for :func:`normalize_query` to reject
-    with its own message.  Returns the keywords as a list.
+    different — still answerable — 2-term query.  An empty keyword
+    list passes and yields no terms; each caller decides what that
+    means.
     """
-    keywords = list(keywords)
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
-    seen: dict = {}
+    seen: Dict[Tuple[str, ...], str] = {}
+    terms: Dict[str, None] = {}
+    empty: Optional[str] = None
     for keyword in keywords:
-        key = tuple(tokenize(keyword))
-        if key and key in seen:
+        tokens = tokenize(keyword)
+        if not tokens:
+            if empty is None:
+                empty = keyword
+            continue
+        key = tuple(tokens)
+        if key in seen:
             raise QueryError(
                 f"duplicate query keyword {keyword!r} (normalises the "
                 f"same as {seen[key]!r})")
-        seen.setdefault(key, keyword)
+        seen[key] = keyword
+        for token in tokens:
+            terms.setdefault(token, None)
     algorithm = _coerce_algorithm(algorithm)
     if semantics not in ("slca", "elca"):
         raise QueryError(
@@ -81,17 +95,22 @@ def validate_query(keywords: Iterable[str], k: int,
         raise QueryError(
             "EagerTopK's pruning bounds are SLCA-specific; use "
             "algorithm='prstack' (or 'possible_worlds') for ELCA")
-    return keywords
+    if empty is not None:
+        raise QueryError(
+            f"query keyword {empty!r} contains no indexable terms")
+    return list(terms)
 
 
 def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
                 algorithm: Union[Algorithm, str] = Algorithm.EAGER,
                 semantics: str = "slca",
-                collector: Optional[MetricsCollector] = None,
+                collector: Optional[Union[MetricsCollector,
+                                          MetricsBuffer]] = None,
                 sanitize: Optional[bool] = None,
                 caches: CachesLike = NULL_CACHES,
                 deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None,
-                *, _attach_metrics: bool = True) -> SearchOutcome:
+                *, _attach_metrics: bool = True,
+                _checked: bool = False) -> SearchOutcome:
     """Find the ``k`` ordinary nodes most likely to be SLCAs.
 
     Args:
@@ -156,6 +175,10 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
             ``stats["metrics"]``: the service passes its own
             long-lived collector (or a per-request one it merges into
             its own), so the query pays no snapshot.
+        _checked: private to :class:`repro.service.QueryService`.  True
+            says ``keywords`` are terms :func:`validated_terms` already
+            returned for this ``k``, algorithm and semantics, so the
+            search does not check them again.
 
     Returns:
         A :class:`SearchOutcome`; ``outcome.results`` are sorted by
@@ -164,12 +187,13 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         p-document ``node``.  See
         docs/OBSERVABILITY.md for the instrumented ``stats`` layout.
     """
-    keywords = validate_query(keywords, k, algorithm, semantics)
+    terms = list(keywords) if _checked \
+        else validated_terms(keywords, k, algorithm, semantics)
     if _is_query_service(source):
         # A prepared service carries its own caches and collector
         # defaults; delegate so callers can hold one handle for both
         # ad-hoc and batched traffic.
-        return source.search(keywords, k, algorithm=algorithm,
+        return source.search(terms, k, algorithm=algorithm,
                              semantics=semantics, collector=collector,
                              sanitize=sanitize, deadline=deadline)
     deadline = as_deadline(deadline)
@@ -187,22 +211,22 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
                semantics)
     with collector.time("search.total"):
         if algorithm is Algorithm.PRSTACK:
-            outcome = prstack_search(index, keywords, k, elca=elca,
+            outcome = prstack_search(index, terms, k, elca=elca,
                                      collector=collector,
                                      sanitizer=sanitizer,
                                      caches=caches, deadline=deadline)
         elif algorithm is Algorithm.EAGER:
-            outcome = eager_topk_search(index, keywords, k,
+            outcome = eager_topk_search(index, terms, k,
                                         collector=collector,
                                         sanitizer=sanitizer,
                                         caches=caches,
                                         deadline=deadline)
         else:
-            outcome = possible_worlds_search(index, keywords, k,
+            outcome = possible_worlds_search(index, terms, k,
                                              elca=elca,
                                              collector=collector)
     if sanitizer.enabled:
-        _crosscheck_bounds(sanitizer, index, keywords, outcome)
+        _crosscheck_bounds(sanitizer, index, terms, outcome)
         outcome.stats["sanitizer"] = sanitizer.summary()
     if collector.enabled and _attach_metrics:
         outcome.stats["metrics"] = collector.snapshot()

@@ -227,9 +227,12 @@ class _EagerSearch:
         self.collector = collector
         # The eager.*, engine.* and heap.* metrics are staged in a
         # lock-free buffer and folded into the collector once, when the
-        # query ends; timers and span marks go to the collector.
-        self.metrics: EngineMetrics = MetricsBuffer(collector) \
-            if collector.enabled else collector
+        # query ends; timers and span marks go to the collector.  A
+        # collector that is a buffer already (a corpus visit's stage)
+        # takes them itself, and its owner folds it.
+        self.metrics: EngineMetrics = collector
+        if collector.enabled and not isinstance(collector, MetricsBuffer):
+            self.metrics = MetricsBuffer(collector)
         self.sanitizer = sanitizer
         self.caches = caches
         self.deadline = deadline
@@ -277,7 +280,8 @@ class _EagerSearch:
         try:
             return self._search()
         finally:
-            if isinstance(self.metrics, MetricsBuffer):
+            if isinstance(self.metrics, MetricsBuffer) \
+                    and self.metrics is not self.collector:
                 self.metrics.flush()
 
     def _search(self) -> SearchOutcome:

@@ -23,8 +23,14 @@ global :class:`~repro.core.heap.TopKHeap`:
    provably cannot change it.
 4. Every executor runs one completion-driven scatter loop: serial on
    an inline executor (one visit at a time), thread and process on a
-   pool.  A shard-local answer's Dewey code rewrites to the global
-   code by swapping its position component per the corpus manifest.
+   pool.  A serial or thread visit is an engine call on the replica's
+   live state: the query is validated and canonicalised once, here,
+   and no visit validates again or touches a replica's result cache.
+   The merge keys the global heap by each answer's global positions;
+   only the k survivors are rewritten to global Dewey codes, by
+   swapping the shard-local position component per the corpus
+   manifest.  Every visit's engine metrics are staged and folded into
+   the collector once per query.
 
 **Replication** (docs/CORPUS.md): a corpus built with ``replicas=N``
 holds N bit-identical copies of every shard, and each shard visit
@@ -72,8 +78,9 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
+from repro.analysis.sanitizer import sanitize_from_env
 from repro.core import Algorithm
-from repro.core.api import validate_query
+from repro.core.api import _coerce_algorithm, validated_terms
 from repro.core.heap import TopKHeap
 from repro.core.result import SearchOutcome, SLCAResult
 from repro.corpus.builder import (CorpusManifest, compute_bounds,
@@ -87,14 +94,15 @@ from repro.corpus.replication import (HedgeLike, ReplicaHealth,
 from repro.encoding.dewey import DeweyCode
 from repro.exceptions import QueryError, ReproError, StorageError
 from repro.index.fsck import FsckReport, fsck_database
-from repro.index.tokenizer import normalize_query
-from repro.obs.metrics import Collector, NULL_COLLECTOR, Stopwatch
+from repro.obs.metrics import (Collector, MetricsBuffer, NULL_COLLECTOR,
+                               Stopwatch)
 from repro.resilience.deadline import (Deadline, DeadlineLike,
-                                       REASON_DEADLINE, as_deadline)
+                                       REASON_COMPLETE, REASON_DEADLINE,
+                                       as_deadline)
 from repro.resilience.faults import NULL_FAULTS, FaultsLike
 from repro.resilience.retry import CircuitBreaker
 from repro.service.service import (BatchOutcome, DEFAULT_CACHE_SIZE,
-                                   QueryService)
+                                   Lookup, QueryService)
 from repro.service.worker import (DEFAULT_EXECUTOR, InlineExecutor, Job,
                                   ShardSource, WorkerPool,
                                   check_executor, decode_rows, run_job)
@@ -206,8 +214,11 @@ class CorpusService:
     Args:
         directory: a corpus directory built by
             :func:`repro.corpus.build_corpus`.
-        cache_size: per-shard query cache size (each shard's
-            :class:`QueryService` gets its own caches).
+        cache_size: the capacity of each replica's match-list cache
+            (each replica's :class:`QueryService` gets its own caches;
+            shard visits never use its result cache).  Must be
+            positive: a non-positive size raises ``ValueError`` before
+            any shard loads.
         collector: shared metrics collector; receives the per-shard
             services' counters *and* the ``corpus.*`` family.
         verify: checksum-verify shard snapshots on load/reload.
@@ -247,6 +258,11 @@ class CorpusService:
                  replica_cooldown_s: float =
                  DEFAULT_REPLICA_COOLDOWN_S) -> None:
         check_executor(executor)
+        if cache_size <= 0:
+            # A caller's mistake: raised here, before any shard loads,
+            # instead of failing every replica's load.
+            raise ValueError(f"cache_size must be positive, "
+                             f"got {cache_size}")
         self.collector = collector if collector is not None \
             else NULL_COLLECTOR
         self._directory = os.fspath(directory)
@@ -266,6 +282,11 @@ class CorpusService:
         self._shards: Tuple[_ShardState, ...] = tuple(  # repro: guarded-by[_reload_lock, writes]
             self._load_shard(position)
             for position in range(self._manifest.shard_count))
+        # The served state of the last shard tuple a query saw: a
+        # reload installs a new tuple, so the identity check keeps it
+        # fresh, and two queries racing to fill it write equal values.
+        self._served: Tuple[Tuple[_ShardState, ...], Dict[str, object]] \
+            = ((), {})
 
     # -- shard loading ---------------------------------------------------------
 
@@ -389,9 +410,9 @@ class CorpusService:
         """
         # Caller errors surface here, once, before any shard visit:
         # a QueryError raised inside a visit would otherwise read as a
-        # replica failure and trip the replica breakers.
-        keywords = validate_query(keywords, k, algorithm, semantics)
-        terms = sorted(normalize_query(keywords))
+        # replica failure and trip the replica breakers.  Every visit
+        # runs on this one canonical form of the query.
+        terms = sorted(validated_terms(keywords, k, algorithm, semantics))
         if not terms:
             raise QueryError("keyword query contains no terms")
         if executor is None:
@@ -399,58 +420,62 @@ class CorpusService:
         check_executor(executor)
         if workers is not None and workers <= 0:
             raise QueryError(f"workers must be positive, got {workers}")
-        algorithm_name = algorithm.value \
-            if isinstance(algorithm, Algorithm) else str(algorithm)
+        # k + 1 answers a shard: its synthetic root can take one slot.
+        verdict = Lookup(terms, k + 1, _coerce_algorithm(algorithm),
+                         semantics, replayable=False)
         budget = as_deadline(deadline)
         shards = self._shards
         traced = tracer is not None and getattr(tracer, "enabled", False)
 
-        with self.collector.time("corpus.search"):
-            merge = _Merge(k)
-            plan: List[Tuple[_ShardState, float]] = []
-            for shard in shards:
-                if shard.service is None:
-                    merge.record(shard, 0.0, ACTION_FAILED,
-                                 error=shard.error)
-                    continue
-                plan.append((shard, shard.query_bound(terms)))
-            # Most-promising shard first: the sooner the heap holds k
-            # strong answers, the more later shards the bound prunes.
-            plan.sort(key=lambda entry: (-entry[1],
-                                         entry[0].position))
-            width = _width(executor, workers, len(plan))
+        watch = Stopwatch().start()
+        merge = _Merge(k)
+        plan: List[Tuple[_ShardState, float]] = []
+        for shard in shards:
+            if shard.service is None:
+                merge.record(shard, 0.0, ACTION_FAILED, error=shard.error)
+                continue
+            plan.append((shard, shard.query_bound(terms)))
+        # Most-promising shard first: the sooner the heap holds k strong
+        # answers, the more later shards the bound prunes.
+        plan.sort(key=lambda entry: (-entry[1], entry[0].position))
+        width = _width(executor, workers, len(plan))
 
-            span_ctx = tracer.span(
-                "corpus.search", shards=len(shards),
-                terms=" ".join(terms), k=k,
-                executor=executor) if traced else nullcontext()
-            with span_ctx as corpus_span:
-                _Scatter(self, executor, width, merge, keywords, k,
-                         algorithm_name, semantics, budget,
-                         tracer if traced else None,
-                         corpus_span).run(plan)
-                if traced and corpus_span is not None:
-                    corpus_span.attrs.update(merge.counts,
-                                             hedged=merge.hedges["fired"])
+        span_ctx = tracer.span(
+            "corpus.search", shards=len(shards), terms=" ".join(terms),
+            k=k, executor=executor) if traced else nullcontext()
+        with span_ctx as corpus_span:
+            scatter = _Scatter(self, executor, width, merge, verdict,
+                               sanitize_from_env(), budget,
+                               tracer if traced else None, corpus_span)
+            scatter.run(plan)
+            if traced and corpus_span is not None:
+                corpus_span.attrs.update(merge.counts,
+                                         hedged=merge.hedges["fired"])
 
-            outcome = merge.outcome(
-                shards_total=len(shards), executor=executor,
-                workers=width, algorithm=algorithm_name,
-                semantics=semantics, k=k, terms=terms,
-                service_state=asdict(self._state_of(shards)))
+        outcome = merge.outcome(
+            shards_total=len(shards), executor=executor, workers=width,
+            algorithm=verdict.algorithm.value, semantics=semantics, k=k,
+            terms=terms, service_state=dict(self._served_state(shards)))
         if self.collector.enabled:
-            self.collector.count("corpus.searches")
-            for action, total in merge.counts.items():
-                if total:
-                    self.collector.count(f"corpus.shards_{action}",
-                                         total)
-            if merge.degraded:
-                self.collector.count("corpus.degraded", merge.degraded)
-            self.collector.observe("corpus.searched_per_query",
-                                   merge.counts[ACTION_SEARCHED])
-            self.collector.observe("corpus.pruned_per_query",
-                                   merge.counts[ACTION_PRUNED])
+            self._fold(merge, scatter.stages, watch)
         return outcome
+
+    def _fold(self, merge: "_Merge", stages: List[MetricsBuffer],
+              watch: Stopwatch) -> None:
+        """Fold one query into the collector at once: its shard visits'
+        staged engine metrics and its own ``corpus.*`` metrics."""
+        fold = MetricsBuffer(self.collector)
+        fold.count("corpus.searches")
+        for action, total in merge.counts.items():
+            if total:
+                fold.count(f"corpus.shards_{action}", total)
+        if merge.degraded:
+            fold.count("corpus.degraded", merge.degraded)
+        fold.observe("corpus.searched_per_query",
+                     merge.counts[ACTION_SEARCHED])
+        fold.observe("corpus.pruned_per_query", merge.counts[ACTION_PRUNED])
+        fold.observe_time("corpus.search", watch.elapsed)
+        self.collector.fold(stages + [fold])
 
     # -- service-shaped surface ------------------------------------------------
 
@@ -460,9 +485,10 @@ class CorpusService:
                deadline: object = None) -> None:
         """:meth:`QueryService.lookup`'s counterpart: always ``None``.
 
-        A corpus keeps no whole-answer cache (each shard's own result
-        cache answers inside its visit), so the HTTP layer sends every
-        corpus search to a worker thread.
+        A corpus keeps no whole-answer cache, and its shard visits do
+        not use their replicas' result caches (no corpus traffic
+        repeats a query often enough to pay for one), so the HTTP
+        layer sends every corpus search to a worker thread.
         """
         return None
 
@@ -633,6 +659,16 @@ class CorpusService:
         return corpus_fsck(self._directory, repair=repair,
                            collector=self.collector)
 
+    def _served_state(self, shards: Tuple[_ShardState, ...]
+                      ) -> Dict[str, object]:
+        """``shards``' corpus generation and epoch, computed once per
+        installed shard tuple rather than once per query."""
+        served = self._served
+        if served[0] is not shards:
+            served = self._served = (shards,
+                                     asdict(self._state_of(shards)))
+        return served[1]
+
     @staticmethod
     def _state_of(shards: Tuple[_ShardState, ...]) -> CorpusState:
         return _corpus_state_of([_storage_block(shard)
@@ -697,17 +733,15 @@ class _Scatter:
     """
 
     def __init__(self, corpus: CorpusService, executor: str,
-                 width: int, merge: "_Merge", keywords: List[str],
-                 k: int, algorithm: str, semantics: str,
-                 budget: DeadlineLike, tracer: Optional[Any],
+                 width: int, merge: "_Merge", verdict: Lookup,
+                 sanitize: bool, budget: DeadlineLike,
+                 tracer: Optional[Any],
                  parent_span: Optional[Any]) -> None:
         self.executor = executor
         self.width = width
         self.merge = merge
-        self.keywords = keywords
-        self.k = k
-        self.algorithm = algorithm
-        self.semantics = semantics
+        self.verdict = verdict
+        self.sanitize = sanitize
         self.budget = budget
         self.tracer = tracer
         self.parent_span = parent_span
@@ -716,8 +750,11 @@ class _Scatter:
         # A hedge races a straggler on a spare pool lane; the inline
         # executor has neither.
         self.hedge = corpus._hedge if executor != "serial" else None
-        self.pending: Dict[Future, Tuple[_Visit, int, Stopwatch,
-                                         bool]] = {}
+        self.pending: Dict[Future, Tuple[_Visit, int, Stopwatch, bool,
+                                         Optional[MetricsBuffer]]] = {}
+        # Every gathered serial or thread attempt's staged metrics, for
+        # CorpusService._fold.
+        self.stages: List[MetricsBuffer] = []
         # Visits started and not yet resolved (answered or failed); a
         # hedge's second future does not take a scatter slot.
         self.active = 0
@@ -785,9 +822,15 @@ class _Scatter:
                 # correctness-bearing waits on them — but the time
                 # they were observed pending does teach the selector
                 # that the replica is slow.
-                for visit, index, watch, _ in pending.values():
+                for future, (visit, index, watch, _, stage) \
+                        in pending.items():
                     visit.shard.selector.record_straggler(
                         index, watch.elapsed_ms)
+                    if stage is not None:
+                        # The straggler's engine work really runs: its
+                        # metrics reach the collector when it ends.
+                        future.add_done_callback(
+                            lambda _, stage=stage: stage.flush())
                 scope.linger = bool(pending)
 
     def _launch(self, visit: "_Visit", hedge: bool = False) -> bool:
@@ -806,6 +849,7 @@ class _Scatter:
             return False
         replica = visit.shard.replicas[index]
         watch = Stopwatch().start()
+        stage: Optional[MetricsBuffer] = None
         try:
             if self.executor == "process" and not visit.degraded:
                 submit_ctx = self.tracer.span(
@@ -816,13 +860,16 @@ class _Scatter:
                     job = self._job(visit, replica)
                     future = self.pool.submit(run_job, job)
             else:
+                tracer = None if visit.degraded else self.tracer
+                if self.collector.enabled or tracer is not None:
+                    stage = MetricsBuffer(self.collector, tracer)
                 future = (self.inline if visit.degraded else self.pool) \
-                    .submit(self._search_replica, visit, replica)
+                    .submit(self._search_replica, visit, replica, stage)
         except Exception as error:  # noqa: broad — a refused submit fails over
             future = Future()
             future.set_exception(error)
         visit.outstanding += 1
-        self.pending[future] = (visit, index, watch, hedge)
+        self.pending[future] = (visit, index, watch, hedge, stage)
         return True
 
     def _job(self, visit: "_Visit", replica: _ReplicaState) -> Job:
@@ -837,10 +884,11 @@ class _Scatter:
         trace_ctx = (self.tracer.trace_id, visit.span.span_id) \
             if self.tracer is not None and visit.span is not None \
             else None
+        verdict = self.verdict
         return Job(source=ShardSource(replica.directory, generation),
-                   term_lists=[list(self.keywords)], k=self.k + 1,
-                   algorithm=self.algorithm,
-                   semantics=self.semantics,
+                   term_lists=[list(verdict.terms)], k=verdict.k,
+                   algorithm=verdict.algorithm.value,
+                   semantics=verdict.semantics,
                    deadline_ms=None if math.isinf(remaining)
                    else max(0.001, remaining), trace_ctx=trace_ctx)
 
@@ -866,7 +914,7 @@ class _Scatter:
 
     def _fire_hedges(self) -> None:
         """Hedge every straggling visit (at most once per visit)."""
-        for visit, _, _, _ in list(self.pending.values()):
+        for visit, _, _, _, _ in list(self.pending.values()):
             due = self._hedge_due_ms(visit)
             if due is None or due > 0 or visit.outstanding == 0:
                 continue
@@ -902,14 +950,19 @@ class _Scatter:
             visit.last_error = f"{replica.name}: {replica.error}"
 
     def _gather_one(self, future: Future, visit: "_Visit", index: int,
-                    watch: Stopwatch, is_hedge: bool) -> None:
+                    watch: Stopwatch, is_hedge: bool,
+                    stage: Optional[MetricsBuffer]) -> None:
         """Merge one settled future.
 
         A failure charges the replica's breaker and fails over; a
         success resolves the visit, and any still-racing hedge twin is
         discarded on arrival — its answer is bit-identical by
-        construction, so dropping it never changes the merge.
+        construction, so dropping it never changes the merge.  Every
+        attempt's staged metrics count, failed or discarded ones too:
+        the work really ran.
         """
+        if stage is not None:
+            self.stages.append(stage)
         visit.outstanding -= 1
         shard = visit.shard
         replica = shard.replicas[index]
@@ -1008,17 +1061,19 @@ class _Scatter:
         if self.collector.enabled:
             self.collector.count("corpus.replica.failures")
 
-    def _search_replica(self, visit: "_Visit",
-                        replica: _ReplicaState) -> SearchOutcome:
+    def _search_replica(self, visit: "_Visit", replica: _ReplicaState,
+                        stage: Optional[MetricsBuffer]) -> SearchOutcome:
         """Run one replica's query in the current thread (untraced on
         the degraded pass, whose span, if any, is the coordinator's).
 
-        ``k + 1`` answers are requested because the shard's synthetic
-        root can occupy one slot; after the merge filters it, the
-        shard still contributes its full top-k.  The visit draws a
-        *child* of the query's deadline (shrunk by any injected clock
-        skew), so a straggling or retried visit cannot overshoot the
-        caller's budget.
+        A visit is an engine call on the replica's live state (index
+        and match-list caches): it hands the replica the corpus's
+        verdict — canonical terms, ``k + 1`` answers, since the
+        shard's synthetic root can occupy one slot, and no result
+        cache — with ``stage`` as the engines' collector.  The visit
+        draws a *child* of the query's deadline (shrunk by any
+        injected clock skew), so a straggling or retried visit cannot
+        overshoot the caller's budget.
         """
         assert replica.service is not None
         tracer = None if visit.degraded else self.tracer
@@ -1027,13 +1082,15 @@ class _Scatter:
                           shard=visit.shard.name, replica=replica.name,
                           bound=round(visit.bound, 9)) \
             if tracer is not None else nullcontext()
+        verdict = self.verdict
         with ctx:
             return replica.service.search(
-                self.keywords, k=self.k + 1, algorithm=self.algorithm,
-                semantics=self.semantics,
+                verdict.terms, verdict.k, verdict.algorithm,
+                verdict.semantics, collector=stage,
+                sanitize=self.sanitize,
                 deadline=visit_budget if visit_budget.enabled
                 else None,
-                tracer=tracer)
+                tracer=tracer, lookup=verdict)
 
     def _enter_visit(self, shard: _ShardState,
                      replica: _ReplicaState) -> DeadlineLike:
@@ -1045,7 +1102,8 @@ class _Scatter:
             budget = budget.child(skew_ms=self.faults.replica_skew_ms(
                 shard.name, replica.name))
         self.faults.on_replica_visit(shard.name, replica.name,
-                                     terms=self.keywords, deadline=budget)
+                                     terms=self.verdict.terms,
+                                     deadline=budget)
         return budget
 
 
@@ -1086,9 +1144,9 @@ class _Merge:
         # meaning "per-shard algorithm heaps", and corpus.* covers the
         # gather side.
         self.heap = TopKHeap(k)
-        # Global positions -> the shard's answer under its global code
-        # (label and node carried over); the heap is keyed by the
-        # global positions.
+        # Global positions -> the shard's answer; the heap is keyed by
+        # the global positions, and only the k survivors get a global
+        # code (outcome).
         self.origins: Dict[Tuple[int, ...], SLCAResult] = {}
         self.counts = dict.fromkeys(ACTIONS, 0)
         self.detail: List[Dict[str, object]] = []
@@ -1144,8 +1202,9 @@ class _Merge:
     def absorb(self, shard: _ShardState, bound: float,
                outcome: SearchOutcome,
                replica: Optional[str] = None) -> None:
-        """Merge one shard outcome: filter the synthetic root, rewrite
-        codes to the global document positions, offer into the heap."""
+        """Merge one shard outcome: filter the synthetic root, and offer
+        each answer into the heap under its global document
+        positions."""
         if outcome.partial:
             self.partial = True
             if outcome.termination_reason:
@@ -1158,10 +1217,9 @@ class _Merge:
             global_position = shard.positions.get(positions[1])
             if global_position is None:
                 continue  # a child slot the manifest does not know
-            code = DeweyCode((positions[0], global_position)
-                             + positions[2:], result.code.kinds)
-            self.origins[code.positions] = result.relocated(code)
-            if self.heap.offer(code.positions, result.probability):
+            key = (positions[0], global_position) + positions[2:]
+            self.origins[key] = result
+            if self.heap.offer(key, result.probability):
                 merged += 1
         self.counts[ACTION_SEARCHED] += 1
         entry: Dict[str, object] = {"shard": shard.name,
@@ -1177,9 +1235,12 @@ class _Merge:
                 algorithm: str, semantics: str, k: int,
                 terms: List[str],
                 service_state: Dict[str, object]) -> SearchOutcome:
-        results = [self.origins[positions]
-                   for positions, _probability in self.heap.ranked()]
-        reason: Optional[str] = None
+        results = []
+        for positions, _probability in self.heap.ranked():
+            local = self.origins[positions]
+            results.append(local.relocated(
+                DeweyCode(positions, local.code.kinds)))
+        reason = REASON_COMPLETE
         if REASON_DEADLINE in self.reasons:
             reason = REASON_DEADLINE
         elif self.counts[ACTION_FAILED]:

@@ -270,7 +270,8 @@ class _Timed:
 
     __slots__ = ("_collector", "_name", "_started")
 
-    def __init__(self, collector: "MetricsCollector", name: str):
+    def __init__(self, collector: "Union[MetricsCollector, MetricsBuffer]",
+                 name: str):
         self._collector = collector
         self._name = name
 
@@ -294,7 +295,8 @@ class _TimedSpan:
 
     __slots__ = ("_collector", "_name", "_started", "_ctx")
 
-    def __init__(self, collector: "MetricsCollector", name: str):
+    def __init__(self, collector: "Union[MetricsCollector, MetricsBuffer]",
+                 name: str):
         self._collector = collector
         self._name = name
 
@@ -346,10 +348,15 @@ class NullCollector:
         pass
 
     def observe_many(self, samples: Mapping[str, Sequence[float]],
-                     counts: Optional[Mapping[str, int]] = None) -> None:
+                     counts: Optional[Mapping[str, int]] = None,
+                     timers: Optional[Mapping[str, Sequence[float]]]
+                     = None) -> None:
         pass
 
     def observe_time(self, name: str, seconds: float) -> None:
+        pass
+
+    def fold(self, buffers: Sequence["MetricsBuffer"]) -> None:
         pass
 
     def time(self, name: str) -> _NullTimed:
@@ -437,23 +444,45 @@ class MetricsCollector:
             histogram.observe(value)
 
     def observe_many(self, samples: Mapping[str, Sequence[float]],
-                     counts: Optional[Mapping[str, int]] = None) -> None:
-        """Fold a batch of histogram samples and counter increments in
-        under one lock acquisition — how a stack engine reports a whole
-        run.  The result equals one :meth:`observe` per sample, in
-        order, and one :meth:`count` per counter; an empty sample run
-        creates no histogram."""
+                     counts: Optional[Mapping[str, int]] = None,
+                     timers: Optional[Mapping[str, Sequence[float]]]
+                     = None) -> None:
+        """Fold a batch of histogram samples, counter increments and
+        timer durations (seconds) in under one lock acquisition — how
+        a stack engine reports a whole run, and how a corpus query
+        reports all its shard visits.  The result equals one
+        :meth:`observe` per sample, in order, one :meth:`count` per
+        counter and one :meth:`observe_time` per duration; an empty
+        sample run creates no histogram."""
         with self._lock:
-            if counts:
-                counters = self.counters
-                for name, value in counts.items():
-                    counters[name] = counters.get(name, 0) + value
-            for name, values in samples.items():
+            self._fold_locked(samples, counts, timers)
+
+    def fold(self, buffers: Sequence["MetricsBuffer"]) -> None:
+        """Fold several staged buffers in under one lock acquisition,
+        in order — how a corpus query reports all its shard visits.
+        The buffers are left as they were."""
+        with self._lock:
+            for buffer in buffers:
+                self._fold_locked(buffer.samples, buffer.counters,
+                                  buffer.timers)
+
+    def _fold_locked(  # repro: holds[_lock]
+            self, samples: Mapping[str, Sequence[float]],
+            counts: Optional[Mapping[str, int]],
+            timers: Optional[Mapping[str, Sequence[float]]]) -> None:
+        """:meth:`observe_many`'s body; the caller holds the lock."""
+        if counts:
+            counters = self.counters
+            for name, value in counts.items():
+                counters[name] = counters.get(name, 0) + value
+        for block, staged in ((self.histograms, samples),
+                              (self.timers, timers or {})):
+            for name, values in staged.items():
                 if not values:
                     continue
-                histogram = self.histograms.get(name)
+                histogram = block.get(name)
                 if histogram is None:
-                    histogram = self.histograms[name] = Histogram()
+                    histogram = block[name] = Histogram()
                 histogram.observe_many(values)
 
     def observe_time(self, name: str, seconds: float) -> None:
@@ -594,29 +623,40 @@ class MetricsCollector:
 
 
 class MetricsBuffer:
-    """One query's counters and histogram samples, staged without locks.
+    """Counters, histogram samples and timer durations, staged without
+    locks for one owner.
 
-    EagerTopK runs its heap, its stack engines and its own hooks on a
-    buffer in front of the shared collector: every ``count`` and
-    ``observe`` is a plain dict or list update, and :meth:`flush` folds
-    the lot in with one :meth:`MetricsCollector.observe_many`, which
-    leaves exactly the state one ``count``/``observe`` per call, in
+    Two owners stage a query this way:
+
+    * EagerTopK runs its heap, its stack engines and its own hooks on a
+      buffer in front of the collector it was given, and flushes it
+      when the search ends;
+    * a corpus shard visit runs its whole engine call on one, and the
+      corpus folds every visit's buffer into its collector once per
+      query (:mod:`repro.corpus.service`).
+
+    Every ``count``, ``observe`` and timer is a plain dict or list
+    update, and :meth:`flush` folds the lot in with one
+    :meth:`MetricsCollector.observe_many`, which leaves exactly the
+    state one ``count``/``observe``/``observe_time`` per call, in
     order, would.  A buffer also flushes as soon as one histogram's
-    samples reach :data:`SAMPLE_BUFFER`.  Event spans go straight to
-    the collector, so a traced query's spans stay inline; timers and
-    span marks are not buffered either — the query sends those to the
-    collector itself.
+    samples reach :data:`SAMPLE_BUFFER`.  Events and span marks go
+    straight to ``tracer`` (by default the collector's), and with a
+    tracer every :meth:`time` block is a span too, so a traced query's
+    spans stay inline.
     """
 
     enabled = True
 
-    __slots__ = ("collector", "tracer", "counters", "samples")
+    __slots__ = ("collector", "tracer", "counters", "samples", "timers")
 
-    def __init__(self, collector: MetricsCollector):
+    def __init__(self, collector: "Union[Collector, MetricsBuffer]",
+                 tracer=None):
         self.collector = collector
-        self.tracer = collector.tracer
+        self.tracer = tracer if tracer is not None else collector.tracer
         self.counters: Dict[str, float] = {}
         self.samples: Dict[str, List[float]] = {}
+        self.timers: Dict[str, List[float]] = {}
 
     def count(self, name: str, value: int = 1) -> None:
         counters = self.counters
@@ -631,28 +671,53 @@ class MetricsBuffer:
             self.flush()
 
     def observe_many(self, samples: Mapping[str, Sequence[float]],
-                     counts: Optional[Mapping[str, int]] = None) -> None:
+                     counts: Optional[Mapping[str, int]] = None,
+                     timers: Optional[Mapping[str, Sequence[float]]]
+                     = None) -> None:
         if counts:
             counters = self.counters
             for name, value in counts.items():
                 counters[name] = counters.get(name, 0) + value
         full = False
-        for name, values in samples.items():
-            if values:
-                mine = self.samples.get(name)
-                if mine is None:
-                    mine = self.samples[name] = []
-                mine.extend(values)
-                full = full or len(mine) >= SAMPLE_BUFFER
+        for staged, incoming in ((self.samples, samples),
+                                 (self.timers, timers or {})):
+            for name, values in incoming.items():
+                if values:
+                    mine = staged.get(name)
+                    if mine is None:
+                        mine = staged[name] = []
+                    mine.extend(values)
+                    full = full or len(mine) >= SAMPLE_BUFFER
         if full:
             self.flush()
 
+    def observe_time(self, name: str, seconds: float) -> None:
+        timers = self.timers.get(name)
+        if timers is None:
+            timers = self.timers[name] = []
+        timers.append(seconds)
+
+    def time(self, name: str) -> Union[_Timed, _TimedSpan]:
+        """:meth:`MetricsCollector.time`, staged."""
+        if self.tracer is not None:
+            return _TimedSpan(self, name)
+        return _Timed(self, name)
+
     def event(self, name: str, **fields: object) -> None:
-        self.collector.event(name, **fields)
+        if self.tracer is not None:
+            self.tracer.instant(name, **fields)
+
+    def mark(self, key: str, value: float = 1) -> None:
+        if self.tracer is not None:
+            span = self.tracer.current()
+            if span is not None:
+                span.bump(key, value)
 
     def flush(self) -> None:
         """Fold everything staged into the collector and start over."""
-        if self.counters or self.samples:
-            self.collector.observe_many(self.samples, self.counters)
+        if self.counters or self.samples or self.timers:
+            self.collector.observe_many(self.samples, self.counters,
+                                        self.timers)
             self.counters = {}
             self.samples = {}
+            self.timers = {}

@@ -19,7 +19,7 @@ a single structured shape on every non-2xx response::
 ``internal``), ``message`` is human-readable, and ``field`` names the
 offending request field when one can be attributed (``null``
 otherwise).  :class:`~repro.exceptions.QueryError` raised by
-``validate_query`` / ``normalize_query`` maps to a 400
+``validated_terms`` maps to a 400
 ``invalid_query`` with the field recovered by
 :func:`classify_query_error` — never a 500.
 """
@@ -293,9 +293,9 @@ def parse_batch_request(payload: Mapping[str, Any]) -> BatchRequest:
 def classify_query_error(error: QueryError) -> Optional[str]:
     """Attribute a :class:`QueryError` to the request field it faults.
 
-    ``validate_query`` raises for ``k <= 0``, duplicate keywords and
-    ELCA under EagerTopK; ``normalize_query`` for unindexable keywords.
-    The mapping keys off stable words of those messages.
+    ``validated_terms`` raises for ``k <= 0``, duplicate keywords,
+    ELCA under EagerTopK and unindexable keywords.  The mapping keys
+    off stable words of those messages.
     """
     message = str(error)
     if message.startswith("k must be"):

@@ -67,16 +67,16 @@ from repro.analysis.concurrency.witness import (InstrumentedLock,
 from repro.analysis.sanitizer import sanitize_from_env
 from repro.core.api import (Algorithm, Source, _as_index,
                             _coerce_algorithm, topk_search,
-                            validate_query)
+                            validated_terms)
 from repro.core.result import SearchOutcome
 from repro.exceptions import QueryError, StorageError
 from repro.index.cache import (DEFAULT_CACHE_SIZE, LRUCache, QueryCaches)
 from repro.index.inverted import InvertedIndex
 from repro.index.storage import Database, load_database
-from repro.index.tokenizer import normalize_query
 from repro.obs.logging import get_logger
-from repro.obs.metrics import (Collector, MetricsCollector,
-                               NULL_COLLECTOR, Stopwatch)
+from repro.obs.metrics import (Collector, MetricsBuffer,
+                               MetricsCollector, NULL_COLLECTOR,
+                               Stopwatch)
 from repro.obs.recorder import NULL_RECORDER, RecorderLike
 from repro.obs.spans import (Span, STATUS_ERROR, STATUS_PARTIAL,
                              TracerLike)
@@ -520,7 +520,8 @@ class QueryService:
     def search(self, keywords: Iterable[str], k: int = 10,
                algorithm: Union[Algorithm, str] = Algorithm.EAGER,
                semantics: str = "slca",
-               collector: Optional[MetricsCollector] = None,
+               collector: Optional[Union[MetricsCollector,
+                                         MetricsBuffer]] = None,
                sanitize: Optional[bool] = None,
                deadline: "Optional[Union[Deadline, DeadlineLike, float, int]]" = None,
                tracer: Optional[TracerLike] = None,
@@ -547,7 +548,10 @@ class QueryService:
         misses to a worker thread); the compute half then uses it
         instead of looking the key up a second time, so every query
         counts one ``service.queries`` and at most one result-cache
-        hit or miss.
+        hit or miss.  A corpus shard visit passes a verdict its corpus
+        built once for the whole query — canonical terms, not
+        replayable — so a visit neither validates again nor touches
+        the result cache, and counts no ``service.queries``.
 
         ``tracer`` hangs the query's span tree under the caller's
         tracer (the HTTP serving layer passes a per-request
@@ -582,10 +586,9 @@ class QueryService:
         Counts the query into ``service.queries``.  A bad query raises
         :class:`~repro.exceptions.QueryError`, as :meth:`search` does.
         """
-        keywords = validate_query(keywords, k)
-        return self._lookup(sorted(normalize_query(keywords)), k,
-                            algorithm, semantics, collector, sanitize,
-                            deadline)
+        return self._lookup(
+            sorted(validated_terms(keywords, k, algorithm, semantics)),
+            k, algorithm, semantics, collector, sanitize, deadline)
 
     def _lookup(self, terms: List[str], k: int,
                 algorithm: Union[Algorithm, str], semantics: str,
@@ -610,7 +613,8 @@ class QueryService:
         return Lookup(terms, k, algorithm, semantics, replayable, replayed)
 
     def _compute(self, found: Lookup,
-                 collector: Optional[MetricsCollector],
+                 collector: Optional[Union[MetricsCollector,
+                                           MetricsBuffer]],
                  sanitize: Optional[bool],
                  deadline: object = None,
                  tracer: Optional[TracerLike] = None) -> SearchOutcome:
@@ -624,8 +628,12 @@ class QueryService:
 
         One rule picks the collector the engines run on:
 
-        * a caller's ``collector`` — that one, and its snapshot lands
-          in ``stats["metrics"]``;
+        * a caller's ``collector`` — that one.  A
+          :class:`MetricsCollector`'s snapshot lands in
+          ``stats["metrics"]``.  A :class:`MetricsBuffer` is a stage
+          its owner folds (a corpus shard visit's: the corpus folds the
+          whole query into its collector once), so it gets no snapshot
+          and the query no ``service.search`` time;
         * a live ``tracer`` — an ephemeral :class:`MetricsCollector`
           carrying it, so every engine timer becomes a span under this
           query's span, merged into the service collector afterwards;
@@ -647,19 +655,20 @@ class QueryService:
                     cache="result_cache"))
             return found.outcome
         state = self._state
-        attach = collector is not None
         run_collector = collector
-        if not attach:
+        if collector is None:
             if tracer is not None:
                 run_collector = MetricsCollector(tracer=tracer)
             elif self.collector.enabled:
                 run_collector = self.collector
+        staged = isinstance(collector, MetricsBuffer)
         query_ctx = tracer.span("query", terms=" ".join(terms),
                                 algorithm=found.algorithm.value,
                                 k=found.k) \
             if tracer is not None else nullcontext()
         with query_ctx as query_span:
-            with self.collector.time("service.search"):
+            with nullcontext() if staged \
+                    else self.collector.time("service.search"):
                 outcome = topk_search(state.index, terms, found.k,
                                       found.algorithm,
                                       semantics=found.semantics,
@@ -667,14 +676,17 @@ class QueryService:
                                       sanitize=sanitize,
                                       caches=state.caches,
                                       deadline=deadline,
-                                      _attach_metrics=attach)
+                                      _attach_metrics=not staged
+                                      and collector is not None,
+                                      _checked=True)
             if query_span is not None:
                 if outcome.partial:
                     query_span.status = STATUS_PARTIAL
                     query_span.annotate(
                         reason=outcome.termination_reason)
                 query_span.annotate(results=len(outcome.results))
-        if tracer is not None and not attach and self.collector.enabled:
+        if tracer is not None and collector is None \
+                and self.collector.enabled:
             self.collector.merge(run_collector)
         if found.replayable and not outcome.partial:
             state.results.put(found.key, _cache_entry(outcome))
@@ -765,8 +777,8 @@ class QueryService:
         for query in queries:
             keywords = query.split() if isinstance(query, str) \
                 else list(query)
-            keywords = validate_query(keywords, k)
-            prepared.append(sorted(normalize_query(keywords)))
+            prepared.append(sorted(validated_terms(keywords, k,
+                                                   algorithm, semantics)))
 
         order = sorted(range(len(prepared)),
                        key=lambda position: prepared[position])

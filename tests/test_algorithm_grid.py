@@ -1,11 +1,21 @@
-"""The algorithm slice of the differential grid: EagerTopK against
-PrStack over seeded random p-documents with IND, MUX and EXP nodes.
+"""The differential grid over seeded random p-documents with IND, MUX
+and EXP nodes.
 
-Every cell runs both algorithms sanitized (docs/ANALYSIS.md).  EagerTopK
-must return PrStack's answers bit for bit, its post-run dominance proof
-must verify every pruning bound it used, and it must never sweep a
-candidate that is not an ordinary node: a distributional node is no
-SLCA answer, so its node bound is 0 and it is always suspended.
+The algorithm slice: every cell runs both algorithms sanitized
+(docs/ANALYSIS.md).  EagerTopK must return PrStack's answers bit for
+bit, its post-run dominance proof must verify every pruning bound it
+used, and it must never sweep a candidate that is not an ordinary node:
+a distributional node is no SLCA answer, so its node bound is 0 and it
+is always suspended.
+
+The corpus slice: {prstack, eager} x {slca, elca} (eager is SLCA-only)
+x {serial, thread} x {1, 3} shards.  A corpus answer must equal the
+same algorithm over the concatenated documents bit for bit (float.hex),
+and the possible-worlds oracle within its summation tolerance: the
+oracle adds world probabilities in another order, so its last bits
+differ from the stack engines' on about half the documents.  A repeated
+query (shard visits keep no result cache) and a deadline-cut one are
+checked too.
 """
 
 import random
@@ -13,10 +23,14 @@ import random
 import pytest
 
 from repro import MetricsCollector, SpanTracer, topk_search
+from repro.core.order import result_order_key
+from repro.corpus import CorpusService, build_corpus, concat_documents
 from repro.encoding.dewey import DeweyCode
+from repro.exceptions import QueryError
 from repro.index.matchlist import keyword_code_lists
 from repro.index.storage import Database
 from repro.prxml.model import NodeType
+from repro.resilience.deadline import Deadline
 from repro.slca.indexed_lookup import indexed_lookup_eager
 from tests.conftest import random_pdoc
 
@@ -97,3 +111,170 @@ def test_grid_covers_what_it_claims():
     assert present == set(NodeType)
     assert seeds >= 20
     assert verified >= 20
+
+
+# -- the corpus slice -----------------------------------------------------------
+
+CORPUS_SEEDS = range(6)
+CORPUS_DOCUMENTS = 4
+#: (algorithm, semantics) cells the API accepts; eager with ELCA is a
+#: caller error.
+CORPUS_CELLS = (("prstack", "slca"), ("eager", "slca"),
+                ("prstack", "elca"))
+CORPUS_KS = (1, 3)
+#: Tolerance of the possible-worlds comparison (the oracle cross-check's).
+EPS = 1e-7
+
+
+def corpus_documents(seed):
+    rng = random.Random(7919 * seed + 11)
+    return [(f"d{position}", random_pdoc(rng, max_nodes=14,
+                                         keywords=KEYWORDS,
+                                         with_exp=True))
+            for position in range(CORPUS_DOCUMENTS)]
+
+
+def hex_rows(results):
+    return [(str(result.code), result.probability.hex())
+            for result in results]
+
+
+def concat_rows(concat, keywords, k, algorithm, semantics):
+    """The same algorithm over the concatenation, synthetic root
+    dropped: what the corpus must return bit for bit."""
+    outcome = topk_search(concat, keywords, k + 1, algorithm,
+                          semantics=semantics)
+    return [row for row in hex_rows(outcome.results)
+            if row[0].count(".") >= 1][:k]
+
+
+def worlds_rows(documents, keywords, k, semantics):
+    """Possible-world enumeration per document, merged in global
+    positions under the shared result order."""
+    answers = []
+    for position, (_, document) in enumerate(documents):
+        outcome = topk_search(Database.from_document(document), keywords,
+                              1 << 20, "possible_worlds",
+                              semantics=semantics)
+        for result in outcome.results:
+            answers.append(((1, position + 1) + result.code.positions[1:],
+                            result.probability))
+    answers.sort(key=lambda answer: result_order_key(*answer))
+    return answers[:k]
+
+
+def compatible(reference, observed):
+    """The oracle cross-check's rule: the same probabilities within
+    ``EPS``, and the same codes strictly above the boundary."""
+    if len(reference) != len(observed):
+        return False
+    if any(abs(want - got) > EPS
+           for (_, want), (_, got) in zip(reference, observed)):
+        return False
+    if not reference:
+        return True
+    boundary = reference[-1][1]
+    return ({code for code, probability in reference
+             if probability > boundary + EPS}
+            == {code for code, probability in observed
+                if probability > boundary + EPS})
+
+
+@pytest.mark.parametrize("shards", (1, 3))
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_corpus_matches_the_concatenation_and_the_oracle(seed, shards,
+                                                         tmp_path):
+    documents = corpus_documents(seed)
+    directory = str(tmp_path / "corpus")
+    build_corpus(documents, directory, shards=shards)
+    concat = Database.from_document(concat_documents(documents))
+    service = CorpusService(directory)
+    for keywords in QUERIES:
+        for algorithm, semantics in CORPUS_CELLS:
+            for k in CORPUS_KS:
+                want = concat_rows(concat, keywords, k, algorithm,
+                                   semantics)
+                worlds = worlds_rows(documents, keywords, k, semantics)
+                for executor in ("serial", "thread"):
+                    # The repeat runs its shard visits again: a visit
+                    # keeps no result cache.
+                    for _ in range(2):
+                        outcome = service.search(
+                            keywords, k, algorithm, semantics,
+                            executor=executor, workers=2)
+                        cell = (keywords, algorithm, semantics, k,
+                                executor)
+                        assert not outcome.partial, cell
+                        assert outcome.termination_reason == "complete"
+                        assert hex_rows(outcome.results) == want, cell
+                        assert compatible(
+                            [(DeweyCode.parse(code).positions,
+                              float.fromhex(probability))
+                             for code, probability in want],
+                            [(result.code.positions, result.probability)
+                             for result in outcome.results]), cell
+                        assert compatible(
+                            [(positions, probability)
+                             for positions, probability in worlds],
+                            [(result.code.positions, result.probability)
+                             for result in outcome.results]), cell
+    for replica_stats in _result_caches(service):
+        assert replica_stats == (0, 0)
+    with pytest.raises(QueryError, match="SLCA-specific"):
+        service.search(QUERIES[0], 3, "eager", "elca")
+
+
+def _result_caches(service):
+    """Every serving replica's result-cache (hits, misses)."""
+    for shard in service._shards:
+        for replica in shard.replicas:
+            if replica.service is not None:
+                results = replica.service.cache_stats()["results"]
+                yield results["hits"], results["misses"]
+
+
+@pytest.mark.parametrize("executor", ("serial", "thread"))
+@pytest.mark.parametrize("algorithm, semantics", CORPUS_CELLS)
+def test_a_deadline_cut_corpus_answer_is_exact_where_it_answers(
+        algorithm, semantics, executor, tmp_path):
+    documents = corpus_documents(1)
+    directory = str(tmp_path / "corpus")
+    build_corpus(documents, directory, shards=3)
+    concat = Database.from_document(concat_documents(documents))
+    service = CorpusService(directory)
+    keywords = QUERIES[0]
+    exact = dict(concat_rows(concat, keywords, 1 << 20, algorithm,
+                             semantics))
+    cut = answered = 0
+    for steps in range(0, 40, 3):
+        outcome = service.search(keywords, 3, algorithm, semantics,
+                                 executor=executor, workers=2,
+                                 deadline=Deadline(max_steps=steps))
+        # Every probability of an anytime answer is exact for its node.
+        for code, probability in hex_rows(outcome.results):
+            assert exact[code] == probability, (steps, code)
+        if outcome.partial:
+            cut += 1
+            answered += bool(outcome.results)
+            assert outcome.termination_reason != "complete"
+        else:
+            assert outcome.termination_reason == "complete"
+    assert cut and answered
+
+
+def test_corpus_grid_covers_what_it_claims():
+    """Every corpus cell has answers to compare, and ELCA answers
+    differ from SLCA ones on some of them."""
+    cells = answered = differ = 0
+    for seed in CORPUS_SEEDS:
+        concat = Database.from_document(
+            concat_documents(corpus_documents(seed)))
+        for keywords in QUERIES:
+            for k in CORPUS_KS:
+                slca = concat_rows(concat, keywords, k, "prstack", "slca")
+                elca = concat_rows(concat, keywords, k, "prstack", "elca")
+                cells += 1
+                answered += bool(slca) and bool(elca)
+                differ += slca != elca
+    assert answered == cells
+    assert differ >= cells // 4

@@ -103,6 +103,26 @@ class TestQueryValidation:
         with pytest.raises(QueryError, match="'!!'"):
             topk_search(figure1_db, ["k1", "!!"], k=3)
 
-    def test_validate_query_returns_list(self):
-        from repro.core.api import validate_query
-        assert validate_query(iter(["a", "b"]), 5) == ["a", "b"]
+    def test_validated_terms_returns_unique_terms_in_keyword_order(self):
+        from repro.core.api import validated_terms
+        assert validated_terms(iter(["b", "a"]), 5) == ["b", "a"]
+        assert validated_terms(["United States", "ship", "states ship"],
+                               5) == ["united", "states", "ship"]
+        assert validated_terms([], 5) == []
+
+    @pytest.mark.parametrize("keywords, k, algorithm, semantics, match", [
+        # k is checked first, then duplicates, then the query shape,
+        # then unindexable keywords.
+        (["!!", "a", "A"], 0, "eager", "slca", "k must be positive"),
+        (["!!", "a", "A"], 3, "nope", "slca", "duplicate query keyword"),
+        (["!!", "a"], 3, "nope", "slca", "unknown algorithm"),
+        (["!!", "a"], 3, "prstack", "xlca", "unknown semantics"),
+        (["!!", "a"], 3, "eager", "elca", "SLCA-specific"),
+        (["a", "!!", "??"], 3, "eager", "slca", "'!!' contains no"),
+    ])
+    def test_validated_terms_keeps_the_error_order(self, keywords, k,
+                                                   algorithm, semantics,
+                                                   match):
+        from repro.core.api import validated_terms
+        with pytest.raises(QueryError, match=match):
+            validated_terms(keywords, k, algorithm, semantics)

@@ -31,6 +31,31 @@ class TestCli:
         assert "answer(s)" in captured
         assert "Pr=" in captured
 
+    @pytest.mark.parametrize("command", ["serve", "batch"])
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["document", "corpus"])
+    def test_non_positive_cache_size_is_a_usage_error(
+            self, tmp_path, pxml_file, figure1_doc, capsys, command,
+            size, kind):
+        if kind == "corpus":
+            from repro.corpus import build_corpus
+            source = str(tmp_path / "corpus")
+            build_corpus([("a", figure1_doc), ("b", figure1_doc)], source,
+                         shards=2)
+        else:
+            source = str(tmp_path / "db")
+            assert main(["index", pxml_file, source]) == 0
+        queries = tmp_path / "queries.txt"
+        queries.write_text("k1 k2\n", encoding="utf-8")
+        argv = [command, source, "--cache-size", size] + (
+            ["--port", "0"] if command == "serve" else [str(queries)])
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--cache-size: must be positive" in captured.err
+        assert "serving on" not in captured.out
+
     def test_search_directly_on_pxml(self, pxml_file, capsys):
         assert main(["search", pxml_file, "k1",
                      "--algorithm", "prstack"]) == 0

@@ -591,6 +591,215 @@ class TestCorpusServing:
         assert health["epoch"] == 2
 
 
+# -- a shard visit is an engine call -------------------------------------------
+
+#: Metric families a shard visit's engines record; the corpus folds
+#: them into its collector once per query, and they must total what
+#: the same visits record when run alone.
+ENGINE_PREFIXES = ("eager.", "engine.", "heap.", "index.", "search.total")
+DISTINCT_QUERIES = (["k1", "k2"], ["k1"], ["k2"], ["k1", "zz"],
+                    ["k2", "zz"], ["k1", "k2", "zz"])
+
+
+def engine_totals(snapshot):
+    """Counter values, and histogram and timer counts, of the engine
+    families (timer sums are wall time, histogram sums checked apart)."""
+    keep = lambda name: name.startswith(ENGINE_PREFIXES)
+    return ({name: value for name, value in snapshot["counters"].items()
+             if keep(name)},
+            {name: block["count"]
+             for kind in ("histograms", "timers")
+             for name, block in snapshot[kind].items() if keep(name)})
+
+
+def visits_alone(directory, outcomes):
+    """The searched visits of ``outcomes``, each run straight on its
+    shard's index with its own match-list caches, in the same order."""
+    from repro.index.cache import QueryCaches
+    from repro.index.storage import load_database
+    manifest = load_corpus_manifest(directory)
+    databases, caches = {}, {}
+    expected = MetricsCollector()
+    for outcome in outcomes:
+        for entry in outcome.stats["corpus"]["detail"]:
+            if entry["action"] != "searched":
+                continue
+            name = entry["shard"]
+            if name not in databases:
+                position = manifest.shard_names.index(name)
+                databases[name] = load_database(
+                    manifest.replica_dirs(position)[0])
+                caches[name] = QueryCaches()
+            topk_search(databases[name].index, outcome.stats["terms"],
+                        outcome.stats["k"] + 1, collector=expected,
+                        caches=caches[name], sanitize=False)
+    return expected
+
+
+class TestVisitEngineCall:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_engine_totals_equal_the_visits_run_alone(self, executor,
+                                                      tmp_path):
+        documents = random_corpus(41, count=6)
+        directory = str(tmp_path / "corpus")
+        build_corpus(documents, directory, shards=3)
+        collector = MetricsCollector()
+        service = CorpusService(directory, collector=collector)
+        outcomes = [service.search(keywords, k=k, executor=executor,
+                                   workers=3)
+                    for keywords in DISTINCT_QUERIES for k in (1, 5)]
+        searched = sum(outcome.stats["corpus"]["searched"]
+                       for outcome in outcomes)
+        assert searched > len(outcomes)
+        got = collector.snapshot()
+        want = visits_alone(directory, outcomes).snapshot()
+        assert engine_totals(got) == engine_totals(want)
+        assert got["timers"]["search.total"]["count"] == searched
+        for name, block in want["histograms"].items():
+            if name.startswith(ENGINE_PREFIXES):
+                assert got["histograms"][name]["sum"] == \
+                    pytest.approx(block["sum"], rel=1e-9), name
+        counters = got["counters"]
+        assert counters["corpus.searches"] == len(outcomes)
+        assert got["timers"]["corpus.search"]["count"] == len(outcomes)
+        # The visits skip the service front door and its result cache.
+        assert "service.queries" not in counters
+        assert "service.search" not in got["timers"]
+        assert not any(name.startswith("service.cache.results.")
+                       for name in counters)
+
+    def test_served_engine_totals_equal_the_visits_run_alone(
+            self, tmp_path):
+        from repro.obs import parse_prometheus
+        from repro.serve import ServeConfig, start_in_thread
+        documents = random_corpus(43, count=6)
+        directory = str(tmp_path / "corpus")
+        build_corpus(documents, directory, shards=3)
+        collector = MetricsCollector()
+        service = CorpusService(directory, collector=collector)
+        handle = start_in_thread(service, ServeConfig())
+        try:
+            for keywords in DISTINCT_QUERIES:
+                status, body = _http(handle.port, "POST", "/search",
+                                     {"keywords": keywords, "k": 3})
+                assert status == 200
+                assert json.loads(body)["termination_reason"] == \
+                    "complete"
+            status, text = _http(handle.port, "GET", "/metrics")
+            assert status == 200
+        finally:
+            handle.stop()
+        samples = parse_prometheus(text)
+        outcomes = [service.search(keywords, k=3)
+                    for keywords in DISTINCT_QUERIES]
+        want = visits_alone(directory, outcomes).snapshot()
+        counters, _ = engine_totals(want)
+        assert counters
+        for name, value in counters.items():
+            assert samples["repro_" + name.replace(".", "_")] == value, \
+                name
+        for name, block in want["histograms"].items():
+            if name.startswith(ENGINE_PREFIXES):
+                sample = "repro_" + name.replace(".", "_") + "_count"
+                assert samples[sample] == block["count"], name
+
+    def test_traced_query_keeps_the_visit_span_chain(self, tmp_path):
+        documents = random_corpus(42, count=4)
+        directory = str(tmp_path / "corpus")
+        build_corpus(documents, directory, shards=2)
+        service = CorpusService(directory, collector=MetricsCollector())
+        for executor in ("serial", "thread"):
+            tracer = SpanTracer()
+            outcome = service.search(QUERY, k=3, executor=executor,
+                                     tracer=tracer)
+            spans = tracer.export()
+            validate_spans(spans)
+            by_id = {span["span_id"]: span for span in spans}
+
+            def path(span):
+                names = []
+                while span is not None:
+                    names.append(span["name"])
+                    span = by_id.get(span["parent_id"])
+                return "/".join(reversed(names))
+
+            paths = {path(span) for span in spans}
+            assert "corpus.search/corpus.shard/query/search.total" \
+                in paths, executor
+            assert outcome.stats["corpus"]["searched"] == sum(
+                1 for span in spans if span["name"] == "corpus.shard")
+
+    def test_a_visit_does_not_validate_again(self, tmp_path,
+                                             monkeypatch):
+        import repro.core.api as api_module
+        import repro.corpus.service as corpus_module
+        import repro.service.service as service_module
+        documents = random_corpus(44, count=4)
+        directory = str(tmp_path / "corpus")
+        build_corpus(documents, directory, shards=3)
+        service = CorpusService(directory)
+        calls = []
+        real = api_module.validated_terms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a shard visit validated its query")
+
+        monkeypatch.setattr(corpus_module, "validated_terms", counted)
+        monkeypatch.setattr(service_module, "validated_terms", refused)
+        monkeypatch.setattr(api_module, "validated_terms", refused)
+        for executor in ("serial", "thread"):
+            outcome = service.search(["K2", "k1"], k=3,
+                                     executor=executor, workers=3)
+            assert outcome.stats["corpus"]["searched"] >= 1
+            assert outcome.stats["terms"] == ["k1", "k2"]
+        assert len(calls) == 2
+
+    def test_a_complete_answer_says_complete(self, tmp_path):
+        documents = random_corpus(45, count=4)
+        directory = str(tmp_path / "corpus")
+        build_corpus(documents, directory, shards=3)
+        service = CorpusService(directory)
+        for executor in ("serial", "thread", "process"):
+            outcome = service.search(QUERY, k=3, executor=executor,
+                                     workers=2)
+            assert not outcome.partial
+            assert outcome.termination_reason == "complete"
+
+    @pytest.mark.parametrize("cache_size", [0, -3])
+    def test_non_positive_cache_size_fails_before_any_shard_loads(
+            self, cache_size, tmp_path, monkeypatch):
+        directory = str(tmp_path / "corpus")
+        build_corpus(random_corpus(46, count=3), directory, shards=2)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a shard loaded")
+
+        monkeypatch.setattr(CorpusService, "_load_shard", no_load)
+        collector = MetricsCollector()
+        with pytest.raises(ValueError, match="cache_size must be "
+                                             "positive"):
+            CorpusService(directory, cache_size=cache_size,
+                          collector=collector)
+        assert collector.snapshot()["counters"] == {}
+
+
+def _http(port, method, path, payload=None):
+    """One request to a served corpus: ``(status, body text)``."""
+    import http.client
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path, body=None if payload is None
+                           else json.dumps(payload).encode())
+        response = connection.getresponse()
+        return response.status, response.read().decode()
+    finally:
+        connection.close()
+
+
 # -- generated corpus ----------------------------------------------------------
 
 

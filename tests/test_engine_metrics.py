@@ -204,9 +204,9 @@ class FoldRecorder(MetricsCollector):
         super().__init__()
         self.folds = []
 
-    def observe_many(self, samples, counts=None):
+    def observe_many(self, samples, counts=None, timers=None):
         self.folds.append(sorted(samples))
-        super().observe_many(samples, counts)
+        super().observe_many(samples, counts, timers)
 
 
 def assert_fold_identities(snapshot):

@@ -417,6 +417,27 @@ class TestCallerErrors:
         for replicas in _breaker_report(service).values():
             assert replicas == [("closed", 0), ("closed", 0)]
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_query_error_from_a_visits_engine_call_is_not_a_replica_failure(
+            self, replicated, executor, monkeypatch):
+        # A visit is an engine call: the deepest place a caller error
+        # can surface inside it is the engine entry the service makes.
+        import repro.service.service as service_module
+
+        def rejecting_engine(*args, **kwargs):
+            raise QueryError("keyword query rejected by the engine")
+
+        service = CorpusService(replicated["directory"],
+                                replica_breaker_threshold=2)
+        monkeypatch.setattr(service_module, "topk_search",
+                            rejecting_engine)
+        for _ in range(3):
+            with pytest.raises(QueryError, match="rejected"):
+                service.search(QUERY, k=5, executor=executor,
+                               workers=2)
+        for replicas in _breaker_report(service).values():
+            assert replicas == [("closed", 0), ("closed", 0)]
+
 
 # -- hedged scatter -----------------------------------------------------------
 
