@@ -196,6 +196,10 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         return source.search(terms, k, algorithm=algorithm,
                              semantics=semantics, collector=collector,
                              sanitize=sanitize, deadline=deadline)
+    # The engines take these canonical terms as given: the query is
+    # normalised once, here (or by the service that checked it).
+    if not terms:
+        raise QueryError("keyword query contains no terms")
     deadline = as_deadline(deadline)
     if collector is None:
         collector = NULL_COLLECTOR
@@ -214,13 +218,15 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
             outcome = prstack_search(index, terms, k, elca=elca,
                                      collector=collector,
                                      sanitizer=sanitizer,
-                                     caches=caches, deadline=deadline)
+                                     caches=caches, deadline=deadline,
+                                     _normalized=True)
         elif algorithm is Algorithm.EAGER:
             outcome = eager_topk_search(index, terms, k,
                                         collector=collector,
                                         sanitizer=sanitizer,
                                         caches=caches,
-                                        deadline=deadline)
+                                        deadline=deadline,
+                                        _normalized=True)
         else:
             outcome = possible_worlds_search(index, terms, k,
                                              elca=elca,

@@ -162,7 +162,8 @@ def eager_topk_search(index: InvertedIndex, keywords: Iterable[str],
                       collector: Collector = NULL_COLLECTOR,
                       sanitizer: SanitizerLike = NULL_SANITIZER,
                       caches: CachesLike = NULL_CACHES,
-                      deadline: DeadlineLike = NULL_DEADLINE
+                      deadline: DeadlineLike = NULL_DEADLINE,
+                      *, _normalized: bool = False
                       ) -> SearchOutcome:
     """Top-k SLCA answers by probability, with eager bound pruning.
 
@@ -204,8 +205,12 @@ def eager_topk_search(index: InvertedIndex, keywords: Iterable[str],
             every harvested probability is already exact for its node,
             so the partial heap is a rank-wise lower bound of the
             converged answer.  The default never expires.
+        _normalized: internal — ``keywords`` are already the index's
+            normalised query terms (:func:`repro.core.api.topk_search`
+            validated them), so they are not normalised again.
     """
-    search = _EagerSearch(index, keywords, k, use_path_bounds,
+    terms = list(keywords) if _normalized else index.query_terms(keywords)
+    search = _EagerSearch(index, terms, k, use_path_bounds,
                           use_node_bounds, exact_ties, collector,
                           sanitizer, caches, deadline)
     return search.run()
@@ -214,7 +219,7 @@ def eager_topk_search(index: InvertedIndex, keywords: Iterable[str],
 class _EagerSearch:
     """One EagerTopK execution (state is per query)."""
 
-    def __init__(self, index: InvertedIndex, keywords: Iterable[str],
+    def __init__(self, index: InvertedIndex, terms: List[str],
                  k: int, use_path_bounds: bool, use_node_bounds: bool,
                  exact_ties: bool = True,
                  collector: Collector = NULL_COLLECTOR,
@@ -223,7 +228,7 @@ class _EagerSearch:
                  deadline: DeadlineLike = NULL_DEADLINE):
         self.index = index
         self.encoded = index.encoded
-        self.keywords = list(keywords)
+        self.terms = terms
         self.collector = collector
         # The eager.*, engine.* and heap.* metrics are staged in a
         # lock-free buffer and folded into the collector once, when the
@@ -287,7 +292,7 @@ class _EagerSearch:
     def _search(self) -> SearchOutcome:
         collector = self.collector
         index = self.index
-        terms = index.query_terms(self.keywords)
+        terms = self.terms
         ids, masks = build_match_entries(index, terms, collector=collector,
                                          caches=self.caches)
         self.stats["terms"] = len(terms)

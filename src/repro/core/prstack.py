@@ -31,7 +31,8 @@ def prstack_search(index: InvertedIndex, keywords: Iterable[str],
                    collector: Collector = NULL_COLLECTOR,
                    sanitizer: SanitizerLike = NULL_SANITIZER,
                    caches: CachesLike = NULL_CACHES,
-                   deadline: DeadlineLike = NULL_DEADLINE
+                   deadline: DeadlineLike = NULL_DEADLINE,
+                   *, _normalized: bool = False
                    ) -> SearchOutcome:
     """Top-k SLCA answers by probability, via one document-order scan.
 
@@ -60,6 +61,9 @@ def prstack_search(index: InvertedIndex, keywords: Iterable[str],
             frames still open are dropped — finalising them early
             would fabricate probabilities that ignore the unscanned
             part of their subtrees.  The default never expires.
+        _normalized: internal — ``keywords`` are already the index's
+            normalised query terms (:func:`repro.core.api.topk_search`
+            validated them), so they are not normalised again.
 
     Returns:
         A :class:`SearchOutcome` with ranked results and scan counters.
@@ -67,7 +71,8 @@ def prstack_search(index: InvertedIndex, keywords: Iterable[str],
     heap = TopKHeap(k, collector=collector, sanitizer=sanitizer)
     outcome = prstack_scan(index, keywords, heap.offer, elca=elca,
                            collector=collector, sanitizer=sanitizer,
-                           caches=caches, deadline=deadline)
+                           caches=caches, deadline=deadline,
+                           _normalized=_normalized)
     outcome.results = ranked_results(index.encoded, heap.ranked())
     outcome.stats["heap_threshold_final"] = heap.threshold
     if _log.isEnabledFor(10):  # logging.DEBUG
@@ -84,7 +89,8 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
                  collector: Collector = NULL_COLLECTOR,
                  sanitizer: SanitizerLike = NULL_SANITIZER,
                  caches: CachesLike = NULL_CACHES,
-                 deadline: DeadlineLike = NULL_DEADLINE
+                 deadline: DeadlineLike = NULL_DEADLINE,
+                 *, _normalized: bool = False
                  ) -> SearchOutcome:
     """PrStack's single document-order scan, offering every harvested
     ``(node_id, probability)`` to ``sink``.
@@ -92,9 +98,9 @@ def prstack_scan(index: InvertedIndex, keywords: Iterable[str],
     :func:`prstack_search` passes its top-k heap; threshold search
     (:mod:`repro.core.threshold`) passes a collecting sink.  Returns an
     outcome carrying the scan counters and no results — those live in
-    the sink.
+    the sink.  ``_normalized`` is :func:`prstack_search`'s.
     """
-    terms = index.query_terms(keywords)
+    terms = list(keywords) if _normalized else index.query_terms(keywords)
     ids, masks = build_match_entries(index, terms, collector=collector,
                                      caches=caches)
     outcome = SearchOutcome(stats={

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.encoding.dewey import DeweyCode
 from repro.encoding.encoder import EncodedDocument
@@ -157,3 +159,37 @@ class SearchOutcome:
     def codes(self) -> List[DeweyCode]:
         """Result codes, best first."""
         return [result.code for result in self.results]
+
+
+class EncodedAnswer(NamedTuple):
+    """The JSON of the ``/search`` response fields one outcome fixes.
+
+    Exactly the bytes ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` writes for them, split where the
+    per-request ``spans`` field sorts in: ``head`` is
+    ``"partial":…,"results":[…],"service_state":…`` and ``tail`` is
+    ``"termination_reason":…``.  The service's result cache makes one
+    per entry when it caches an answer, so a replay's body is a splice
+    (:func:`repro.serve.protocol.search_body`), not an encode.
+    """
+
+    head: bytes
+    tail: bytes
+
+
+def encode_answer(outcome: SearchOutcome) -> EncodedAnswer:
+    """Encode the response fields ``outcome`` fixes (see
+    :class:`EncodedAnswer`): its answers, completeness and the service
+    state in its stats.  A probability is finite, so its JSON is its
+    ``repr``."""
+    answers = ",".join(
+        '{"code":%s,"label":%s,"probability":%r}'
+        % (_json_string(str(result.code)), _json_string(result.label),
+           result.probability)
+        for result in outcome.results)
+    state = json.dumps(outcome.stats.get("service_state"),
+                       sort_keys=True, separators=(",", ":"))
+    head = '"partial":%s,"results":[%s],"service_state":%s' % (
+        json.dumps(outcome.partial), answers, state)
+    tail = '"termination_reason":' + json.dumps(outcome.termination_reason)
+    return EncodedAnswer(head.encode("ascii"), tail.encode("ascii"))

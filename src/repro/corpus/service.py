@@ -273,6 +273,9 @@ class CorpusService:
         self._default_executor = executor
         self._replica_breaker_threshold = replica_breaker_threshold
         self._replica_cooldown_s = replica_cooldown_s
+        # REPRO_SANITIZE is read once per service, not per query; a
+        # reload keeps it.
+        self._sanitize = sanitize_from_env()
         self._manifest = load_corpus_manifest(self._directory)
         self._reload_lock = threading.Lock()
         # Single-writer atomic-reference swap, same pattern as
@@ -445,7 +448,7 @@ class CorpusService:
             k=k, executor=executor) if traced else nullcontext()
         with span_ctx as corpus_span:
             scatter = _Scatter(self, executor, width, merge, verdict,
-                               sanitize_from_env(), budget,
+                               self._sanitize, budget,
                                tracer if traced else None, corpus_span)
             scatter.run(plan)
             if traced and corpus_span is not None:

@@ -22,7 +22,8 @@ from repro.serve.protocol import (ApiError, BatchRequest, HttpRequest,
                                   error_response, json_response,
                                   outcome_payload, parse_batch_request,
                                   parse_head, parse_search_request,
-                                  query_error_to_api, render_response)
+                                  query_error_to_api, render_response,
+                                  search_body)
 from repro.serve.ratelimit import (NULL_RATE_LIMITER, NullRateLimiter,
                                    RateLimiter, RateLimiterLike,
                                    TokenBucket)
@@ -39,5 +40,5 @@ __all__ = [
     "parse_head", "parse_search_request", "parse_batch_request",
     "classify_query_error", "query_error_to_api",
     "render_response", "json_response", "error_response",
-    "error_body", "outcome_payload",
+    "error_body", "outcome_payload", "search_body",
 ]

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.api import Algorithm
+from repro.core.result import EncodedAnswer, encode_answer
 from repro.exceptions import QueryError, ReproError
 from repro.service.worker import DEFAULT_EXECUTOR, EXECUTORS
 
@@ -364,7 +366,8 @@ def error_response(error: ApiError, keep_alive: bool = True) -> bytes:
 def outcome_payload(outcome: Any, elapsed_ms: Optional[float] = None,
                     spans: Optional[List[Dict[str, Any]]] = None
                     ) -> Dict[str, Any]:
-    """The ``POST /search`` response body for one SearchOutcome.
+    """One outcome as a JSON object: a ``POST /batch`` member, and the
+    reference :func:`search_body` must encode byte for byte.
 
     Probabilities serialize through ``json`` (shortest-exact ``repr``
     floats), so the wire round-trip is bit-identical to the in-process
@@ -389,3 +392,43 @@ def outcome_payload(outcome: Any, elapsed_ms: Optional[float] = None,
     if spans is not None:
         payload["spans"] = spans
     return payload
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _dumps(value: Any) -> bytes:
+    return _COMPACT.encode(value).encode("ascii")
+
+
+def search_body(outcome: Any, elapsed_ms: Optional[float] = None,
+                trace_id: Optional[str] = None,
+                spans: Optional[List[Dict[str, Any]]] = None,
+                encoded: Optional[EncodedAnswer] = None) -> bytes:
+    """The ``POST /search`` response body: the bytes of
+    ``json.dumps`` of :func:`outcome_payload` (plus ``trace_id``) with
+    sorted keys and compact separators.
+
+    The fields the outcome fixes come from ``encoded`` — the result
+    cache's :class:`~repro.core.result.EncodedAnswer` of a replayed
+    answer — or are encoded here; the per-request fields (``corpus``,
+    ``elapsed_ms``, ``spans``, ``trace_id``) are spliced in at their
+    sorted-key positions.  ``None`` omits a per-request field.
+    """
+    if encoded is None:
+        encoded = encode_answer(outcome)
+    parts = [b"{"]
+    if "corpus" in outcome.stats:
+        parts += [b'"corpus":', _dumps(outcome.stats["corpus"]), b","]
+    if elapsed_ms is not None:
+        parts.append(b'"elapsed_ms":%r,' % round(elapsed_ms, 3))
+    parts.append(encoded.head)
+    if spans is not None:
+        parts += [b',"spans":', _dumps(spans)]
+    parts += [b",", encoded.tail]
+    if trace_id is not None:
+        parts += [b',"trace_id":', _json_string(trace_id).encode("ascii")]
+    parts.append(b"}")
+    return b"".join(parts)

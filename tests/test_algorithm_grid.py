@@ -16,9 +16,17 @@ oracle adds world probabilities in another order, so its last bits
 differ from the stack engines' on about half the documents.  A repeated
 query (shard visits keep no result cache) and a deadline-cut one are
 checked too.
+
+The HTTP slice: every single-document grid query is served twice over
+``repro serve``'s front door.  The first body is computed on a worker
+thread, the second replayed on the event loop from the result cache's
+encoded answer; the two agree byte for byte apart from ``elapsed_ms``
+and ``trace_id``, and both carry the in-process answer bit for bit.
 """
 
+import json
 import random
+import re
 
 import pytest
 
@@ -31,8 +39,11 @@ from repro.index.matchlist import keyword_code_lists
 from repro.index.storage import Database
 from repro.prxml.model import NodeType
 from repro.resilience.deadline import Deadline
+from repro.serve import ServeConfig, start_in_thread
+from repro.service import QueryService
 from repro.slca.indexed_lookup import indexed_lookup_eager
 from tests.conftest import random_pdoc
+from tests.test_serve import post_raw
 
 SEEDS = range(60)
 KEYWORDS = ("k1", "k2", "k3")
@@ -92,6 +103,42 @@ def test_eager_equals_prstack_with_verified_bounds(seed):
                     "verified", (keywords, k)
             assert all(kinds[node] is NodeType.ORDINARY
                        for node in processed), (keywords, k)
+
+
+#: The per-request fields of a /search body.
+PER_REQUEST = re.compile(rb'"elapsed_ms":[^,]*,|,"trace_id":"[0-9a-f]*"')
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_served_bodies_replay_byte_for_byte(seed):
+    database = grid_database(seed)
+    service = QueryService(database)
+    collector = MetricsCollector()
+    handle = start_in_thread(service, ServeConfig(), collector=collector)
+    try:
+        for algorithm in ("eager", "prstack"):
+            for keywords in QUERIES:
+                for k in KS:
+                    body = {"keywords": keywords, "k": k,
+                            "algorithm": algorithm}
+                    computed = post_raw(handle.port, body)
+                    replayed = post_raw(handle.port, body)
+                    cell = (algorithm, keywords, k)
+                    assert PER_REQUEST.sub(b"", replayed) == \
+                        PER_REQUEST.sub(b"", computed), cell
+                    want = rows(topk_search(database, keywords, k,
+                                            algorithm))
+                    for raw in (computed, replayed):
+                        assert [(answer["code"],
+                                 answer["probability"].hex())
+                                for answer in json.loads(raw)["results"]
+                                ] == want, cell
+    finally:
+        assert handle.stop() == 0
+    cells = 2 * len(QUERIES) * len(KS)
+    results = service.cache_stats()["results"]
+    assert results["hits"] == results["misses"] == cells
+    assert collector.counter("serve.replays_on_loop") == cells
 
 
 def test_grid_covers_what_it_claims():
