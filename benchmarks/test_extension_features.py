@@ -10,10 +10,10 @@ import random
 
 import pytest
 
+from repro import threshold_search
 from repro.bench.runner import measure_callable
 from repro.core.monte_carlo import monte_carlo_search
 from repro.core.prstack import prstack_search
-from repro.core.threshold import threshold_search
 from repro.datagen import generate_mondial, make_probabilistic
 from repro.index.storage import Database
 

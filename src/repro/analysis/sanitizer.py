@@ -70,7 +70,7 @@ class NullSanitizer:
                        path_prob: float) -> None:
         pass
 
-    def check_heap(self, entries: Any, best: Any, k: int) -> None:
+    def check_heap(self, entries: Any, best: Any, k: float) -> None:
         pass
 
     def record_bound(self, code: Any, path_bound: float,
@@ -174,7 +174,7 @@ class Sanitizer:
                        f"exceeds its path probability {path_prob!r}")
 
     def check_heap(self, entries: Any, best: Mapping[Any, float],
-                   k: int) -> None:
+                   k: float) -> None:
         """Assert the top-k heap invariant and its size bound."""
         self.checks += 1
         if len(best) > k:

@@ -10,6 +10,7 @@ is looked up when first accessed.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -18,7 +19,8 @@ from repro.analysis.sanitizer import (EXACT_CHECK_MAX_ENTRIES,
                                       sanitize_from_env)
 from repro.core.eager import eager_topk_search
 from repro.core.possible_worlds_search import possible_worlds_search
-from repro.core.prstack import prstack_search
+from repro.core.heap import TopKHeap
+from repro.core.prstack import _scan, prstack_search
 from repro.core.result import SearchOutcome
 from repro.exceptions import QueryError
 from repro.index.cache import CachesLike, NULL_CACHES
@@ -48,12 +50,14 @@ Source = Union[PDocument, Database, InvertedIndex]
 
 def validated_terms(keywords: Iterable[str], k: int,
                     algorithm: Union[Algorithm, str] = Algorithm.EAGER,
-                    semantics: str = "slca") -> List[str]:
+                    semantics: str = "slca"
+                    ) -> Tuple[List[str], Algorithm]:
     """Boundary validation and normalisation in one pass, shared by
     :func:`topk_search` and the service and corpus layers: each keyword
     is tokenised once, and the query's unique terms come back in
     keyword order (the :func:`~repro.index.tokenizer.normalize_query`
-    flattening).
+    flattening), with the query's coerced :class:`Algorithm`.  The
+    caller passes that on, so a query coerces its algorithm once.
 
     Raises a :class:`QueryError` naming the offence (instead of
     whatever a deeper layer — the heap, an engine, a shard visit —
@@ -98,7 +102,7 @@ def validated_terms(keywords: Iterable[str], k: int,
     if empty is not None:
         raise QueryError(
             f"query keyword {empty!r} contains no indexable terms")
-    return list(terms)
+    return list(terms), algorithm
 
 
 def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
@@ -176,9 +180,10 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
             long-lived collector (or a per-request one it merges into
             its own), so the query pays no snapshot.
         _checked: private to :class:`repro.service.QueryService`.  True
-            says ``keywords`` are terms :func:`validated_terms` already
-            returned for this ``k``, algorithm and semantics, so the
-            search does not check them again.
+            says ``keywords`` and ``algorithm`` are the terms and the
+            :class:`Algorithm` :func:`validated_terms` already returned
+            for this ``k`` and semantics, so the search does not check
+            them again.
 
     Returns:
         A :class:`SearchOutcome`; ``outcome.results`` are sorted by
@@ -187,7 +192,7 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
         p-document ``node``.  See
         docs/OBSERVABILITY.md for the instrumented ``stats`` layout.
     """
-    terms = list(keywords) if _checked \
+    terms, algorithm = (list(keywords), algorithm) if _checked \
         else validated_terms(keywords, k, algorithm, semantics)
     if _is_query_service(source):
         # A prepared service carries its own caches and collector
@@ -208,7 +213,6 @@ def topk_search(source: Source, keywords: Iterable[str], k: int = 10,
     sanitizer = Sanitizer(collector=collector) if sanitize \
         else NULL_SANITIZER
     index = _as_index(source)
-    algorithm = _coerce_algorithm(algorithm)
     elca = semantics == "elca"
 
     _log.debug("topk_search: %s k=%d semantics=%s", algorithm.value, k,
@@ -260,7 +264,7 @@ def _crosscheck_bounds(sanitizer: Sanitizer, index: InvertedIndex,
         _log.debug("sanitize: bound cross-check skipped (%d match "
                    "entries > %d)", entries, EXACT_CHECK_MAX_ENTRIES)
         return
-    exhaustive = prstack_search(index, keywords, k=1 << 30)
+    exhaustive = _scan(index, keywords, TopKHeap(math.inf))
     exact = {result.code: result.probability
              for result in exhaustive.results}
     sanitizer.verify_bounds(exact)
@@ -268,9 +272,11 @@ def _crosscheck_bounds(sanitizer: Sanitizer, index: InvertedIndex,
 
 
 def _coerce_algorithm(algorithm: Union[Algorithm, str]) -> Algorithm:
-    """Accept an :class:`Algorithm` or its (case-insensitive) string
-    value; reject anything else with a :class:`QueryError` naming the
-    valid choices."""
+    """Accept an :class:`Algorithm` (returned as it is) or its
+    (case-insensitive) string value; reject anything else with a
+    :class:`QueryError` naming the valid choices."""
+    if isinstance(algorithm, Algorithm):
+        return algorithm
     try:
         return Algorithm(algorithm)
     except ValueError:

@@ -472,8 +472,6 @@ class _EagerSearch:
         """
         if self.exact_ties:
             return self.heap.would_accept(node, bound)
-        if len(self.heap) < self.heap.k:
-            return bound > 0.0
         return bound > self.heap.threshold
 
     def _path_prunable(self, path_bound: float) -> bool:

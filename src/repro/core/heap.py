@@ -3,9 +3,12 @@
 Both algorithms stream ``(node id, probability)`` results and keep only
 the ``k`` best; the corpus merge streams global positions tuples
 instead.  Keys only need to sort in document order (repro.core.order).  EagerTopK additionally needs the current k-th highest
-probability as its pruning threshold: :meth:`TopKHeap.threshold` is 0
-until the heap fills, after which it is the smallest retained
-probability — so comparisons against it are always conservative.
+probability as its pruning threshold: :meth:`TopKHeap.threshold` is
+the heap's floor (0 by default) until the heap fills, after which it is
+the smallest retained probability — so comparisons against it are
+always conservative.  The floor is the one cut-off rule for top-k and
+threshold answers alike (:func:`repro.core.prstack.threshold_search`
+is a heap with ``k = math.inf`` floored at the caller's probability).
 
 Probability ties at the k boundary are broken by document order
 (earlier nodes win), making the retained set a pure function of the
@@ -50,16 +53,20 @@ class _Entry:
 class TopKHeap:
     """Min-heap of the k highest-probability (key, probability) pairs."""
 
-    def __init__(self, k: int, collector: EngineMetrics = NULL_COLLECTOR,
-                 sanitizer: SanitizerLike = NULL_SANITIZER):
-        """``collector`` receives the ``heap.*`` counters and, when
-        tracing, one ``heap.threshold`` event per threshold raise — the
-        k-th probability's evolution over the scan.  ``sanitizer``
-        (sanitize mode only) asserts offered probabilities are in
-        range and the heap invariant holds after every acceptance."""
+    def __init__(self, k: float, collector: EngineMetrics = NULL_COLLECTOR,
+                 sanitizer: SanitizerLike = NULL_SANITIZER,
+                 floor: float = 0.0):
+        """``k`` may be ``math.inf``: the heap never evicts.  ``floor``
+        is the least probability it accepts.  ``collector`` receives the
+        ``heap.*`` counters and, when tracing, one ``heap.threshold``
+        event per threshold raise — the k-th probability's evolution
+        over the scan.  ``sanitizer`` (sanitize mode only) asserts
+        offered probabilities are in range and the heap invariant holds
+        after every acceptance."""
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         self.k = k
+        self.floor = floor
         self.collector = collector
         self.sanitizer = sanitizer
         self._heap: List[_Entry] = []
@@ -70,7 +77,9 @@ class TopKHeap:
 
     @property
     def threshold(self) -> float:
-        """The current k-th highest probability (0 until k answers exist).
+        """The current k-th highest probability, or the floor until k
+        answers exist.  It never reads below the floor: every retained
+        answer was accepted at or above it.
 
         A candidate whose probability or upper bound is *strictly below*
         this value can never enter the result set.  An equal-probability
@@ -79,7 +88,7 @@ class TopKHeap:
         to keep PrStack and EagerTopK answer sets identical.
         """
         if len(self._best) < self.k:
-            return 0.0
+            return self.floor
         return self._heap[0].probability
 
     def would_accept(self, key: Any, probability: float) -> bool:
@@ -92,8 +101,9 @@ class TopKHeap:
         entry in document order, which is exactly the tiebreak
         :meth:`offer` applies.  Using this test keeps the pruned search
         result-identical to PrStack while pruning ties aggressively.
+        It applies :meth:`offer`'s floor rule too.
         """
-        if probability <= 0.0:
+        if probability <= 0.0 or probability < self.floor:
             return False
         known = self._best.get(key)
         if known is not None:
@@ -106,7 +116,10 @@ class TopKHeap:
         """Insert a result if it belongs in the top-k; returns acceptance.
 
         Zero-probability results are rejected outright: the paper only
-        returns nodes with non-zero probability.  Re-offering a node
+        returns nodes with non-zero probability.  So is a result
+        strictly below the floor; one exactly at it is accepted, the
+        same strict rule every pruning comparison against
+        :attr:`threshold` applies.  Re-offering a node
         keeps the higher probability (the algorithms compute each node's
         probability once, so this is purely defensive).
         """
@@ -117,7 +130,7 @@ class TopKHeap:
         if self.sanitizer.enabled:
             self.sanitizer.check_probability(
                 probability, f"heap offer for {key}")
-        if probability <= 0.0:
+        if probability <= 0.0 or probability < self.floor:
             return False
         known = self._best.get(key)
         if known is not None and probability <= known:

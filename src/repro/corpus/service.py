@@ -80,7 +80,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.analysis.sanitizer import sanitize_from_env
 from repro.core import Algorithm
-from repro.core.api import _coerce_algorithm, validated_terms
+from repro.core.api import validated_terms
 from repro.core.heap import TopKHeap
 from repro.core.result import SearchOutcome, SLCAResult
 from repro.corpus.builder import (CorpusManifest, compute_bounds,
@@ -164,7 +164,6 @@ class _ShardState:
     replicas: Tuple[_ReplicaState, ...]
     selector: ReplicaSelector
     bounds: Dict[str, float]
-    max_path_probability: float
     positions: Dict[int, int]
 
     @property
@@ -325,7 +324,6 @@ class CorpusService:
         shard = _ShardState(position=position, name=name,
                             replicas=tuple(replicas),
                             selector=selector, bounds={},
-                            max_path_probability=0.0,
                             positions=positions)
         if shard.service is None:
             _log.error("corpus shard %s failed to load: %s", name,
@@ -379,13 +377,11 @@ class CorpusService:
             if isinstance(terms, dict):
                 return replace(
                     shard, bounds={str(term): float(value)
-                                   for term, value in terms.items()},
-                    max_path_probability=float(
-                        payload.get("max_path_probability", 1.0)))
+                                   for term, value in terms.items()})
         if self.collector.enabled:
             self.collector.count("corpus.bounds_recomputed")
-        bounds, best = compute_bounds(service.current_index())
-        return replace(shard, bounds=bounds, max_path_probability=best)
+        bounds, _ = compute_bounds(service.current_index())
+        return replace(shard, bounds=bounds)
 
     # -- search ----------------------------------------------------------------
 
@@ -415,7 +411,8 @@ class CorpusService:
         # a QueryError raised inside a visit would otherwise read as a
         # replica failure and trip the replica breakers.  Every visit
         # runs on this one canonical form of the query.
-        terms = sorted(validated_terms(keywords, k, algorithm, semantics))
+        terms, coerced = validated_terms(keywords, k, algorithm, semantics)
+        terms.sort()
         if not terms:
             raise QueryError("keyword query contains no terms")
         if executor is None:
@@ -424,8 +421,8 @@ class CorpusService:
         if workers is not None and workers <= 0:
             raise QueryError(f"workers must be positive, got {workers}")
         # k + 1 answers a shard: its synthetic root can take one slot.
-        verdict = Lookup(terms, k + 1, _coerce_algorithm(algorithm),
-                         semantics, replayable=False)
+        verdict = Lookup(terms, k + 1, coerced, semantics,
+                         replayable=False)
         budget = as_deadline(deadline)
         shards = self._shards
         traced = tracer is not None and getattr(tracer, "enabled", False)

@@ -597,16 +597,16 @@ class QueryService:
         Counts the query into ``service.queries``.  A bad query raises
         :class:`~repro.exceptions.QueryError`, as :meth:`search` does.
         """
-        return self._lookup(
-            sorted(validated_terms(keywords, k, algorithm, semantics)),
-            k, algorithm, semantics, collector, sanitize, deadline)
+        terms, coerced = validated_terms(keywords, k, algorithm,
+                                         semantics)
+        return self._lookup(sorted(terms), k, coerced, semantics,
+                            collector, sanitize, deadline)
 
-    def _lookup(self, terms: List[str], k: int,
-                algorithm: Union[Algorithm, str], semantics: str,
-                collector: Optional[MetricsCollector],
+    def _lookup(self, terms: List[str], k: int, algorithm: Algorithm,
+                semantics: str, collector: Optional[MetricsCollector],
                 sanitize: Optional[bool], deadline: object) -> Lookup:
-        """:meth:`lookup` on canonical terms (sorted and validated)."""
-        algorithm = _coerce_algorithm(algorithm)
+        """:meth:`lookup` on a validated query (canonical terms, coerced
+        algorithm)."""
         if self.collector.enabled:
             self.collector.count("service.queries")
         effective_sanitize = sanitize if sanitize is not None \
@@ -795,8 +795,8 @@ class QueryService:
         for query in queries:
             keywords = query.split() if isinstance(query, str) \
                 else list(query)
-            prepared.append(sorted(validated_terms(keywords, k,
-                                                   algorithm, semantics)))
+            terms, _ = validated_terms(keywords, k, algorithm, semantics)
+            prepared.append(sorted(terms))
 
         order = sorted(range(len(prepared)),
                        key=lambda position: prepared[position])

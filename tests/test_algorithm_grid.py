@@ -22,15 +22,24 @@ The HTTP slice: every single-document grid query is served twice over
 thread, the second replayed on the event loop from the result cache's
 encoded answer; the two agree byte for byte apart from ``elapsed_ms``
 and ``trace_id``, and both carry the in-process answer bit for bit.
+
+The threshold slice: ``threshold_search(p)`` is PrStack with an
+unbounded k, cut at ``p`` with the heap's floor rule (an answer exactly
+at ``p`` stays, one below it goes), bit for bit and in the same order.
+Each ``p`` is an answer's own probability (an exact tie at the floor)
+or a point between two answers, and on documents small enough to
+enumerate the answers match the possible-worlds oracle within its
+summation tolerance.
 """
 
 import json
+import math
 import random
 import re
 
 import pytest
 
-from repro import MetricsCollector, SpanTracer, topk_search
+from repro import MetricsCollector, SpanTracer, threshold_search, topk_search
 from repro.core.order import result_order_key
 from repro.corpus import CorpusService, build_corpus, concat_documents
 from repro.encoding.dewey import DeweyCode
@@ -325,3 +334,85 @@ def test_corpus_grid_covers_what_it_claims():
                 differ += slca != elca
     assert answered == cells
     assert differ >= cells // 4
+
+
+# -- the threshold slice --------------------------------------------------------
+
+#: The documents the threshold slice checks against the oracle: at most
+#: this many raw possible worlds and nodes (41 of the 60 grid documents;
+#: enumeration cost grows fast beyond them).
+ORACLE_MAX_WORLDS = 1024
+ORACLE_MAX_NODES = 28
+
+
+def oracle_sized(database):
+    encoded = database.index.encoded
+    return (len(encoded.kinds) <= ORACLE_MAX_NODES
+            and encoded.document.theoretical_world_count()
+            <= ORACLE_MAX_WORLDS)
+
+
+def floors(probabilities):
+    """Every answer probability, the midpoints between neighbouring
+    ones, the least positive float, and 1."""
+    distinct = sorted(set(probabilities), reverse=True)
+    points = set(distinct)
+    points.update((high + low) / 2 for high, low in zip(distinct,
+                                                        distinct[1:]))
+    points.add(math.ulp(0.0))
+    points.add(1.0)
+    return sorted(points)
+
+
+def oracle_agrees(worlds, answer, floor):
+    """``answer`` against the oracle's probabilities within ``EPS``:
+    every answer's probability matches its node's, and every node the
+    oracle puts clearly above the floor is answered (a node within
+    ``EPS`` of the floor may fall either side)."""
+    exact = dict(worlds)
+    answered = dict(answer)
+    return (all(code in exact and abs(exact[code] - probability) <= EPS
+                for code, probability in answer)
+            and all(code in answered for code, probability in worlds
+                    if probability > floor + EPS))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_threshold_equals_unbounded_prstack_cut_at_the_floor(seed):
+    database = grid_database(seed)
+    small = oracle_sized(database)
+    for keywords in QUERIES:
+        everything = rows(topk_search(database, keywords, 1 << 20,
+                                      "prstack"))
+        worlds = [(str(result.code), result.probability)
+                  for result in topk_search(database, keywords, 1 << 20,
+                                            "possible_worlds")] \
+            if small else None
+        for floor in floors(float.fromhex(probability)
+                            for _, probability in everything):
+            outcome = threshold_search(database.index, keywords, floor)
+            cell = (keywords, floor.hex())
+            assert rows(outcome) == [
+                row for row in everything
+                if float.fromhex(row[1]) >= floor], cell
+            assert outcome.stats["algorithm"] == "threshold"
+            if worlds is not None:
+                assert oracle_agrees(
+                    worlds, [(code, float.fromhex(probability))
+                             for code, probability in rows(outcome)],
+                    floor), cell
+
+
+def test_threshold_grid_covers_what_it_claims():
+    """Most documents reach the oracle, and some answer sets hold
+    probability ties, so a floor sits on several answers at once."""
+    small = tied = 0
+    for seed in SEEDS:
+        database = grid_database(seed)
+        small += oracle_sized(database)
+        for keywords in QUERIES:
+            probabilities = [probability for _, probability in rows(
+                topk_search(database, keywords, 1 << 20, "prstack"))]
+            tied += len(set(probabilities)) < len(probabilities)
+    assert small >= 40
+    assert tied >= 10

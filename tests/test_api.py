@@ -105,10 +105,13 @@ class TestQueryValidation:
 
     def test_validated_terms_returns_unique_terms_in_keyword_order(self):
         from repro.core.api import validated_terms
-        assert validated_terms(iter(["b", "a"]), 5) == ["b", "a"]
+        assert validated_terms(iter(["b", "a"]), 5) == \
+            (["b", "a"], Algorithm.EAGER)
         assert validated_terms(["United States", "ship", "states ship"],
-                               5) == ["united", "states", "ship"]
-        assert validated_terms([], 5) == []
+                               5, "PrStack") == \
+            (["united", "states", "ship"], Algorithm.PRSTACK)
+        assert validated_terms([], 5, Algorithm.POSSIBLE_WORLDS) == \
+            ([], Algorithm.POSSIBLE_WORLDS)
 
     @pytest.mark.parametrize("keywords, k, algorithm, semantics, match", [
         # k is checked first, then duplicates, then the query shape,

@@ -323,6 +323,55 @@ class TestOneNormalisation:
             topk_search(figure1_db, [], 3)
 
 
+class TestOneCoercion:
+    """A query coerces its algorithm string once, at its front door,
+    and passes the :class:`Algorithm` on; only a front door that was
+    handed an :class:`Algorithm` already skips the coercion."""
+
+    def test_each_front_door_coerces_once(self, figure1_db, tmp_path,
+                                          monkeypatch):
+        import repro.core.api as api
+        import repro.service.service as service_module
+        from repro import Algorithm
+        from repro.corpus import CorpusService, build_corpus
+        from tests.test_corpus import random_corpus
+        build_corpus(random_corpus(3), tmp_path / "corpus", shards=2)
+        corpus = CorpusService(str(tmp_path / "corpus"))
+        service = QueryService(figure1_db)
+        coerced = []
+        original = api._coerce_algorithm
+
+        def counted(algorithm):
+            if not isinstance(algorithm, Algorithm):
+                coerced.append(algorithm)
+            return original(algorithm)
+
+        for module in (api, service_module):
+            monkeypatch.setattr(module, "_coerce_algorithm", counted)
+        doors = {
+            "lookup": lambda: service.lookup(["k1", "k2"], 3, "PrStack"),
+            "search": lambda: service.search(["k2", "k1"], 3, "PrStack"),
+            "replay": lambda: service.search(["k1", "k2"], 3, "PrStack"),
+            "topk_search": lambda: topk_search(figure1_db, ["k1"], 3,
+                                               "PrStack"),
+            "topk_search on a service": lambda: topk_search(
+                service, ["k2"], 3, "PrStack"),
+            "corpus": lambda: corpus.search(["k1", "k2"], 3, "PrStack"),
+            "batch": lambda: service.batch_search(
+                [["k1"], ["k2"], "k1 k2"], 3, "PrStack"),
+            "corpus batch": lambda: corpus.batch_search(
+                [["k1"], ["k1", "k2"]], 3, "PrStack"),
+        }
+        for door, call in doors.items():
+            coerced.clear()
+            call()
+            expected = 2 if door == "corpus batch" else 1
+            assert coerced == ["PrStack"] * expected, door
+        coerced.clear()
+        topk_search(figure1_db, ["k1"], 3, Algorithm.PRSTACK)
+        assert coerced == []
+
+
 class TestEviction:
     def test_tiny_cache_evicts_and_stays_correct(self, figure1_db):
         service = QueryService(figure1_db, cache_size=1)
